@@ -135,7 +135,6 @@ class TrackedTeams:
 
     outfield: dict[str, list[Trajectory]]
     keepers: dict[str, Trajectory]
-    frames_processed: int = 0
 
     def all_outfield(self) -> list[Trajectory]:
         return [t for team in (HOME, AWAY) for t in self.outfield[team]]
@@ -181,6 +180,4 @@ def build_trajectories(
             if seen_keeper:
                 keepers[team].append(frame.time, seen_keeper[0])
 
-    return TrackedTeams(
-        outfield=outfield, keepers=keepers, frames_processed=len(record.frames)
-    )
+    return TrackedTeams(outfield=outfield, keepers=keepers)

@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,21 +60,28 @@ class GridSeries:
     def end_k(self) -> int:
         return self.start_k + len(self.values) - 1
 
-    def time_of(self, i: int) -> float:
-        return (self.start_k + i) * self.step
+    @cached_property
+    def displacements(self) -> tuple[list[float], list[float]]:
+        """Per-axis displacement over each grid interval; entry i ends at node start_k + 1 + i."""
+        pairs = list(zip(self.values, self.values[1:]))
+        return [b.x - a.x for a, b in pairs], [b.y - a.y for a, b in pairs]
 
-    def value_at_k(self, k: int) -> PitchPoint:
-        """Grid value at index k, held constant beyond either end."""
-        i = min(max(k - self.start_k, 0), len(self.values) - 1)
-        return self.values[i]
+    def lagged_displacements(self, ks: Iterable[int], axis: int, n: int) -> list[list[float]]:
+        """Per node k, the displacements over the n intervals ending at k, k - 1, ...
 
-    def displacement_into(self, k: int) -> tuple[float, float]:
-        """Displacement over the grid interval ending at k (zero outside the series)."""
-        if not self.values:
-            return (0.0, 0.0)
-        a = self.value_at_k(k - 1)
-        b = self.value_at_k(k)
-        return (b.x - a.x, b.y - a.y)
+        Intervals outside the series have zero displacement.
+        """
+        disp = self.displacements[axis]
+        rows = []
+        for k in ks:
+            i = k - self.start_k - 1
+            rows.append([disp[j] if 0 <= j < len(disp) else 0.0 for j in range(i, i - n, -1)])
+        return rows
+
+    @cached_property
+    def reversed(self) -> GridSeries:
+        """The series time-reversed about t=0 (displacements change sign)."""
+        return GridSeries(-self.end_k, self.step, self.values[::-1])
 
 
 def _lerp(a: PitchPoint, ta: float, b: PitchPoint, tb: float, t: float) -> PitchPoint:
@@ -153,21 +161,43 @@ class ForecastModel:
         if not ar_is_stationary(self.ar):
             raise ValueError(f"AR coefficients {self.ar} are not stationary")
 
-    def predict_displacement(
-        self,
-        d_lags: Sequence[float],
-        e_lags: Sequence[float],
-        g_lags: Sequence[float],
-    ) -> float:
-        """One-step conditional mean given lag registers (most recent first)."""
-        v = self.intercept
-        for c, d in zip(self.ar, d_lags):
-            v += c * d
-        for c, e in zip(self.ma, e_lags):
-            v += c * e
-        for c, g in zip(self.exog, g_lags):
-            v += c * g
-        return v
+
+def armax_recursion(
+    coefs: tuple[float, Sequence[float], Sequence[float], Sequence[float]],
+    d_lags: list[float],
+    e_lags: list[float],
+    exog_rows: Sequence[Sequence[float]],
+    observed: Sequence[float] | None,
+) -> list[float]:
+    """The displacement recursion, one step per row of exogenous lags.
+
+    ``coefs`` is ``(intercept, ar, ma, exog)``; each step predicts
+    ``intercept + sum(ar * d_lags) + sum(ma * e_lags) + sum(exog * row)`` and
+    shifts the lag registers (most recent first) in place.  Given the
+    ``observed`` displacements it returns the residuals ``d - pred``; given
+    None it forecasts, taking ``d = pred`` and a zero residual, and returns
+    the predictions.
+    """
+    intercept, ar, ma, exog = coefs
+    out = []
+    for i, row in enumerate(exog_rows):
+        pred = intercept
+        for c, v in zip(ar, d_lags):
+            pred += c * v
+        for c, v in zip(ma, e_lags):
+            pred += c * v
+        for c, v in zip(exog, row):
+            pred += c * v
+        d = pred if observed is None else observed[i]
+        e = d - pred
+        out.append(pred if observed is None else e)
+        if d_lags:
+            d_lags.insert(0, d)
+            d_lags.pop()
+        if e_lags:
+            e_lags.insert(0, e)
+            e_lags.pop()
+    return out
 
 
 class _VarianceLadder:
@@ -209,10 +239,12 @@ class Forecast:
 class ForecastState:
     """Incremental forecasting state for one trajectory.
 
-    Appending a sighting extends the grid resampling and residual recursion
-    over the new interval only, so a frame loop pays O(gap) per sighting
-    instead of O(history) per forecast.  ``forecast()`` builds one of these
-    from scratch, so both paths share a single implementation.
+    Appending a sighting extends the grid resampling and the residual
+    recursion over the new interval only, so a frame loop pays O(gap) per
+    sighting instead of O(history) per forecast.  Forecasts unroll the same
+    recursion past the last grid node and keep the unrolled steps until the
+    next append, so a state queried at many times beyond its trajectory
+    unrolls each step once.
     """
 
     def __init__(self, model: ForecastModel, ball: GridSeries):
@@ -220,16 +252,19 @@ class ForecastState:
             raise ValueError("ball grid step does not match the model grid step")
         self.model = model
         self.ball = ball
+        self._coefs = (model.intercept, model.ar, model.ma, model.exog)
         self._ladder = _VarianceLadder(model)
         self.t_last: float | None = None
         self.pos_last: PitchPoint | None = None
         self._grid_k: int | None = None  # last grid node covered by the resampling
         self._grid_pos: PitchPoint | None = None
-        p, q = len(model.ar), len(model.ma)
-        self._d_lags = ([0.0] * p, [0.0] * p)  # per axis, most recent first
-        self._e_lags = ([0.0] * q, [0.0] * q)
-        self._unroll: list[tuple[float, float]] | None = None
-        self._cum_unroll: list[tuple[float, float]] = []
+        # Per axis: the displacement and residual lag registers, most recent first.
+        self._lags = [([0.0] * len(model.ar), [0.0] * len(model.ma)) for _ in (0, 1)]
+        # Per axis: the unroll's own lag registers and its cumulative predictions.
+        self._unroll: list[tuple[list[float], list[float], list[float]]] | None = None
+
+    def _exog_rows(self, ks: Iterable[int], axis: int) -> list[list[float]]:
+        return self.ball.lagged_displacements(ks, axis, len(self.model.exog))
 
     def append(self, t: float, point: PitchPoint) -> None:
         step = self.model.grid_step
@@ -247,33 +282,19 @@ class ForecastState:
         else:
             k_next = math.ceil(self.t_last / step - _TOL)
         prev = self._grid_pos
+        ks, dx, dy = [], [], []
         for k in range(k_next, k_hi + 1):
             value = _lerp(self.pos_last, self.t_last, point, t, k * step)
             if prev is not None:
-                self._advance_recursion(k, (value.x - prev.x, value.y - prev.y))
+                ks.append(k)
+                dx.append(value.x - prev.x)
+                dy.append(value.y - prev.y)
             self._grid_k, self._grid_pos = k, value
             prev = value
+        for axis, d in enumerate((dx, dy)):
+            armax_recursion(self._coefs, *self._lags[axis], self._exog_rows(ks, axis), d)
         self.t_last, self.pos_last = t, point
         self._unroll = None
-
-    def _ball_lags(self, k: int, axis: int) -> list[float]:
-        return [
-            self.ball.displacement_into(k - lag)[axis]
-            for lag in range(len(self.model.exog))
-        ]
-
-    def _advance_recursion(self, k: int, d: tuple[float, float]) -> None:
-        for axis in (0, 1):
-            pred = self.model.predict_displacement(
-                self._d_lags[axis], self._e_lags[axis], self._ball_lags(k, axis)
-            )
-            e = d[axis] - pred
-            if self._d_lags[axis]:
-                self._d_lags[axis].insert(0, d[axis])
-                self._d_lags[axis].pop()
-            if self._e_lags[axis]:
-                self._e_lags[axis].insert(0, e)
-                self._e_lags[axis].pop()
 
     def _anchor_k(self) -> int:
         if self._grid_k is not None:
@@ -282,33 +303,19 @@ class ForecastState:
         # anchor the recursion at the node just below the last sighting.
         return math.floor(self.t_last / self.model.grid_step + _TOL)
 
-    def _anchor_pos(self) -> PitchPoint:
-        return self._grid_pos if self._grid_pos is not None else self.pos_last
-
-    def _extend_unroll(self, n: int) -> None:
-        """Cache cumulative predicted displacement up to n grid steps ahead."""
+    def _cumulative_unroll(self, n: int) -> tuple[list[float], list[float]]:
+        """Per-axis cumulative predicted displacement 1..n grid steps past the anchor."""
         if self._unroll is None:
-            self._unroll = []
-            self._cum_unroll = []
-            self._u_d = (list(self._d_lags[0]), list(self._d_lags[1]))
-            self._u_e = (list(self._e_lags[0]), list(self._e_lags[1]))
-        anchor = self._anchor_k()
-        while len(self._unroll) < n:
-            k = anchor + len(self._unroll) + 1
-            d_pred = [0.0, 0.0]
-            for axis in (0, 1):
-                d_pred[axis] = self.model.predict_displacement(
-                    self._u_d[axis], self._u_e[axis], self._ball_lags(k, axis)
-                )
-                if self._u_d[axis]:
-                    self._u_d[axis].insert(0, d_pred[axis])
-                    self._u_d[axis].pop()
-                if self._u_e[axis]:
-                    self._u_e[axis].insert(0, 0.0)  # future residuals are zero
-                    self._u_e[axis].pop()
-            self._unroll.append((d_pred[0], d_pred[1]))
-            last = self._cum_unroll[-1] if self._cum_unroll else (0.0, 0.0)
-            self._cum_unroll.append((last[0] + d_pred[0], last[1] + d_pred[1]))
+            self._unroll = [(list(d), list(e), []) for d, e in self._lags]
+        k_first = self._anchor_k() + 1
+        for axis, (d_lags, e_lags, cum) in enumerate(self._unroll):
+            ks = range(k_first + len(cum), k_first + n)
+            preds = armax_recursion(self._coefs, d_lags, e_lags, self._exog_rows(ks, axis), None)
+            total = cum[-1] if cum else 0.0
+            for pred in preds:
+                total += pred
+                cum.append(total)
+        return self._unroll[0][2], self._unroll[1][2]
 
     def forecast_at(self, t: float) -> Forecast:
         if self.t_last is None:
@@ -327,14 +334,13 @@ class ForecastState:
             std = max(u * self.model.one_step_std, _MIN_STD)
             return Forecast(clamp_to_pitch(pos_last.x, pos_last.y), std)
         n_hi = math.ceil(t / step - _TOL) - anchor
-        self._extend_unroll(n_hi)
-        apos = self._anchor_pos()
+        cum_x, cum_y = self._cumulative_unroll(n_hi)
+        apos = self._grid_pos if self._grid_pos is not None else pos_last
 
         def node_mean(n: int) -> tuple[float, float]:
             if n <= 1:  # one step ahead: random walk about the last sighting
                 return (pos_last.x, pos_last.y)
-            cx, cy = self._cum_unroll[n - 1]
-            return (apos.x + cx, apos.y + cy)
+            return (apos.x + cum_x[n - 1], apos.y + cum_y[n - 1])
 
         def node_std(n: int) -> float:
             return self.model.one_step_std if n <= 1 else self._ladder.std_at(n)
@@ -357,39 +363,41 @@ class ForecastState:
         )
 
 
-def forecast(model: ForecastModel, traj: Trajectory, ball: GridSeries, t: float) -> Forecast:
-    """Forecast the player's position at ``t``, at or after the last sighting."""
+def forward_state(model: ForecastModel, traj: Trajectory, ball: GridSeries) -> ForecastState:
+    """A state over the whole trajectory, for forecasts at or after its last sighting."""
     if not traj.times:
         raise ValueError("cannot forecast from an empty trajectory")
     state = ForecastState(model, ball)
-    for tt, p in zip(traj.times, traj.points):
-        state.append(tt, p)
-    return state.forecast_at(t)
+    for t, p in zip(traj.times, traj.points):
+        state.append(t, p)
+    return state
 
 
-def reverse_series(series: GridSeries) -> GridSeries:
-    """Time-reverse a grid series about t=0 (displacements change sign)."""
-    return GridSeries(
-        start_k=-(series.start_k + len(series.values) - 1),
-        step=series.step,
-        values=list(reversed(series.values)),
-    )
+def backward_state(model: ForecastModel, traj: Trajectory, ball: GridSeries) -> ForecastState:
+    """A state over the time-reversed trajectory: ``forecast_at(-t)`` forecasts
+    ``t`` at or before the first sighting."""
+    if not traj.times:
+        raise ValueError("cannot forecast from an empty trajectory")
+    state = ForecastState(model, ball.reversed)
+    for t, p in zip(reversed(traj.times), reversed(traj.points)):
+        state.append(-t, p)
+    return state
+
+
+def forecast(model: ForecastModel, traj: Trajectory, ball: GridSeries, t: float) -> Forecast:
+    """Forecast the player's position at ``t``, at or after the last sighting."""
+    return forward_state(model, traj, ball).forecast_at(t)
 
 
 def backward_forecast(
     model: ForecastModel, traj: Trajectory, ball: GridSeries, t: float
 ) -> Forecast:
     """Forecast at ``t``, at or before the first sighting, by time reversal."""
-    if not traj.times:
-        raise ValueError("cannot forecast from an empty trajectory")
-    if t > traj.times[0] + _TOL:
+    if traj.times and t > traj.times[0] + _TOL:
         raise ValueError(
             f"backward forecast time {t} is after first sighting {traj.times[0]}"
         )
-    reversed_traj = Trajectory(tag=traj.tag)
-    for tt, p in zip(reversed(traj.times), reversed(traj.points)):
-        reversed_traj.append(-tt, p)
-    return forecast(model, reversed_traj, reverse_series(ball), -t)
+    return backward_state(model, traj, ball).forecast_at(-t)
 
 
 # --- fitting -----------------------------------------------------------------
@@ -409,49 +417,12 @@ def _segments(
             grid = resample_to_grid(traj, grid_step)
             if len(grid) < 3:
                 continue
-            coords = (
-                np.array([p.x for p in grid.values]),
-                np.array([p.y for p in grid.values]),
-            )
-            for axis, vals in enumerate(coords):
-                d = np.diff(vals)
-                # displacement i spans the grid interval ending at start_k + 1 + i
-                g = np.empty((len(d), n_exog))
-                for i in range(len(d)):
-                    k = grid.start_k + 1 + i
-                    for lag in range(n_exog):
-                        g[i, lag] = ball.displacement_into(k - lag)[axis]
-                out.append((d, g))
+            # displacement i spans the grid interval ending at start_k + 1 + i
+            ks = range(grid.start_k + 1, grid.end_k + 1)
+            for axis in (0, 1):
+                g = np.array(ball.lagged_displacements(ks, axis, n_exog)).reshape(len(ks), n_exog)
+                out.append((np.array(grid.displacements[axis]), g))
     return out
-
-
-def _conditional_residuals(
-    intercept: float,
-    ar: Sequence[float],
-    ma: Sequence[float],
-    exog: Sequence[float],
-    d: np.ndarray,
-    g: np.ndarray,
-) -> np.ndarray:
-    """Residual recursion over one segment; pre-sample lags are zero."""
-    p, q = len(ar), len(ma)
-    e = np.zeros(len(d))
-    d_lags = [0.0] * p
-    e_lags = [0.0] * q
-    for t in range(len(d)):
-        pred = intercept
-        for i in range(p):
-            pred += ar[i] * d_lags[i]
-        for j in range(q):
-            pred += ma[j] * e_lags[j]
-        for l in range(len(exog)):
-            pred += exog[l] * g[t, l]
-        e[t] = d[t] - pred
-        if p:
-            d_lags = [d[t]] + d_lags[:-1]
-        if q:
-            e_lags = [e[t]] + e_lags[:-1]
-    return e
 
 
 def _design(
@@ -518,7 +489,6 @@ def fit(
     # Stage 2: ARMAX regression, iterated with residuals recomputed from the
     # current coefficients (non-stationary intermediates are tolerated).
     t0 = max(p, q, 1)
-    coeffs = np.zeros(1 + p + q + r)
     for _ in range(3):
         xs, ys = [], []
         for (d, g), e in zip(segments, e_hat):
@@ -528,34 +498,33 @@ def fit(
             xs.append(x)
             ys.append(y)
         coeffs, *_ = np.linalg.lstsq(np.concatenate(xs), np.concatenate(ys), rcond=None)
-        intercept = float(coeffs[0])
-        ar = [float(c) for c in coeffs[1 : 1 + p]]
-        ma = [float(c) for c in coeffs[1 + p : 1 + p + q]]
-        exog = [float(c) for c in coeffs[1 + p + q : 1 + p + q + r]]
+        intercept, *rest = coeffs.tolist()
+        ar, ma, exog = tuple(rest[:p]), tuple(rest[p : p + q]), tuple(rest[p + q :])
         e_hat = [
-            _conditional_residuals(intercept, ar, ma, exog, d, g) for d, g in segments
+            np.array(
+                armax_recursion(
+                    (intercept, ar, ma, exog), [0.0] * p, [0.0] * q, g.tolist(), d.tolist()
+                )
+            )
+            for d, g in segments
         ]
 
-    ar_t = tuple(float(c) for c in coeffs[1 : 1 + p])
-    if not ar_is_stationary(ar_t):
-        if p == 0:
-            raise ValueError(f"ARMAX fit non-stationary even at AR order 0: ar={ar_t}")
+    if not ar_is_stationary(ar):
         return fit(
             halves,
             grid_step=grid_step,
             ar_order=p - 1,
-            ma_order=ma_order,
-            ball_lags=ball_lags,
+            ma_order=q,
+            ball_lags=r,
             min_steps=min_steps,
         )
 
-    resid = np.concatenate(e_hat)
-    resid_std = max(float(np.std(resid, ddof=1)), 1e-6)
+    resid_std = max(float(np.std(np.concatenate(e_hat), ddof=1)), 1e-6)
     return ForecastModel(
-        ar=ar_t,
-        ma=tuple(float(c) for c in coeffs[1 + p : 1 + p + q]),
-        exog=tuple(float(c) for c in coeffs[1 + p + q : 1 + p + q + r]),
-        intercept=float(coeffs[0]),
+        ar=ar,
+        ma=ma,
+        exog=exog,
+        intercept=intercept,
         resid_std=resid_std,
         one_step_std=one_step_std,
         grid_step=grid_step,

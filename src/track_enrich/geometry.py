@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Literal
+from typing import Literal
 
 PITCH_LENGTH_M = 120.0
 PITCH_WIDTH_M = 80.0
@@ -63,22 +63,6 @@ def scale_percent_coords(px: float, py: float, *, source: str = "") -> PitchPoin
                 f"percentage coordinate {name}={v!r}{where} outside [-0.05, 1.05]"
             )
     return clamp_to_pitch(px * PITCH_LENGTH_M, py * PITCH_WIDTH_M)
-
-
-_GRID_TOL = 1e-9
-
-
-def nearest_grid_times(t: float, grid_step: float) -> tuple[float, float]:
-    """Return the consecutive grid times bracketing ``t`` (equal iff on-grid)."""
-    if grid_step <= 0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
-    ratio = t / grid_step
-    nearest = round(ratio)
-    if abs(ratio - nearest) < _GRID_TOL:
-        g = nearest * grid_step
-        return (g, g)
-    lo = math.floor(ratio)
-    return (lo * grid_step, (lo + 1) * grid_step)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,21 +134,10 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def first_time(self) -> float:
-        return self.times[0]
-
-    @property
-    def last_time(self) -> float:
-        return self.times[-1]
-
     def point_at(self, t: float) -> PitchPoint | None:
         """Recorded point at exactly time ``t``, if any."""
         i = self._time_index.get(t)
         return None if i is None else self.points[i]
-
-    def has_time(self, t: float) -> bool:
-        return t in self._time_index
 
     def observed_at(self, t: float) -> bool:
         """True when a real observation (not an invented seed) exists at ``t``."""
@@ -212,8 +185,3 @@ class EnrichedFrame:
             if p.tag.team == team and p.tag.is_goalkeeper == keepers
         ]
 
-
-def iter_outfield(players: Iterable[tuple[PlayerTag, PitchPoint]], team: str):
-    for tag, pos in players:
-        if tag.team == team and not tag.is_goalkeeper:
-            yield tag, pos

@@ -47,6 +47,10 @@ DEFAULT_AXIS_DISAGREEMENT_M = 5.0
 # this window.
 EVENT_MATCH_WINDOW_S = 2.0
 
+# No half lasts longer than this (seconds); a 360 feed whose frame times span
+# more is read in the wrong unit (e.g. milliseconds) rather than played.
+MAX_HALF_SPAN_S = 2 * 3600.0
+
 SOURCE_SIMULATED = "simulated"
 SOURCE_BROADCAST_360 = "broadcast-360"
 
@@ -497,6 +501,12 @@ def read_360_frames(
     records = []
     for period in sorted(per_half):
         frames = sorted(per_half[period], key=lambda f: f.time)
+        span = frames[-1].time - frames[0].time
+        if span > MAX_HALF_SPAN_S:
+            raise MalformedInputError(
+                f"{frames_path}: period {period} frame times span {span:g} s, more than "
+                f"{MAX_HALF_SPAN_S:g} s (timestamps not in seconds?)"
+            )
         records.append(
             DiscreteMatchRecord(
                 half_id=period,

@@ -12,9 +12,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
-from .forecaster import ForecastModel, GridSeries, backward_forecast, forecast
+from .forecaster import (
+    ForecastModel,
+    ForecastState,
+    GridSeries,
+    backward_state,
+    forward_state,
+)
 from .geometry import PitchPoint, Trajectory, clamp_to_pitch
 
 _TOL = 1e-9
@@ -96,13 +103,6 @@ class VelocityField:
         return (self.alpha * (ft[0] - fs[0]), self.alpha * (ft[1] - fs[1]))
 
 
-def weighted_velocity(
-    field_: VelocityField, s: float, t: float
-) -> tuple[float, float]:
-    """w(s, t): alpha times the exact integral of the velocity interpolant."""
-    return field_.weighted_velocity(s, t)
-
-
 def compute_velocity_field(
     trajectories: Sequence[Trajectory], alpha: float, grid_step: float = 1.0
 ) -> VelocityField:
@@ -147,11 +147,24 @@ def compute_velocity_field(
 
 @dataclass
 class ContinuousPath:
-    """A trajectory with everything needed to evaluate it at any time."""
+    """A trajectory with everything needed to evaluate it at any time.
+
+    The forecast states past either end of the span are built on the first
+    query that needs them and then reused, so the trajectory must be complete
+    before that query.
+    """
 
     trajectory: Trajectory
     model: ForecastModel
     ball: GridSeries
+
+    @cached_property
+    def ahead(self) -> ForecastState:
+        return forward_state(self.model, self.trajectory, self.ball)
+
+    @cached_property
+    def behind(self) -> ForecastState:
+        return backward_state(self.model, self.trajectory, self.ball)
 
 
 def position_at(path: ContinuousPath, field_: VelocityField, t: float) -> PitchPoint:
@@ -169,9 +182,9 @@ def position_at(path: ContinuousPath, field_: VelocityField, t: float) -> PitchP
     if exact is not None:
         return exact
     if t < traj.times[0]:
-        return backward_forecast(path.model, traj, path.ball, t).mean
+        return path.behind.forecast_at(-t).mean
     if t > traj.times[-1]:
-        return forecast(path.model, traj, path.ball, t).mean
+        return path.ahead.forecast_at(t).mean
     i = bisect_right(traj.times, t) - 1
     t1, t2 = traj.times[i], traj.times[i + 1]
     p1, p2 = traj.points[i], traj.points[i + 1]

@@ -341,7 +341,7 @@ def test_criterion_4g_assignment_injectivity(clock, model):
         tracked = build_trajectories(record, model)
         for team in (HOME, AWAY):
             for frame in record.frames[1:]:
-                holders = [t for t in tracked.outfield[team] if t.has_time(frame.time)]
+                holders = [t for t in tracked.outfield[team] if t.point_at(frame.time) is not None]
                 positions = {
                     (t.point_at(frame.time).x, t.point_at(frame.time).y) for t in holders
                 }

@@ -190,7 +190,7 @@ class TestBuildTrajectories:
             for team in (HOME, AWAY):
                 for frame in record.frames[1:]:
                     holders = [
-                        tr for tr in tracked.outfield[team] if tr.has_time(frame.time)
+                        tr for tr in tracked.outfield[team] if tr.point_at(frame.time) is not None
                     ]
                     assert len(holders) == len(frame.visible_for(team))
 

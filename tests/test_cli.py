@@ -1,11 +1,14 @@
 import json
+import time
 
 import pytest
 
 from synth import synth_half, write_metrica_csvs
 
 from track_enrich.cli import main
-from track_enrich.ingest import read_enriched
+from track_enrich.forecaster import ForecastModel, save_model
+from track_enrich.geometry import MalformedInputError
+from track_enrich.ingest import read_360_frames, read_enriched
 
 
 @pytest.fixture(scope="module")
@@ -121,15 +124,15 @@ def test_enrich_without_discrete_input_exits_2(tmp_path, workspace, capsys):
     assert "simulate-broadcast" in capsys.readouterr().err
 
 
-def test_enrich_360_with_orphan_frame(tmp_path, workspace, capsys):
-    root, _ = workspace
+def _write_360_feed(tmp_path, n=40):
+    """A small 360 feed: n linked frames one second apart plus one orphan."""
     events = [
         {"id": f"e{i}", "timestamp": float(i + 1), "team": "home" if i % 2 == 0 else "away",
          "location": [55.0 + i, 40.0], "period": 1}
-        for i in range(40)
+        for i in range(n)
     ]
     frames = []
-    for i in range(40):
+    for i in range(n):
         loc = [55.0 + i, 40.0]
         if events[i]["team"] == "away":
             loc = [120.0 - loc[0], 80.0 - loc[1]]
@@ -145,20 +148,55 @@ def test_enrich_360_with_orphan_frame(tmp_path, workspace, capsys):
     ep = tmp_path / "events.json"
     fp.write_text(json.dumps(frames))
     ep.write_text(json.dumps(events))
+    return fp, ep
+
+
+def _enrich_360_config(tmp_path, model_path, fp, ep):
     cfg = tmp_path / "c.json"
     cfg.write_text(
         json.dumps(
             {
-                "model_path": str(root / "model.json"),
+                "model_path": str(model_path),
                 "output_dir": str(tmp_path / "out360"),
                 "frames_360_json": str(fp),
                 "events_360_json": str(ep),
             }
         )
     )
+    return cfg
+
+
+def test_enrich_360_with_orphan_frame(tmp_path, workspace, capsys):
+    root, _ = workspace
+    fp, ep = _write_360_feed(tmp_path)
+    cfg = _enrich_360_config(tmp_path, root / "model.json", fp, ep)
     assert main(["enrich", "--config", str(cfg)]) == 0
     errors = json.loads((tmp_path / "out360" / "axis_errors.json").read_text())
     assert len(errors) == 1
     assert errors[0]["reason"] == "orphan frame"
     enriched = read_enriched(tmp_path / "out360" / "enriched_half1.json")
     assert enriched and all(len(f.players) == 22 for f in enriched)
+
+
+def test_enrich_360_millisecond_timestamps_rejected(tmp_path, capsys):
+    fp, ep = _write_360_feed(tmp_path)
+    events = json.loads(ep.read_text())
+    for ev in events:
+        ev["timestamp"] = int(ev["timestamp"] * 1000)
+    ep.write_text(json.dumps(events))
+    with pytest.raises(MalformedInputError, match="span"):
+        read_360_frames(fp, ep)
+
+    model_path = tmp_path / "model.json"
+    save_model(
+        ForecastModel(
+            ar=(0.3,), ma=(0.1,), exog=(0.05,), intercept=0.0, resid_std=0.5, one_step_std=0.8
+        ),
+        model_path,
+    )
+    cfg = _enrich_360_config(tmp_path, model_path, fp, ep)
+    started = time.perf_counter()
+    assert main(["enrich", "--config", str(cfg)]) != 0
+    assert time.perf_counter() - started < 10.0
+    assert "span" in capsys.readouterr().err
+    assert not list((tmp_path / "out360").glob("enriched_half*.json"))

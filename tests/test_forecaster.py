@@ -7,13 +7,13 @@ from track_enrich.forecaster import (
     ForecastModel,
     ForecastState,
     GridSeries,
+    armax_recursion,
     ball_grid_from_frames,
     backward_forecast,
     fit,
     forecast,
     load_model,
     resample_to_grid,
-    reverse_series,
     save_model,
 )
 from track_enrich.geometry import PitchPoint, PlayerTag, Trajectory
@@ -47,18 +47,18 @@ class TestResample:
     def test_midpoint(self):
         traj = make_traj([(2, 0, 0), (4, 4, 2)])
         grid = resample_to_grid(traj)
-        assert grid.value_at_k(3) == PitchPoint(2.0, 1.0)
+        assert grid.values[3 - grid.start_k] == PitchPoint(2.0, 1.0)
 
     def test_known_time_exact(self):
         traj = make_traj([(2, 0, 0), (4, 4, 2)])
         grid = resample_to_grid(traj)
-        assert grid.value_at_k(2) == PitchPoint(0.0, 0.0)
-        assert grid.value_at_k(4) == PitchPoint(4.0, 2.0)
+        assert grid.values[2 - grid.start_k] == PitchPoint(0.0, 0.0)
+        assert grid.values[4 - grid.start_k] == PitchPoint(4.0, 2.0)
 
     def test_one_third(self):
         traj = make_traj([(0, 0, 0), (3, 6, 0)])
         grid = resample_to_grid(traj)
-        assert grid.value_at_k(1) == PitchPoint(2.0, 0.0)
+        assert grid.values[1 - grid.start_k] == PitchPoint(2.0, 0.0)
 
     def test_span_limits(self):
         traj = make_traj([(1.5, 0, 0), (3.5, 4, 4)])
@@ -74,7 +74,7 @@ class TestResample:
             traj = make_traj([(t, p[0], p[1]) for t, p in zip(times, pts)])
             grid = resample_to_grid(traj)
             for t, p in zip(times, pts):
-                got = grid.value_at_k(int(t))
+                got = grid.values[int(t) - grid.start_k]
                 assert got.x == p[0] and got.y == p[1]
 
 
@@ -225,6 +225,54 @@ class TestMultiStepAgainstOracle:
             assert abs(fc.mean.y - np.clip(oy, 0, 80)) < 1e-9, f"trial {trial}"
 
 
+def textbook_residuals(model, d, g):
+    """Conditional residuals with zero pre-sample lags, indexed the textbook way."""
+    p, q = len(model.ar), len(model.ma)
+    e = []
+    for i, dv in enumerate(d):
+        pred = model.intercept
+        for lag in range(1, p + 1):
+            pred += model.ar[lag - 1] * (d[i - lag] if i - lag >= 0 else 0.0)
+        for lag in range(1, q + 1):
+            pred += model.ma[lag - 1] * (e[i - lag] if i - lag >= 0 else 0.0)
+        for lag, c in enumerate(model.exog):
+            pred += c * g[i][lag]
+        e.append(dv - pred)
+    return e
+
+
+class TestSharedRecursion:
+    def _coefs(self, model):
+        return (model.intercept, model.ar, model.ma, model.exog)
+
+    def test_residuals_equal_textbook_loop(self):
+        rng = np.random.default_rng(31)
+        for ar, ma in (((0.3, 0.1), (0.2,)), ((0.5,), ()), ((), (0.4, -0.1)), ((), ())):
+            model = simple_model(ar=ar, ma=ma)
+            d = rng.normal(0, 1, 50).tolist()
+            g = rng.normal(0, 1, (50, len(model.exog))).tolist()
+            got = armax_recursion(
+                self._coefs(model), [0.0] * len(ar), [0.0] * len(ma), g, d
+            )
+            assert got == textbook_residuals(model, d, g)
+
+    def test_forecast_mode_feeds_predictions_back(self):
+        model = simple_model()
+        rng = np.random.default_rng(32)
+        g = rng.normal(0, 1, (12, 2)).tolist()
+        d_lags, e_lags = [0.4, -0.2], [0.3]
+        preds = armax_recursion(self._coefs(model), list(d_lags), list(e_lags), g, None)
+        # observing each prediction reproduces the forecast: zero residuals
+        resid = armax_recursion(self._coefs(model), list(d_lags), list(e_lags), g, preds)
+        assert resid == [0.0] * len(g)
+
+    def test_ball_displacements_zero_outside_series(self):
+        ball = GridSeries(3, 1.0, [PitchPoint(1.0, 2.0), PitchPoint(4.0, 1.0), PitchPoint(6.0, 5.0)])
+        assert ball.lagged_displacements([5, 6], 0, 4) == [[2.0, 3.0, 0.0, 0.0], [0.0, 2.0, 3.0, 0.0]]
+        assert ball.lagged_displacements([3], 1, 2) == [[0.0, 0.0]]
+        assert ball.reversed.lagged_displacements([-3], 0, 2) == [[-3.0, -2.0]]
+
+
 class TestBackward:
     def test_one_step_back_symmetry(self):
         model = simple_model()
@@ -248,7 +296,7 @@ class TestBackward:
         traj = make_traj(pts)
         # manual reversal about t=0
         rev = make_traj([(-t, x, y) for t, x, y in reversed(pts)])
-        rev_ball = reverse_series(ball)
+        rev_ball = ball.reversed
         for t_query in (1.0, 0.0, -2.0, 1.5):
             back = backward_forecast(model, traj, ball, t_query)
             fwd = forecast(model, rev, rev_ball, -t_query)

@@ -13,7 +13,6 @@ from track_enrich.geometry import (
     PitchPoint,
     PlayerTag,
     Trajectory,
-    nearest_grid_times,
     scale_percent_coords,
 )
 
@@ -52,21 +51,6 @@ class TestScalePercentCoords:
             sq = scale_percent_coords(*q)
             assert abs(lhs.x - (a * sp.x + (1 - a) * sq.x)) < 1e-9
             assert abs(lhs.y - (a * sp.y + (1 - a) * sq.y)) < 1e-9
-
-
-class TestNearestGridTimes:
-    def test_on_grid(self):
-        assert nearest_grid_times(3.0, 1.0) == (3.0, 3.0)
-
-    def test_bracketing(self):
-        assert nearest_grid_times(3.4, 1.0) == (3.0, 4.0)
-
-    def test_first_interval(self):
-        assert nearest_grid_times(0.5, 1.0) == (0.0, 1.0)
-
-    def test_bad_step(self):
-        with pytest.raises(ValueError):
-            nearest_grid_times(1.0, 0.0)
 
 
 def _tagged(team, n, keeper=0):
@@ -115,7 +99,7 @@ class TestTrajectory:
         traj.append(1.5, PitchPoint(4, 5))
         assert traj.point_at(1.5) == PitchPoint(4, 5)
         assert traj.point_at(2.0) is None
-        assert traj.has_time(1.5)
+        assert traj.point_at(1.5) is not None
 
 
 class TestEnrichedFrame:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from track_enrich.forecaster import forecast
+from track_enrich import forecaster
+from track_enrich.forecaster import GridSeries, backward_forecast, forecast
 from track_enrich.geometry import PitchPoint, PlayerTag, Trajectory
 from track_enrich.interpolator import (
     ContinuousPath,
@@ -263,3 +264,45 @@ class TestPositionAt:
         path = path_of([(0, 118, 40), (10, 119, 40)])
         p = position_at(path, field, 5.0)
         assert p.x <= 120.0
+
+
+class TestExtrapolationStates:
+    def _path(self):
+        rng = np.random.default_rng(18)
+        ball = GridSeries(
+            -20,
+            1.0,
+            [PitchPoint(float(rng.uniform(30, 90)), float(rng.uniform(20, 60))) for _ in range(80)],
+        )
+        pts = [(2.5, 40, 30), (4, 42, 31), (5, 44, 33), (8.25, 47, 36), (9, 45, 37)]
+        return path_of(pts, ball=ball)
+
+    def test_shuffled_queries_equal_scratch_forecasts(self):
+        path = self._path()
+        field = field_from([(0.5, 0.2)] * 10, alpha=0.5)
+        model, traj, ball = path.model, path.trajectory, path.ball
+        times = [-12.0, -3.5, 0.0, 1.0, 2.0, 2.25, 9.5, 10.0, 11.75, 15.0, 30.0, 41.5]
+        order = np.random.default_rng(19).permutation(len(times))
+        for t in [times[i] for i in order]:
+            if t < traj.times[0]:
+                want = backward_forecast(model, traj, ball, t).mean
+            else:
+                want = forecast(model, traj, ball, t).mean
+            assert position_at(path, field, t) == want
+
+    def test_one_state_per_direction(self, monkeypatch):
+        built = []
+
+        class Spy(forecaster.ForecastState):
+            def __init__(self, model, ball):
+                built.append(ball)
+                super().__init__(model, ball)
+
+        monkeypatch.setattr(forecaster, "ForecastState", Spy)
+        path = self._path()
+        field = field_from([(0.5, 0.2)] * 10, alpha=0.5)
+        for t in (20.0, -4.0, 12.5, 0.5, 13.0, 1.0, 3.0, -9.0, 40.0):
+            position_at(path, field, t)
+        assert sum(b is path.ball for b in built) == 1
+        assert sum(b is path.ball.reversed for b in built) == 1
+        assert len(built) == 2
