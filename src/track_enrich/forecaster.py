@@ -263,9 +263,6 @@ class ForecastState:
         # Per axis: the unroll's own lag registers and its cumulative predictions.
         self._unroll: list[tuple[list[float], list[float], list[float]]] | None = None
 
-    def _exog_rows(self, ks: Iterable[int], axis: int) -> list[list[float]]:
-        return self.ball.lagged_displacements(ks, axis, len(self.model.exog))
-
     def append(self, t: float, point: PitchPoint) -> None:
         step = self.model.grid_step
         if self.t_last is None:
@@ -292,7 +289,8 @@ class ForecastState:
             self._grid_k, self._grid_pos = k, value
             prev = value
         for axis, d in enumerate((dx, dy)):
-            armax_recursion(self._coefs, *self._lags[axis], self._exog_rows(ks, axis), d)
+            g = self.ball.lagged_displacements(ks, axis, len(self.model.exog))
+            armax_recursion(self._coefs, *self._lags[axis], g, d)
         self.t_last, self.pos_last = t, point
         self._unroll = None
 
@@ -310,7 +308,8 @@ class ForecastState:
         k_first = self._anchor_k() + 1
         for axis, (d_lags, e_lags, cum) in enumerate(self._unroll):
             ks = range(k_first + len(cum), k_first + n)
-            preds = armax_recursion(self._coefs, d_lags, e_lags, self._exog_rows(ks, axis), None)
+            g = self.ball.lagged_displacements(ks, axis, len(self.model.exog))
+            preds = armax_recursion(self._coefs, d_lags, e_lags, g, None)
             total = cum[-1] if cum else 0.0
             for pred in preds:
                 total += pred
@@ -365,8 +364,6 @@ class ForecastState:
 
 def forward_state(model: ForecastModel, traj: Trajectory, ball: GridSeries) -> ForecastState:
     """A state over the whole trajectory, for forecasts at or after its last sighting."""
-    if not traj.times:
-        raise ValueError("cannot forecast from an empty trajectory")
     state = ForecastState(model, ball)
     for t, p in zip(traj.times, traj.points):
         state.append(t, p)
@@ -376,8 +373,6 @@ def forward_state(model: ForecastModel, traj: Trajectory, ball: GridSeries) -> F
 def backward_state(model: ForecastModel, traj: Trajectory, ball: GridSeries) -> ForecastState:
     """A state over the time-reversed trajectory: ``forecast_at(-t)`` forecasts
     ``t`` at or before the first sighting."""
-    if not traj.times:
-        raise ValueError("cannot forecast from an empty trajectory")
     state = ForecastState(model, ball.reversed)
     for t, p in zip(reversed(traj.times), reversed(traj.points)):
         state.append(-t, p)
