@@ -10,10 +10,9 @@ an exact copy of ground truth; identities are erased.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
-from .geometry import ObservationFrame
+from .geometry import ObservationFrame, nearest_time_index
 from .ingest import SOURCE_SIMULATED, DiscreteMatchRecord, MatchHalf
 
 _TOL = 1e-9
@@ -40,23 +39,17 @@ def ground_truth_at(half: MatchHalf, t: float) -> ObservationFrame:
     Valid for any time from the start of the half (zero) up to the last
     native frame; times below the first frame snap forward to it.
     """
-    times = half.frame_times()
+    times = half.times
     if not times or t < -_TOL or t > times[-1] + _TOL:
         raise ValueError(f"time {t} outside half span [0, {times[-1] if times else 0}]")
-    i = bisect_left(times, t)
-    if i == 0:
-        return half.frames[0]
-    if i == len(times):
-        return half.frames[-1]
-    before, after = times[i - 1], times[i]
-    return half.frames[i - 1] if t - before <= after - t else half.frames[i]
+    return half.frames[nearest_time_index(times, t)]
 
 
 def degrade(half: MatchHalf, cfg: DegradeConfig) -> DiscreteMatchRecord:
     """Sample, trim, and restrict visibility to within radius of the ball."""
     if not half.frames:
         raise ValueError("cannot degrade an empty half")
-    t_first, t_last = half.span
+    t_first, t_last = half.times[0], half.times[-1]
     if t_last - t_first <= 2 * cfg.trim_frames * cfg.sample_period:
         raise ValueError(
             f"half too short: span {t_last - t_first:.1f}s cannot absorb "

@@ -4,7 +4,8 @@ Every command is deterministic given its config and inputs: assignment uses
 forecast means and log-densities only, nothing is sampled, so model files,
 enriched output, and reports are byte-reproducible.
 
-Exit codes: 0 success, 2 configuration/validation error, 1 runtime failure.
+Exit codes: 0 success, 2 configuration or input validation error
+(``ConfigError``, ``MalformedInputError``), 1 runtime failure.
 Set TRACK_ENRICH_LOG=DEBUG (or INFO/WARNING) to adjust verbosity.
 """
 
@@ -19,6 +20,7 @@ from pathlib import Path
 
 from . import broadcast, evaluator, forecaster, ingest, pipeline
 from .config import ConfigError, PipelineConfig, apply_overrides, load_config
+from .geometry import MalformedInputError
 
 logger = logging.getLogger(__name__)
 
@@ -260,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(config_path)
         apply_overrides(cfg, args)
         return _COMMANDS[command](cfg)
-    except ConfigError as e:
+    except (ConfigError, MalformedInputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

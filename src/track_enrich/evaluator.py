@@ -25,6 +25,7 @@ from .geometry import (
     HOME,
     EnrichedFrame,
     PitchPoint,
+    nearest_time_index,
 )
 from .ingest import DiscreteMatchRecord, Event, MatchHalf
 from .pipeline import PathSet, snapshot_at
@@ -174,15 +175,13 @@ def _truth_outfield(half: MatchHalf, t: float) -> list[tuple[str, PitchPoint]]:
 
 
 def event_frame_times(events: Sequence[Event], frame_times: Sequence[float]) -> set[float]:
-    """The deduplicated in-phase frame times nearest to each event."""
-    chosen: set[float] = set()
+    """The deduplicated in-phase frame times nearest to each event.
+
+    ``frame_times`` must be sorted; ties go to the earlier frame.
+    """
     if not frame_times:
-        return chosen
-    arr = list(frame_times)
-    for ev in events:
-        best = min(arr, key=lambda ft: (abs(ft - ev.time), ft))
-        chosen.add(best)
-    return chosen
+        return set()
+    return {frame_times[nearest_time_index(frame_times, ev.time)] for ev in events}
 
 
 def evaluate_half(

@@ -7,8 +7,9 @@ start of the half.  The two halves of a match never share a time axis.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, Sequence
 
 PITCH_LENGTH_M = 120.0
 PITCH_WIDTH_M = 80.0
@@ -41,6 +42,17 @@ class PitchPoint:
 
     def distance_to(self, other: "PitchPoint") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
+
+
+def nearest_time_index(times: Sequence[float], t: float) -> int:
+    """Index of the time in sorted, non-empty ``times`` nearest to ``t``.
+
+    Ties go to the earlier time, and among equal times to the first.
+    """
+    i = bisect_left(times, t)
+    if i == len(times) or (i > 0 and t - times[i - 1] <= times[i] - t):
+        i = bisect_left(times, times[i - 1])
+    return i
 
 
 def clamp_to_pitch(x: float, y: float) -> PitchPoint:
@@ -120,7 +132,10 @@ class Trajectory:
     times: list[float] = field(default_factory=list)
     points: list[PitchPoint] = field(default_factory=list)
     seeded: bool = False
-    _time_index: dict[float, int] = field(default_factory=dict, repr=False)
+    _time_index: dict[float, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._time_index = {t: i for i, t in enumerate(self.times)}
 
     def append(self, t: float, point: PitchPoint) -> None:
         if self.times and t <= self.times[-1]:
@@ -145,9 +160,6 @@ class Trajectory:
         if i is None:
             return False
         return not (self.seeded and i == 0)
-
-    def observation_times(self) -> list[float]:
-        return self.times[1:] if self.seeded else self.times
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,11 +189,3 @@ class EnrichedFrame:
                 raise MalformedInputError(
                     f"enriched frame at t={self.time} has {n} {team} players, want 11"
                 )
-
-    def for_team(self, team: str, *, keepers: bool = False) -> list[EnrichedPlayer]:
-        return [
-            p
-            for p in self.players
-            if p.tag.team == team and p.tag.is_goalkeeper == keepers
-        ]
-

@@ -1,10 +1,17 @@
 """Readers and writers for tracking CSVs, event data, 360-style frame JSON,
 and the enriched output format.
 
-Ground-truth tracking data arrives as one wide CSV per team (three header
-rows, then one row per native frame with per-player x/y percentage pairs plus
-the ball).  Times are rebased per half so every half starts just above zero,
-and coordinates are scaled to metres on read.
+Tracking data is one wide CSV per team (Metrica layout; see the README for
+the full contract).  The reader takes the ``Period`` column, the first
+``Time...`` column and each ``Player...`` and ``Ball`` column with its y in
+the next column.  Blank or NaN cells mark an absent player or ball; rows
+without a period or time are skipped, rows without a ball (home, else away)
+are dropped and counted, and a row with more than ten outfielders of a team
+keeps the ten first seen (ties by column name).  Each period becomes a half
+rebased to start one native period after zero.  Unparseable cells, home and
+away times that differ or do not increase, and kept coordinates outside
+[-0.05, 1.05] raise MalformedInputError naming the file and the CSV row
+(exit code 2 on the command line).
 
 All numeric output is serialized in fixed decimal with at least two
 fractional digits (six digits of precision), so files are byte-deterministic
@@ -18,12 +25,17 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .geometry import (
     AWAY,
     HOME,
+    PERCENT_TOLERANCE,
     PITCH_LENGTH_M,
     PITCH_WIDTH_M,
     EnrichedFrame,
@@ -33,6 +45,7 @@ from .geometry import (
     PitchPoint,
     PlayerTag,
     Trajectory,
+    nearest_time_index,
     other_team,
     scale_percent_coords,
 )
@@ -81,17 +94,10 @@ class MatchHalf:
     defends_left: dict[str, bool] = field(default_factory=dict)
     dropped_rows: int = 0
     time_offset: float = 0.0  # raw-clock seconds subtracted during rebasing
+    times: list[float] = field(init=False, repr=False)  # the frames' times
 
-    @property
-    def span(self) -> tuple[float, float]:
-        return (self.frames[0].time, self.frames[-1].time)
-
-    def frame_times(self) -> list[float]:
-        cached = self.__dict__.get("_frame_times")
-        if cached is None or len(cached) != len(self.frames):
-            cached = [fr.time for fr in self.frames]
-            self.__dict__["_frame_times"] = cached
-        return cached
+    def __post_init__(self):
+        self.times = [fr.time for fr in self.frames]
 
 
 @dataclass
@@ -118,206 +124,199 @@ class AxisErrorRecord:
 # --- tracking CSV ------------------------------------------------------------
 
 
-def _parse_cell(cell: str) -> float | None:
-    cell = cell.strip()
-    if not cell or cell.lower() == "nan":
-        return None
-    v = float(cell)
-    return None if math.isnan(v) else v
+class _TeamTable(NamedTuple):
+    path: Path
+    keys: list[str]  # "<team>:<Player column>", in header order
+    rows: np.ndarray  # CSV row number of each timed data row
+    period: np.ndarray
+    time: np.ndarray
+    xy: np.ndarray  # (rows, 1 + players, 2) fractions, the ball first; NaN when absent
 
 
-def _read_team_csv(path: str | Path, team: str) -> dict[int, dict]:
-    """Parse one wide per-team CSV into per-period raw columns."""
-    path = Path(path)
+def _read_team_csv(path: Path, team: str) -> _TeamTable:
+    """Parse one wide per-team CSV into float arrays; untimed rows are skipped."""
     with path.open(newline="", encoding="utf8") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 4:
-        raise MalformedInputError(f"{path}: too short to contain headers and data")
-    header = None
-    header_idx = None
-    for i, row in enumerate(rows[:4]):
-        cells = [c.strip() for c in row]
-        if cells and cells[0].lower() == "period":
-            header, header_idx = cells, i
-            break
-    if header is None:
-        raise MalformedInputError(f"{path}: no 'Period,...' header row found")
-    entities = []  # (name, x column index)
-    for i, cell in enumerate(header):
-        if cell.lower().startswith("player") or cell.lower() == "ball":
-            entities.append((cell, i))
-    if not any(name.lower() == "ball" for name, _ in entities):
-        raise MalformedInputError(f"{path}: header declares no ball columns")
-    time_col = next(
-        (i for i, c in enumerate(header) if c.lower().startswith("time")), None
-    )
-    if time_col is None:
-        raise MalformedInputError(f"{path}: header declares no time column")
-
-    periods: dict[int, dict] = {}
-    for raw in rows[header_idx + 1 :]:
-        if not raw or not raw[0].strip():
-            continue
-        period = int(float(raw[0]))
-        t = _parse_cell(raw[time_col])
-        if t is None:
-            continue
-        per = periods.setdefault(period, {"times": [], "coords": {}})
-        per["times"].append(t)
-        for name, xi in entities:
-            x = _parse_cell(raw[xi]) if xi < len(raw) else None
-            y = _parse_cell(raw[xi + 1]) if xi + 1 < len(raw) else None
-            key = name if name.lower() == "ball" else f"{team}:{name}"
-            per["coords"].setdefault(key, []).append(
-                None if x is None or y is None else (x, y)
-            )
-    return periods
-
-
-def _rebase_offset(times: Sequence[float]) -> float:
-    """Offset so the half starts one native period after zero."""
-    if len(times) < 2:
-        return 0.0
-    dt = times[1] - times[0]
-    return times[0] - dt
+        reader = csv.reader(fh)
+        head = list(islice(reader, 4))
+        if len(head) < 4:
+            raise MalformedInputError(f"{path}: too short to contain headers and data")
+        header_idx = next(
+            (i for i, row in enumerate(head) if row and row[0].strip().lower() == "period"), None
+        )
+        if header_idx is None:
+            raise MalformedInputError(f"{path}: no 'Period,...' header row found")
+        header = [c.strip() for c in head[header_idx]]
+        ball = next((i for i, c in enumerate(header) if c.lower() == "ball"), None)
+        if ball is None:
+            raise MalformedInputError(f"{path}: header declares no ball columns")
+        time_col = next((i for i, c in enumerate(header) if c.lower().startswith("time")), None)
+        if time_col is None:
+            raise MalformedInputError(f"{path}: header declares no time column")
+        players = [i for i, c in enumerate(header) if c.lower().startswith("player")]
+        keys = [f"{team}:{header[i]}" for i in players]
+        if len(set(keys)) != len(keys):
+            raise MalformedInputError(f"{path}: header repeats a player column")
+        cols = [0, time_col, *(c for i in [ball, *players] for c in (i, i + 1))]
+        pick, pad = itemgetter(*cols), [""] * (max(cols) + 1)
+        numbers, cells = [], []
+        for n, raw in enumerate(chain(head[header_idx + 1 :], reader), start=header_idx + 2):
+            if raw and raw[0].strip():
+                numbers.append(n)
+                cells.append(pick(raw + pad[len(raw) :]))
+    table = np.array(cells, dtype=str).reshape(len(cells), len(cols))
+    del cells
+    table = np.char.strip(table)
+    try:
+        values = np.where(table == "", "nan", table).astype(float)
+    except ValueError:
+        for n, row in zip(numbers, table.tolist()):
+            for cell in row:
+                try:
+                    float(cell or "nan")
+                except ValueError:
+                    raise MalformedInputError(f"{path} row {n}: {cell!r} is not a number") from None
+        raise
+    rows, period, time = np.array(numbers, dtype=int), values[:, 0], values[:, 1]
+    bad = np.flatnonzero(~np.isfinite(period) | np.isinf(time))
+    if bad.size:
+        raise MalformedInputError(f"{path} row {rows[bad[0]]}: period or time is not finite")
+    timed = ~np.isnan(time)
+    xy = values[timed, 2:].reshape(-1, 1 + len(keys), 2)
+    return _TeamTable(path, keys, rows[timed], period[timed].astype(int), time[timed], xy)
 
 
-def read_tracking_csv(
-    home_path: str | Path, away_path: str | Path
-) -> list[MatchHalf]:
+def read_tracking_csv(home_path: str | Path, away_path: str | Path) -> list[MatchHalf]:
     """Read per-team wide CSVs into one ground-truth MatchHalf per period."""
-    home = _read_team_csv(home_path, HOME)
-    away = _read_team_csv(away_path, AWAY)
-    if sorted(home) != sorted(away):
+    home = _read_team_csv(Path(home_path), HOME)
+    away = _read_team_csv(Path(away_path), AWAY)
+    if len(home.time) != len(away.time):
         raise MalformedInputError(
-            f"periods differ between files: {sorted(home)} vs {sorted(away)}"
+            f"{home.path} has {len(home.time)} timed rows but {away.path} {len(away.time)}"
         )
-    halves = []
-    for period in sorted(home):
-        h, a = home[period], away[period]
-        if len(h["times"]) != len(a["times"]):
-            raise MalformedInputError(
-                f"period {period}: row counts differ between home and away files"
-            )
-        offset = _rebase_offset(h["times"])
-        times = [t - offset for t in h["times"]]
-
-        # Per-player tracks, skipping entirely-empty columns (unused subs).
-        coords: dict[str, list] = {}
-        for src in (h, a):
-            for key, vals in src["coords"].items():
-                if key.lower() == "ball":
-                    continue
-                if any(v is not None for v in vals):
-                    coords[key] = vals
-        ball_home = h["coords"].get("Ball") or h["coords"].get("ball")
-        ball_away = a["coords"].get("Ball") or a["coords"].get("ball")
-
-        keeper_keys, defends = _infer_keepers_and_sides(coords)
-        tags = {
-            key: PlayerTag(team=key.split(":", 1)[0], is_goalkeeper=key in keeper_keys)
-            for key in coords
-        }
-        first_seen = {
-            key: next(i for i, v in enumerate(vals) if v is not None)
-            for key, vals in coords.items()
-        }
-
-        frames: list[ObservationFrame] = []
-        tracks = {key: Trajectory(tag=tags[key]) for key in coords}
-        dropped = 0
-        for i, t in enumerate(times):
-            raw_ball = ball_home[i] if ball_home and ball_home[i] is not None else (
-                ball_away[i] if ball_away else None
-            )
-            if raw_ball is None:
-                dropped += 1
-                continue
-            src = f"{Path(home_path).name} row t={t:.2f}"
-            ball = scale_percent_coords(*raw_ball, source=src)
-            present = [key for key, vals in coords.items() if vals[i] is not None]
-            # Substitution overlap can momentarily show 11 outfielders; keep
-            # the longest-established ten so the frame invariant holds.
-            for team in (HOME, AWAY):
-                team_out = [
-                    k for k in present if tags[k].team == team and not tags[k].is_goalkeeper
-                ]
-                if len(team_out) > 10:
-                    team_out.sort(key=lambda k: (first_seen[k], k))
-                    for extra in team_out[10:]:
-                        present.remove(extra)
-            visible = []
-            for key in present:
-                pos = scale_percent_coords(*coords[key][i], source=src)
-                visible.append((tags[key], pos))
-                tracks[key].append(t, pos)
-            frames.append(ObservationFrame(time=t, ball=ball, visible=tuple(visible)))
-        if dropped:
-            logger.info("period %d: dropped %d rows with missing ball", period, dropped)
-        if frames and dropped > 0.05 * (dropped + len(frames)):
-            logger.warning(
-                "period %d: %.1f%% of rows dropped for missing ball",
-                period,
-                100.0 * dropped / (dropped + len(frames)),
-            )
-        halves.append(
-            MatchHalf(
-                half_id=period,
-                frames=frames,
-                player_tracks=tracks,
-                defends_left=defends,
-                dropped_rows=dropped,
-                time_offset=offset,
-            )
+    differ = np.flatnonzero((home.period != away.period) | (home.time != away.time))
+    if differ.size:
+        i = differ[0]
+        raise MalformedInputError(
+            f"{away.path} row {away.rows[i]}: period or time differs from "
+            f"{home.path} row {home.rows[i]}"
         )
-    return halves
+    return [_match_half(p, home, away) for p in sorted(set(home.period.tolist()))]
+
+
+def _match_half(period: int, home: _TeamTable, away: _TeamTable) -> MatchHalf:
+    sel = np.flatnonzero(home.period == period)
+    stuck = np.flatnonzero(np.diff(home.time[sel]) <= 0)
+    if stuck.size:
+        raise MalformedInputError(
+            f"{home.path} row {home.rows[sel[stuck[0] + 1]]}: time does not increase"
+        )
+    times, n = home.time[sel], len(sel)
+    offset = float(times[0] - (times[1] - times[0])) if n >= 2 else 0.0
+    home_ball = ~np.isnan(home.xy[sel, 0]).any(axis=1)
+    ball = np.where(home_ball[:, None], home.xy[sel, 0], away.xy[sel, 0])
+    xy = np.concatenate([home.xy[sel, 1:], away.xy[sel, 1:]], axis=1)
+    present = ~np.isnan(xy).any(axis=2)
+    on_pitch = present.any(axis=0)  # False for unused substitutes
+    keys = list(compress(home.keys + away.keys, on_pitch))
+    xy, present = xy[:, on_pitch], present[:, on_pitch]
+
+    first_seen = present.argmax(axis=0)
+    keepers, defends = _infer_keepers_and_sides(keys, xy, present, first_seen)
+    tags = [PlayerTag(team=k.split(":", 1)[0], is_goalkeeper=k in keepers) for k in keys]
+    keep = present.copy()
+    for team in (HOME, AWAY):  # substitution overlap: the longest-established ten stay
+        cols = sorted(
+            (j for j, tag in enumerate(tags) if tag.team == team and not tag.is_goalkeeper),
+            key=lambda j: (first_seen[j], keys[j]),
+        )
+        keep[:, cols] &= np.cumsum(present[:, cols], axis=1) <= 10
+
+    kept = np.flatnonzero(~np.isnan(ball).any(axis=1))
+    dropped = n - len(kept)
+    if dropped:
+        level = logging.WARNING if len(kept) and dropped > 0.05 * n else logging.INFO
+        logger.log(level, "period %d: dropped %d of %d rows without a ball", period, dropped, n)
+    cells = np.concatenate([ball[kept, None], xy[kept]], axis=1)
+    used = np.concatenate([np.ones((len(kept), 1), dtype=bool), keep[kept]], axis=1)
+    inside = (cells >= -PERCENT_TOLERANCE) & (cells <= 1.0 + PERCENT_TOLERANCE)
+    outside = used[..., None] & ~inside
+    if outside.any():
+        i, j, axis = np.argwhere(outside)[0]
+        from_home = tags[j - 1].team == HOME if j else home_ball[kept[i]]
+        tab = home if from_home else away
+        raise MalformedInputError(
+            f"percentage coordinate {'xy'[axis]}={float(cells[i, j, axis])!r} in "
+            f"{tab.path} row {tab.rows[sel[kept[i]]]} outside [-0.05, 1.05]"
+        )
+    scale = np.array([PITCH_LENGTH_M, PITCH_WIDTH_M])
+    cells = np.minimum(np.maximum(cells * scale, 0.0), scale)
+
+    times = times[kept] - offset
+    points: list[list[PitchPoint]] = [[] for _ in keys]
+    frames = []
+    for t, row, on in zip(times.tolist(), cells.tolist(), used.tolist()):
+        visible = []
+        for (x, y), tag, track in compress(zip(row[1:], tags, points), on[1:]):
+            pos = PitchPoint(x, y)
+            visible.append((tag, pos))
+            track.append(pos)
+        frames.append(ObservationFrame(time=t, ball=PitchPoint(*row[0]), visible=tuple(visible)))
+    tracks = {
+        key: Trajectory(tag=tag, times=times[used[:, j + 1]].tolist(), points=track)
+        for j, (key, tag, track) in enumerate(zip(keys, tags, points))
+    }
+    return MatchHalf(
+        period, frames, player_tracks=tracks, defends_left=defends,
+        dropped_rows=dropped, time_offset=offset,
+    )
 
 
 def _infer_keepers_and_sides(
-    coords: dict[str, list],
+    keys: list[str], xy: np.ndarray, present: np.ndarray, first_seen: np.ndarray
 ) -> tuple[set[str], dict[str, bool]]:
     """Pick each team's goalkeeper and defended side from mean positions.
 
     The defended side is where the team stands in the first populated row
     (teams line up in their own half at kickoff); the keeper is the player
-    whose mean position sits closest to the defended goal.
+    whose mean position, summed left to right, sits closest to that goal.
     """
     defends: dict[str, bool] = {}
     keepers: set[str] = set()
     for team in (HOME, AWAY):
-        keys = [k for k in coords if k.startswith(f"{team}:")]
-        if not keys:
+        cols = [j for j, k in enumerate(keys) if k.startswith(f"{team}:")]
+        if not cols:
             continue
-        first_xs = []
-        for key in keys:
-            v = next((v for v in coords[key] if v is not None), None)
-            if v is not None:
-                first_xs.append(v[0])
-        defends_left = (sum(first_xs) / len(first_xs)) < 0.5 if first_xs else True
-        defends[team] = defends_left
-        goal_x = 0.0 if defends_left else PITCH_LENGTH_M
-        best_key, best_dist = None, math.inf
-        for key in sorted(keys):
-            pts = [v for v in coords[key] if v is not None]
-            if not pts:
-                continue
-            mx = sum(p[0] for p in pts) / len(pts) * PITCH_LENGTH_M
-            my = sum(p[1] for p in pts) / len(pts) * PITCH_WIDTH_M
-            dist = math.hypot(mx - goal_x, my - PITCH_WIDTH_M / 2)
-            if dist < best_dist:
-                best_key, best_dist = key, dist
-        if best_key is not None:
-            keepers.add(best_key)
+        first_xs = xy[first_seen[cols], cols, 0].tolist()
+        defends[team] = sum(first_xs) / len(first_xs) < 0.5
+        goal_x = 0.0 if defends[team] else PITCH_LENGTH_M
+
+        def goal_distance(j: int) -> float:
+            px, py = xy[present[:, j], j].T.tolist()
+            mx, my = sum(px) / len(px) * PITCH_LENGTH_M, sum(py) / len(py) * PITCH_WIDTH_M
+            return math.hypot(mx - goal_x, my - PITCH_WIDTH_M / 2)
+
+        keepers.add(keys[min(sorted(cols, key=keys.__getitem__), key=goal_distance)])
     return keepers, defends
 
 
 # --- event CSV ---------------------------------------------------------------
 
 
-def read_events_csv(path: str | Path) -> dict[int, list[dict]]:
-    """Raw event rows grouped by period; times still on the file's clock."""
-    out: dict[int, list[dict]] = {}
-    with Path(path).open(newline="", encoding="utf8") as fh:
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def attach_events(halves: list[MatchHalf], events_path: str | Path) -> None:
+    """Attach the event CSV's events to their halves, on each half's time axis.
+
+    Events share the tracking files' raw clock, so each half's tracking
+    offset applies; events falling outside the half's frame span are dropped.
+    """
+    raw: dict[int, list[tuple[float, dict]]] = {}
+    with Path(events_path).open(newline="", encoding="utf8") as fh:
         for row in csv.DictReader(fh):
             norm = {k.strip().lower(): (v or "").strip() for k, v in row.items()}
             try:
@@ -325,45 +324,24 @@ def read_events_csv(path: str | Path) -> dict[int, list[dict]]:
                 t = float(norm["start time [s]"])
             except (KeyError, ValueError):
                 continue
-            out.setdefault(period, []).append(
-                {
-                    "time": t,
-                    "kind": norm.get("type", "").lower() or "unknown",
-                    "team": norm.get("team", "").lower(),
-                    "x": _parse_cell(norm.get("start x", "")),
-                    "y": _parse_cell(norm.get("start y", "")),
-                }
-            )
-    return out
-
-
-def attach_events(halves: list[MatchHalf], events_path: str | Path) -> None:
-    """Attach events to their halves, rebasing onto each half's time axis.
-
-    Events share the tracking files' raw clock, so each half's tracking
-    offset applies; events falling outside the half's frame span are dropped.
-    """
-    raw = read_events_csv(events_path)
+            raw.setdefault(period, []).append((t, norm))
     for half in halves:
         rows = raw.get(half.half_id, [])
         if not rows or not half.frames:
             continue
-        span_end = half.frames[-1].time
         events = []
-        for r in sorted(rows, key=lambda r: r["time"]):
-            t = r["time"] - half.time_offset
-            if not (0.0 <= t <= span_end):
+        for t, norm in sorted(rows, key=lambda r: r[0]):
+            t -= half.time_offset
+            if not (0.0 <= t <= half.times[-1]):
                 continue
-            team = r["team"] if r["team"] in (HOME, AWAY) else HOME
-            ball = None
-            if r["x"] is not None and r["y"] is not None:
-                try:
-                    ball = scale_percent_coords(r["x"], r["y"], source="events")
-                except MalformedInputError:
-                    ball = None
-            events.append(
-                Event(time=t, kind=r["kind"], attacking_team=team, ball=ball)
-            )
+            team = norm.get("team", "").lower()
+            x, y = (_float_or_nan(norm.get(f"start {c}", "")) for c in "xy")
+            try:  # a blank, NaN or out-of-range location leaves the ball unknown
+                ball = scale_percent_coords(x, y, source="events")
+            except MalformedInputError:
+                ball = None
+            kind = norm.get("type", "").lower() or "unknown"
+            events.append(Event(t, kind, team if team in (HOME, AWAY) else HOME, ball))
         half.events = events
 
 
@@ -380,14 +358,39 @@ def flip_point(p: PitchPoint) -> PitchPoint:
     return PitchPoint(fx, fy)
 
 
-def _parse_timestamp(value) -> float:
-    if isinstance(value, (int, float)):
-        return float(value)
-    parts = str(value).split(":")
+def _seconds(value) -> float:
+    """Finite seconds from a number or an ``[hh:]mm:ss.sss`` string."""
     seconds = 0.0
-    for part in parts:
-        seconds = seconds * 60.0 + float(part)
+    try:
+        for part in [value] if isinstance(value, (int, float)) else str(value).split(":"):
+            seconds = seconds * 60.0 + float(part)
+    except (ValueError, OverflowError):
+        seconds = math.nan
+    if not math.isfinite(seconds):
+        raise MalformedInputError(f"timestamp {value!r} is not a finite time")
     return seconds
+
+
+def _period(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedInputError(f"period {value!r} is not an integer") from None
+
+
+def _xy(location) -> tuple[float, float] | None:
+    """The first two entries of a JSON location, if they are finite numbers."""
+    if not isinstance(location, (list, tuple)) or len(location) < 2:
+        return None
+    try:
+        x, y = float(location[0]), float(location[1])
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return (x, y) if math.isfinite(x) and math.isfinite(y) else None
+
+
+class _Excluded(Exception):
+    """A 360 frame left out; the arguments are its AxisErrorRecord after the index."""
 
 
 def read_360_frames(
@@ -403,104 +406,53 @@ def read_360_frames(
     using its linked event.  The orientation that best matches the event's
     ball position wins; frames that disagree by more than
     ``axis_disagreement_m`` under both orientations are excluded and reported.
+    A malformed event raises MalformedInputError; a frame that cannot be read
+    is excluded, so the records hold only finite times and positions.
     """
-    frames_doc = json.loads(Path(frames_path).read_text(encoding="utf8"))
-    events_doc = json.loads(Path(events_path).read_text(encoding="utf8"))
+    try:
+        frames_doc, events_doc = (
+            json.loads(Path(path).read_text(encoding="utf8")) for path in (frames_path, events_path)
+        )
+    except ValueError as e:
+        raise MalformedInputError(f"360 input is not JSON: {e}") from None
     if not isinstance(frames_doc, list) or not isinstance(events_doc, list):
         raise MalformedInputError("360 frame and event files must be JSON arrays")
 
-    events_by_id: dict[str, dict] = {}
-    events_sorted: list[dict] = []
-    for ev in events_doc:
-        rec = {
-            "id": str(ev.get("id", "")),
-            "time": _parse_timestamp(ev.get("timestamp", 0.0)),
-            "period": int(ev.get("period", 1)),
-            "team": str(ev.get("team", HOME)).lower(),
-            "location": ev.get("location"),
-        }
-        if rec["id"]:
-            events_by_id[rec["id"]] = rec
-        events_sorted.append(rec)
-    events_sorted.sort(key=lambda r: (r["period"], r["time"]))
-
-    per_half: dict[int, list[ObservationFrame]] = {}
-    seen_times: dict[int, set[float]] = {}
-    errors: list[AxisErrorRecord] = []
-
-    for idx, fr in enumerate(frames_doc):
-        event = _frame_event(fr, events_by_id, events_sorted)
-        if event is None:
-            errors.append(AxisErrorRecord(idx, "orphan frame", None, None, math.inf))
-            continue
-        period = event["period"]
-        # The acting team attacks +x in its own coordinates; on the fixed axis
-        # home attacks +x in half 1, so flip whenever those disagree.
-        event_flip = not ((event["team"] == HOME) == (period == 1))
-        loc = event.get("location")
-        if not loc or len(loc) < 2:
-            errors.append(AxisErrorRecord(idx, "event has no location", None, None, math.inf))
-            continue
-        ex, ey = (float(loc[0]), float(loc[1]))
-        if event_flip:
-            ex, ey = _flip(ex, ey)
-        ball_event = PitchPoint(ex, ey)
-
-        freeze = fr.get("freeze_frame") or []
-        if not all(
-            isinstance(e.get("location"), (list, tuple)) and len(e["location"]) >= 2
-            for e in freeze
-        ):
-            errors.append(
-                AxisErrorRecord(idx, "malformed freeze frame", ball_event, None, math.inf)
-            )
-            continue
-        actor = next((e for e in freeze if e.get("actor")), None)
-        if actor is None:
-            errors.append(
-                AxisErrorRecord(idx, "no actor in frame", ball_event, None, math.inf)
-            )
-            continue
-        ax, ay = (float(actor["location"][0]), float(actor["location"][1]))
-        fx, fy = _flip(ax, ay)
-        d_same = math.hypot(ax - ex, ay - ey)
-        d_flip = math.hypot(fx - ex, fy - ey)
-        if d_same <= d_flip:
-            disagreement, use_flip, ball_frame = d_same, False, PitchPoint(ax, ay)
-        else:
-            disagreement, use_flip, ball_frame = d_flip, True, PitchPoint(fx, fy)
-        if disagreement > axis_disagreement_m:
-            errors.append(
-                AxisErrorRecord(idx, "axis disagreement", ball_event, ball_frame, disagreement)
-            )
-            continue
-
-        visible = []
-        for entry in freeze:
-            ex_, ey_ = float(entry["location"][0]), float(entry["location"][1])
-            if use_flip:
-                ex_, ey_ = _flip(ex_, ey_)
-            team = event["team"] if entry.get("teammate") or entry.get("actor") else other_team(event["team"])
-            tag = PlayerTag(team=team, is_goalkeeper=bool(entry.get("keeper")))
-            visible.append((tag, PitchPoint(ex_, ey_)))
+    events = []
+    for i, ev in enumerate(events_doc):
         try:
-            frame = ObservationFrame(time=event["time"], ball=ball_event, visible=tuple(visible))
-        except MalformedInputError:
-            errors.append(
-                AxisErrorRecord(idx, "too many players for a team", ball_event, ball_frame, disagreement)
+            team = str(ev.get("team", HOME)).lower() if isinstance(ev, dict) else None
+            if team not in (HOME, AWAY):
+                raise MalformedInputError("not an object with a home or away team")
+            events.append(
+                {
+                    "id": str(ev.get("id", "")),
+                    "time": _seconds(ev.get("timestamp", 0.0)),
+                    "period": _period(ev.get("period", 1)),
+                    "team": team,
+                    "location": _xy(ev.get("location")),
+                }
             )
-            continue
-        if frame.time in seen_times.setdefault(period, set()):
-            errors.append(
-                AxisErrorRecord(idx, "duplicate timestamp", ball_event, ball_frame, disagreement)
-            )
-            continue
-        seen_times[period].add(frame.time)
-        per_half.setdefault(period, []).append(frame)
+        except MalformedInputError as e:
+            raise MalformedInputError(f"{events_path}: event {i}: {e}") from None
+    by_id = {ev["id"]: ev for ev in events if ev["id"]}
+    by_period: dict[int, tuple[list[float], list[dict]]] = {}
+    for ev in sorted(events, key=lambda r: (r["period"], r["time"])):
+        times, evs = by_period.setdefault(ev["period"], ([], []))
+        times.append(ev["time"])
+        evs.append(ev)
+
+    per_half: dict[int, dict[float, ObservationFrame]] = {}
+    errors: list[AxisErrorRecord] = []
+    for idx, fr in enumerate(frames_doc):
+        try:
+            _add_360_frame(fr, by_id, by_period, axis_disagreement_m, per_half)
+        except _Excluded as e:
+            errors.append(AxisErrorRecord(idx, *e.args))
 
     records = []
     for period in sorted(per_half):
-        frames = sorted(per_half[period], key=lambda f: f.time)
+        frames = sorted(per_half[period].values(), key=lambda f: f.time)
         span = frames[-1].time - frames[0].time
         if span > MAX_HALF_SPAN_S:
             raise MalformedInputError(
@@ -518,23 +470,75 @@ def read_360_frames(
     return records, errors
 
 
-def _frame_event(fr: dict, by_id: dict, events_sorted: list[dict]) -> dict | None:
+def _add_360_frame(
+    fr, by_id: dict, by_period: dict, axis_disagreement_m: float, per_half: dict
+) -> None:
+    """Orient one 360 frame into ``per_half``, or raise _Excluded saying why not."""
+    if not isinstance(fr, dict):
+        raise _Excluded("malformed frame", None, None, math.inf)
+    try:
+        event = _frame_event(fr, by_id, by_period)
+    except MalformedInputError:
+        raise _Excluded("malformed frame", None, None, math.inf) from None
+    if event is None:
+        raise _Excluded("orphan frame", None, None, math.inf)
+    if event["location"] is None:
+        raise _Excluded("event has no location", None, None, math.inf)
+    ex, ey = event["location"]
+    # The acting team attacks +x in its own coordinates; on the fixed axis
+    # home attacks +x in half 1, so flip whenever those disagree.
+    if (event["team"] == HOME) != (event["period"] == 1):
+        ex, ey = _flip(ex, ey)
+    ball_event = PitchPoint(ex, ey)
+
+    freeze = fr.get("freeze_frame") or []
+    if not isinstance(freeze, list):
+        freeze = [None]
+    locations = [_xy(e.get("location")) if isinstance(e, dict) else None for e in freeze]
+    if None in locations:
+        raise _Excluded("malformed freeze frame", ball_event, None, math.inf)
+    actor = next((k for k, e in enumerate(freeze) if e.get("actor")), None)
+    if actor is None:
+        raise _Excluded("no actor in frame", ball_event, None, math.inf)
+    ax, ay = locations[actor]
+    fx, fy = _flip(ax, ay)
+    d_same, d_flip = math.hypot(ax - ex, ay - ey), math.hypot(fx - ex, fy - ey)
+    use_flip = d_flip < d_same
+    disagreement = d_flip if use_flip else d_same
+    ball_frame = PitchPoint(fx, fy) if use_flip else PitchPoint(ax, ay)
+    if disagreement > axis_disagreement_m:
+        raise _Excluded("axis disagreement", ball_event, ball_frame, disagreement)
+
+    visible, team = [], event["team"]
+    for entry, (x, y) in zip(freeze, locations):
+        side = team if entry.get("teammate") or entry.get("actor") else other_team(team)
+        tag = PlayerTag(team=side, is_goalkeeper=bool(entry.get("keeper")))
+        visible.append((tag, PitchPoint(*_flip(x, y)) if use_flip else PitchPoint(x, y)))
+    try:
+        frame = ObservationFrame(time=event["time"], ball=ball_event, visible=tuple(visible))
+    except MalformedInputError:
+        raise _Excluded("too many players for a team", ball_event, ball_frame, disagreement) from None
+    frames = per_half.setdefault(event["period"], {})
+    if frame.time in frames:
+        raise _Excluded("duplicate timestamp", ball_event, ball_frame, disagreement)
+    frames[frame.time] = frame
+
+
+def _frame_event(
+    fr: dict, by_id: dict[str, dict], by_period: dict[int, tuple[list[float], list[dict]]]
+) -> dict | None:
+    """The frame's event: by declared id, else the nearest in time within
+    ``EVENT_MATCH_WINDOW_S`` (ties go to the earlier event)."""
     for key in ("event_uuid", "event_id", "id"):
-        if key in fr and str(fr[key]) in by_id:
-            return by_id[str(fr[key])]
         if key in fr:
-            return None  # declared an id that matches no event
+            return by_id.get(str(fr[key]))
     if "timestamp" in fr:
-        t = _parse_timestamp(fr["timestamp"])
-        period = int(fr.get("period", 1))
-        best = None
-        for ev in events_sorted:
-            if ev["period"] != period:
-                continue
-            d = abs(ev["time"] - t)
-            if d <= EVENT_MATCH_WINDOW_S and (best is None or d < abs(best["time"] - t)):
-                best = ev
-        return best
+        t = _seconds(fr["timestamp"])
+        times, events = by_period.get(_period(fr.get("period", 1)), ([], []))
+        if times:
+            i = nearest_time_index(times, t)
+            if abs(times[i] - t) <= EVENT_MATCH_WINDOW_S:
+                return events[i]
     return None
 
 
@@ -579,12 +583,18 @@ def _frame_json(
     )
 
 
-def _write_frame_array(path: Path, frame_lines: list[str]) -> None:
-    with path.open("w", encoding="utf8") as fh:
-        fh.write("[\n")
-        for i, line in enumerate(frame_lines):
-            fh.write("  " + line + (",\n" if i + 1 < len(frame_lines) else "\n"))
-        fh.write("]\n")
+def _json_array(lines: Sequence[str], indent: str = "") -> str:
+    """JSON array text with one item per line."""
+    items = ",\n".join(f"{indent}  {line}" for line in lines)
+    return f"[\n{items}\n{indent}]" if lines else f"[\n{indent}]"
+
+
+def _point(d: dict) -> PitchPoint:
+    return PitchPoint(d["x"], d["y"])
+
+
+def _tag(d: dict) -> PlayerTag:
+    return PlayerTag(team=d["team"], is_goalkeeper=d["keeper"])
 
 
 def write_enriched(frames: Sequence[EnrichedFrame], path: str | Path) -> None:
@@ -599,72 +609,49 @@ def write_enriched(frames: Sequence[EnrichedFrame], path: str | Path) -> None:
         )
         for fr in frames
     ]
-    _write_frame_array(Path(path), lines)
+    Path(path).write_text(_json_array(lines) + "\n", encoding="utf8")
 
 
 def read_enriched(path: str | Path) -> list[EnrichedFrame]:
-    doc = json.loads(Path(path).read_text(encoding="utf8"))
-    frames = []
-    for fr in doc:
-        players = tuple(
-            EnrichedPlayer(
-                tag=PlayerTag(team=p["team"], is_goalkeeper=p["keeper"]),
-                position=PitchPoint(p["x"], p["y"]),
-                provenance="observed" if p["visible"] else "estimated",
-            )
-            for p in fr["players"]
+    return [
+        EnrichedFrame(
+            time=fr["time_s"],
+            ball=_point(fr["ball"]),
+            players=tuple(
+                EnrichedPlayer(_tag(p), _point(p), "observed" if p["visible"] else "estimated")
+                for p in fr["players"]
+            ),
         )
-        frames.append(
-            EnrichedFrame(
-                time=fr["time_s"],
-                ball=PitchPoint(fr["ball"]["x"], fr["ball"]["y"]),
-                players=players,
-            )
-        )
-    return frames
+        for fr in json.loads(Path(path).read_text(encoding="utf8"))
+    ]
 
 
 def write_discrete(record: DiscreteMatchRecord, path: str | Path) -> None:
-    path = Path(path)
     lines = [
         _frame_json(fr.time, fr.ball, [(tag, pos, None) for tag, pos in fr.visible])
         for fr in record.frames
     ]
-    with path.open("w", encoding="utf8") as fh:
-        fh.write("{\n")
-        fh.write(f'  "half_id": {record.half_id},\n')
-        fh.write(f'  "source": "{record.source}",\n')
-        fh.write(
-            '  "defends_left": {"home": %s, "away": %s},\n'
-            % (
-                "true" if record.defends_left.get(HOME, True) else "false",
-                "true" if record.defends_left.get(AWAY, False) else "false",
-            )
-        )
-        fh.write('  "frames": [\n')
-        for i, line in enumerate(lines):
-            fh.write("    " + line + (",\n" if i + 1 < len(lines) else "\n"))
-        fh.write("  ]\n}\n")
+    home, away = (
+        "true" if record.defends_left.get(team, team == HOME) else "false" for team in (HOME, AWAY)
+    )
+    Path(path).write_text(
+        f'{{\n  "half_id": {record.half_id},\n  "source": "{record.source}",\n'
+        f'  "defends_left": {{"home": {home}, "away": {away}}},\n'
+        f'  "frames": {_json_array(lines, "  ")}\n}}\n',
+        encoding="utf8",
+    )
 
 
 def read_discrete(path: str | Path) -> DiscreteMatchRecord:
     doc = json.loads(Path(path).read_text(encoding="utf8"))
-    frames = []
-    for fr in doc["frames"]:
-        visible = tuple(
-            (
-                PlayerTag(team=p["team"], is_goalkeeper=p["keeper"]),
-                PitchPoint(p["x"], p["y"]),
-            )
-            for p in fr["players"]
+    frames = [
+        ObservationFrame(
+            time=fr["time_s"],
+            ball=_point(fr["ball"]),
+            visible=tuple((_tag(p), _point(p)) for p in fr["players"]),
         )
-        frames.append(
-            ObservationFrame(
-                time=fr["time_s"],
-                ball=PitchPoint(fr["ball"]["x"], fr["ball"]["y"]),
-                visible=visible,
-            )
-        )
+        for fr in doc["frames"]
+    ]
     return DiscreteMatchRecord(
         half_id=doc["half_id"],
         frames=frames,
@@ -686,4 +673,4 @@ def write_axis_errors(errors: Sequence[AxisErrorRecord], path: str | Path) -> No
             f'"disagreement_m": {_fmt(e.disagreement) if math.isfinite(e.disagreement) else "null"}'
         )
         lines.append("{" + ", ".join(parts) + "}")
-    _write_frame_array(Path(path), lines)
+    Path(path).write_text(_json_array(lines) + "\n", encoding="utf8")

@@ -6,7 +6,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .assigner import TrackedTeams, build_trajectories
+from .assigner import LOG_DENSITY_FLOOR, TrackedTeams, build_trajectories
 from .forecaster import ForecastModel, GridSeries, ball_grid_from_frames
 from .geometry import (
     AWAY,
@@ -52,13 +52,10 @@ def build_paths(
     model: ForecastModel,
     *,
     alpha: float = 0.5,
-    log_floor: float | None = None,
-    tracked: TrackedTeams | None = None,
+    log_floor: float = LOG_DENSITY_FLOOR,
 ) -> PathSet:
-    """Assign trajectories (unless given) and wrap them as continuous paths."""
-    if tracked is None:
-        kwargs = {} if log_floor is None else {"log_floor": log_floor}
-        tracked = build_trajectories(record, model, **kwargs)
+    """Assign trajectories and wrap them as continuous paths."""
+    tracked = build_trajectories(record, model, log_floor=log_floor)
     ball_grid = ball_grid_from_frames(record.frames, model.grid_step)
     field = compute_velocity_field(tracked.all_outfield(), alpha, model.grid_step)
     ball_track = Trajectory(tag=None)  # type: ignore[arg-type]
@@ -88,10 +85,11 @@ def seconds_to_nearest_observation(traj: Trajectory, t: float) -> float:
     Invented kickoff seeds do not count; a trajectory that never received an
     observation yields infinity.
     """
-    times = traj.observation_times()
-    i = bisect_right(times, t)
+    times = traj.times
+    lo = 1 if traj.seeded else 0
+    i = bisect_right(times, t, lo)
     best = math.inf
-    if i > 0:
+    if i > lo:
         best = t - times[i - 1]
     if i < len(times):
         best = min(best, times[i] - t)

@@ -124,6 +124,25 @@ def test_enrich_without_discrete_input_exits_2(tmp_path, workspace, capsys):
     assert "simulate-broadcast" in capsys.readouterr().err
 
 
+def test_out_of_range_tracking_csv_exits_2(tmp_path, capsys):
+    half = synth_half(seconds=10.0, fps=5, seed=75, half_id=1)
+    home, away = tmp_path / "home.csv", tmp_path / "away.csv"
+    write_metrica_csvs([half], home, away)
+    lines = away.read_text().splitlines()
+    cells = lines[10].split(",")
+    cells[3] = "1.30000"
+    lines[10] = ",".join(cells)
+    away.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        json.dumps(
+            {"train_home_csv": str(home), "train_away_csv": str(away), "model_path": str(tmp_path / "m.json")}
+        )
+    )
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "away.csv row 11" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
 def _write_360_feed(tmp_path, n=40):
     """A small 360 feed: n linked frames one second apart plus one orphan."""
     events = [

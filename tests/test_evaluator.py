@@ -13,6 +13,7 @@ from track_enrich.evaluator import (
     OUT_OF_PHASE,
     build_report,
     evaluate_half,
+    event_frame_times,
     match_and_score,
     percentile_frames,
     render_pitch_svg,
@@ -27,6 +28,7 @@ from track_enrich.geometry import (
     PitchPoint,
     PlayerTag,
 )
+from track_enrich.ingest import Event
 from track_enrich.pipeline import build_paths
 
 
@@ -278,3 +280,10 @@ class TestDegradedEvaluation:
         # off-camera players at in-phase frames have nonzero ages
         est_rows = [r for r in result.rows if r.provenance == "estimated" and r.phase == IN_PHASE]
         assert est_rows and all(r.seconds_to_obs > 0 for r in est_rows)
+
+
+def test_event_frame_times_nearest_with_ties_to_the_earlier_frame():
+    events = [Event(t, "pass", HOME) for t in (0.2, 1.5, 1.6, 2.0, 2.0, 9.0)]
+    assert event_frame_times(events, [1.0, 2.0, 3.0]) == {1.0, 2.0, 3.0}
+    assert event_frame_times(events[1:2], [1.0, 2.0]) == {1.0}
+    assert event_frame_times(events, []) == set()

@@ -13,6 +13,7 @@ from track_enrich.geometry import (
     PitchPoint,
     PlayerTag,
     Trajectory,
+    nearest_time_index,
     scale_percent_coords,
 )
 
@@ -115,8 +116,9 @@ class TestEnrichedFrame:
 
     def test_valid(self):
         frame = EnrichedFrame(time=3.0, ball=PitchPoint(60, 40), players=self._players())
-        assert len(frame.for_team(HOME)) == 10
-        assert len(frame.for_team(AWAY, keepers=True)) == 1
+        tags = [p.tag for p in frame.players]
+        assert tags.count(PlayerTag(HOME)) == 10
+        assert tags.count(PlayerTag(AWAY, is_goalkeeper=True)) == 1
 
     def test_wrong_total(self):
         with pytest.raises(MalformedInputError):
@@ -132,3 +134,15 @@ class TestEnrichedFrame:
 
 def test_distance():
     assert math.isclose(PitchPoint(0, 0).distance_to(PitchPoint(3, 4)), 5.0)
+
+
+@pytest.mark.parametrize(
+    "t, want",
+    [(0.0, 0), (1.5, 0), (1.6, 1), (2.0, 1), (2.5, 1), (2.6, 3), (3.0, 3), (9.0, 3)],
+)
+def test_nearest_time_index_ties_go_to_the_first_earliest(t, want):
+    assert nearest_time_index([1.0, 2.0, 2.0, 3.0], t) == want
+
+
+def test_nearest_time_index_equal_times_at_the_end():
+    assert nearest_time_index([1.0, 1.0], 5.0) == 0

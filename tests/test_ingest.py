@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from synth import synth_half, write_metrica_csvs
 
@@ -123,6 +125,87 @@ class TestTrackingCsv:
         assert len(halves) == 2
         assert halves[1].frames[0].time == pytest.approx(0.2, abs=1e-6)
 
+
+ROW5_HOME = "1,2,0.08,0.51000,0.50000,0.31000,0.40000,0.52000,0.50000"
+ROW5_AWAY = "1,2,0.08,0.71000,0.50000,0.91000,0.40000,0.52000,0.50000"
+
+
+@pytest.mark.parametrize(
+    "home_row, away_row, where",
+    [
+        pytest.param(
+            ROW5_HOME.replace("0.31000", "abc"), ROW5_AWAY, r"h\.csv row 5", id="unparseable-cell"
+        ),
+        pytest.param(
+            ROW5_HOME.replace("1,2,", "abc,2,", 1), ROW5_AWAY, r"h\.csv row 5", id="unparseable-period"
+        ),
+        pytest.param(
+            ROW5_HOME.replace("0.08", "0.04", 1),
+            ROW5_AWAY.replace("0.08", "0.04", 1),
+            r"h\.csv row 5",
+            id="duplicate-time",
+        ),
+        pytest.param(
+            ROW5_HOME.replace("0.08", "0.02", 1),
+            ROW5_AWAY.replace("0.08", "0.02", 1),
+            r"h\.csv row 5",
+            id="decreasing-time",
+        ),
+        pytest.param(ROW5_HOME, ROW5_AWAY.replace("0.08", "0.12", 1), r"a\.csv row 5", id="times-disagree"),
+        pytest.param(
+            ROW5_HOME, ROW5_AWAY.replace("0.91000", "1.20000"), r"x=1\.2 in .*a\.csv row 5", id="away-out-of-range"
+        ),
+    ],
+)
+def test_hostile_tracking_csv_names_file_and_row(tmp_path, home_row, away_row, where):
+    hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
+    hp.write_text(HOME_CSV.replace(ROW5_HOME, home_row))
+    ap.write_text(AWAY_CSV.replace(ROW5_AWAY, away_row))
+    with pytest.raises(MalformedInputError, match=where):
+        read_tracking_csv(hp, ap)
+
+
+def _wide_csv(path, names, rows):
+    """A one-team wide CSV; ``rows`` are (time, {name: (x, y)}) with the ball mid-pitch."""
+    lines = [",,,Team", ",,,Number", "Period,Frame,Time [s]," + "".join(f"{n},," for n in names) + "Ball,"]
+    for k, (t, present) in enumerate(rows):
+        cells = ["1", str(k + 1), f"{t:.2f}"]
+        for n in names:
+            cells.extend(f"{v:.5f}" for v in present.get(n, (math.nan, math.nan)))
+        lines.append(",".join(cells + ["0.50000", "0.50000"]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_substitution_keeps_ten_longest_established(tmp_path):
+    outfield = [f"Player{i:02d}" for i in range(1, 12)]
+    spot = {n: (0.1 + 0.03 * i, 0.1 + 0.07 * i) for i, n in enumerate(outfield)}
+    keeper = {"PlayerKeeper": (0.02, 0.5)}
+
+    def home(names):
+        return {**keeper, **{n: spot[n] for n in names}}
+
+    everyone = set(outfield)
+    rows = [
+        (0.04, home(everyone - {"Player01", "Player10"})),
+        (0.08, home(everyone)),  # 11 outfielders on the pitch
+        (0.12, home(everyone - {"Player11"})),
+    ]
+    hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
+    _wide_csv(hp, [*outfield, "PlayerKeeper"], rows)
+    away = {"Player20": (0.98, 0.5), "Player21": (0.7, 0.3)}
+    _wide_csv(ap, list(away), [(t, away) for t, _ in rows])
+    half = read_tracking_csv(hp, ap)[0]
+
+    t0, t1, t2 = (fr.time for fr in half.frames)
+    seen = {key: track.times for key, track in half.player_tracks.items()}
+    # Player11 was first seen before Player10 and keeps its place; Player01
+    # and Player10 first appear together, and the tie goes to the lower key.
+    assert seen["home:Player11"] == [t0, t1]
+    assert seen["home:Player01"] == [t1, t2]
+    assert seen["home:Player10"] == [t2]
+    assert [len(fr.visible_for(HOME)) for fr in half.frames] == [9, 10, 10]
+    assert all(len(fr.visible_for(HOME, keepers=True)) == 1 for fr in half.frames)
+    assert half.player_tracks["home:PlayerKeeper"].tag.is_goalkeeper
 
 def _synth_csv_halves(tmp_path, seconds=30.0):
     half = synth_half(seconds=seconds, fps=5, seed=3, half_id=1)
@@ -357,6 +440,27 @@ class Test360:
         assert sum(len(r.frames) for r in records) == 1
         assert [e.reason for e in errors] == ["duplicate timestamp"]
 
+    def test_timestamp_link_ties_go_to_the_earlier_event(self, tmp_path):
+        events = [
+            event_360("e1", 10.0, "home", [50.0, 40.0]),
+            event_360("e3", 12.0, "home", [70.0, 40.0]),
+            event_360("e2", 12.0, "home", [60.0, 40.0]),
+        ]
+        frames = [
+            # halfway between 10 s and 12 s: the earlier event wins
+            {"timestamp": 11.0, "freeze_frame": [ff([50.0, 40.0], actor=True)]},
+            # nearest to the two events at 12 s: the first in the file wins
+            {"timestamp": 12.5, "freeze_frame": [ff([70.0, 40.0], actor=True)]},
+            # more than two seconds from every event
+            {"timestamp": 14.5, "freeze_frame": [ff([70.0, 40.0], actor=True)]},
+        ]
+        records, errors = read_360_frames(*self._write(tmp_path, frames, events))
+        assert [(fr.time, fr.ball) for fr in records[0].frames] == [
+            (10.0, PitchPoint(50.0, 40.0)),
+            (12.0, PitchPoint(70.0, 40.0)),
+        ]
+        assert [(e.frame_index, e.reason) for e in errors] == [(2, "orphan frame")]
+
     def test_flip_is_involution(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
@@ -378,6 +482,68 @@ class Test360:
         assert doc[0]["disagreement_m"] is None
         assert doc[1]["disagreement_m"] == 62.5
 
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_stamps = st.floats(0.0, 30.0) | st.sampled_from(["00:00:10.5", "1:05", "1:x", "nan", "1e400"]) | _json
+_periods = st.sampled_from([1, 2]) | _json
+_locations = st.lists(st.floats(-10.0, 130.0) | _json, max_size=3) | _json
+_ids = st.sampled_from(["e0", "e1", "e2"]) | _json
+_events = st.lists(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "id": _ids,
+            "timestamp": _stamps,
+            "period": _periods,
+            "team": st.sampled_from(["home", "away", "Away"]) | _json,
+            "location": _locations,
+        },
+    )
+    | _json,
+    max_size=4,
+)
+_entries = st.lists(
+    st.fixed_dictionaries(
+        {},
+        optional={"location": _locations, "teammate": st.booleans() | _json, "actor": st.booleans(), "keeper": st.booleans()},
+    )
+    | _json,
+    max_size=4,
+)
+_frames = st.lists(
+    st.fixed_dictionaries(
+        {},
+        optional={"event_uuid": _ids, "timestamp": _stamps, "period": _periods, "freeze_frame": _entries | _json},
+    )
+    | _json,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(frames_doc=_frames | _json, events_doc=_events | _json)
+def test_360_reader_returns_records_and_exclusions_or_raises_malformed(tmp_path, frames_doc, events_doc):
+    fp, ep = tmp_path / "frames.json", tmp_path / "events.json"
+    fp.write_text(json.dumps(frames_doc))
+    ep.write_text(json.dumps(events_doc))
+    try:
+        records, errors = read_360_frames(fp, ep)
+    except MalformedInputError:
+        return
+    assert all(isinstance(e, AxisErrorRecord) for e in errors)
+    assert sum(len(r.frames) for r in records) + len(errors) == len(frames_doc)
+    for record in records:
+        assert isinstance(record, DiscreteMatchRecord)
+        for fr in record.frames:
+            numbers = [fr.time, fr.ball.x, fr.ball.y, *(v for _, p in fr.visible for v in (p.x, p.y))]
+            assert all(math.isfinite(v) for v in numbers)
+    for e in errors:
+        points = [p for p in (e.ball_event, e.ball_frame) if p is not None]
+        assert not any(math.isnan(v) for v in [e.disagreement, *(c for p in points for c in (p.x, p.y))])
 
 class TestNumberFormat:
     def test_min_two_decimals(self):
