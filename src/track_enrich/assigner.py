@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .forecaster import Forecast, ForecastModel, ForecastState, ball_grid_from_frames
+from .forecaster import Forecast, ForecastModel, ForecastState, GridSeries, ball_grid_from_frames
 from .geometry import (
     AWAY,
     HOME,
@@ -42,15 +42,13 @@ _KEEPER_DEPTH_M = 5.0
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def log_likelihood(
-    fc: Forecast, pos: PitchPoint, floor: float = LOG_DENSITY_FLOOR
-) -> float:
+def log_likelihood(fc: Forecast, pos: PitchPoint) -> float:
     """Log of the isotropic bivariate normal density at ``pos``, floored."""
     var = fc.std * fc.std
     dx = pos.x - fc.mean.x
     dy = pos.y - fc.mean.y
     ll = -(_LOG_2PI + 2.0 * math.log(fc.std)) - (dx * dx + dy * dy) / (2.0 * var)
-    return max(ll, floor)
+    return max(ll, LOG_DENSITY_FLOOR)
 
 
 def solve_assignment(cost: np.ndarray) -> dict[int, int]:
@@ -131,21 +129,18 @@ def _seed_keeper(
 
 @dataclass
 class TrackedTeams:
-    """Constructed trajectories for one half: 10 outfield per team plus keepers."""
+    """Constructed trajectories for one half: 10 outfield per team plus keepers,
+    and the ball grid their forecasts ran on."""
 
     outfield: dict[str, list[Trajectory]]
     keepers: dict[str, Trajectory]
+    ball: GridSeries
 
     def all_outfield(self) -> list[Trajectory]:
         return [t for team in (HOME, AWAY) for t in self.outfield[team]]
 
 
-def build_trajectories(
-    record: DiscreteMatchRecord,
-    model: ForecastModel,
-    *,
-    log_floor: float = LOG_DENSITY_FLOOR,
-) -> TrackedTeams:
+def build_trajectories(record: DiscreteMatchRecord, model: ForecastModel) -> TrackedTeams:
     """Run the causal frame loop, appending every visible position to a trajectory."""
     if not record.frames:
         raise ValueError("cannot build trajectories from an empty record")
@@ -172,7 +167,7 @@ def build_trajectories(
                 for i, st in enumerate(states[team]):
                     fc = st.forecast_at(frame.time)
                     for j, pos in enumerate(positions):
-                        cost[i, j] = -log_likelihood(fc, pos, log_floor)
+                        cost[i, j] = -log_likelihood(fc, pos)
                 for j, i in solve_assignment(cost).items():
                     outfield[team][i].append(frame.time, positions[j])
                     states[team][i].append(frame.time, positions[j])
@@ -180,4 +175,4 @@ def build_trajectories(
             if seen_keeper:
                 keepers[team].append(frame.time, seen_keeper[0])
 
-    return TrackedTeams(outfield=outfield, keepers=keepers)
+    return TrackedTeams(outfield=outfield, keepers=keepers, ball=ball)

@@ -128,9 +128,7 @@ def cmd_enrich(cfg: PipelineConfig) -> int:
         print(f"{len(errors)} frames excluded -> {out_dir / 'axis_errors.json'}")
     for record in records:
         started = time.perf_counter()
-        paths = pipeline.build_paths(
-            record, model, alpha=cfg.alpha, log_floor=cfg.log_density_floor
-        )
+        paths = pipeline.build_paths(record, model, alpha=cfg.alpha)
         frames = pipeline.enrich_frames(paths, period=cfg.enrich_period_s)
         elapsed = time.perf_counter() - started
         out_path = out_dir / f"enriched_half{record.half_id}.json"
@@ -163,9 +161,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
         truth = truth_halves.get(record.half_id)
         if truth is None:
             raise ConfigError(f"no ground truth for half {record.half_id}")
-        paths = pipeline.build_paths(
-            record, model, alpha=cfg.alpha, log_floor=cfg.log_density_floor
-        )
+        paths = pipeline.build_paths(record, model, alpha=cfg.alpha)
         result = evaluator.evaluate_half(record, paths, truth)
         results.append(result)
         if first_half_errors is None:
@@ -179,7 +175,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     if first_half_errors is not None:
         result, paths = first_half_errors
         if len(result.frame_errors) >= 100:
-            for pct, fe in evaluator.percentile_frames(result.frame_errors, cfg.percentiles):
+            for pct, fe in evaluator.percentile_frames(result.frame_errors):
                 frame, ages = pipeline.snapshot_at(paths, fe.time)
                 labels = [f"{age:.0f}" if age < float("inf") else "?" for age in ages]
                 svg = evaluator.render_pitch_svg(frame, labels)

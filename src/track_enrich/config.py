@@ -34,12 +34,10 @@ class PipelineConfig:
     ma_order: int = 1
     ball_lags: int = 2
     grid_step_s: float = 1.0
-    # interpolation / assignment / ingest
+    # interpolation / ingest
     alpha: float = 0.5
-    log_density_floor: float = -50.0
     axis_disagreement_m: float = 5.0
-    # evaluation / output
-    percentiles: tuple[float, ...] = (25.0, 50.0, 75.0, 95.0)
+    # output
     enrich_period_s: float = 1.0
 
     def validate(self) -> None:
@@ -88,7 +86,5 @@ def apply_overrides(cfg: PipelineConfig, values: dict, *, source: str = "flags")
             continue
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key '{key}' (from {source})")
-        if key == "percentiles":
-            value = tuple(float(v) for v in value)
         setattr(cfg, key, value)
     cfg.validate()

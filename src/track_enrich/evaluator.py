@@ -17,13 +17,14 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from .assigner import solve_assignment
 from .broadcast import ground_truth_at
 from .geometry import (
     AWAY,
     HOME,
     EnrichedFrame,
+    ObservationFrame,
     PitchPoint,
     nearest_time_index,
 )
@@ -40,109 +41,65 @@ class TruthMismatchError(ValueError):
     """Estimated and true team sizes disagree at a query time."""
 
 
-@dataclass(frozen=True, slots=True)
-class PlayerScore:
-    team: str
-    true_pos: PitchPoint
-    est_pos: PitchPoint
-    error_m: float
-    provenance: str
-    seconds_to_obs: float
-
-
 @dataclass(frozen=True)
 class FrameError:
     time: float
     phase: str
-    scores: tuple[PlayerScore, ...]
+    errors: tuple[float, ...]  # one per outfielder, in the snapshot's order
     total_squared_error: float
 
 
-def _match_team(
-    est: list[tuple[int, PitchPoint]], truth: list[PitchPoint]
-) -> list[tuple[int, PitchPoint, float]]:
-    """Minimum-total-distance bijection; exact coincidences are pinned first.
+def _match_team(est: list[PitchPoint], truth: list[PitchPoint]) -> list[float]:
+    """Errors of a minimum-total-distance bijection, aligned with ``est``.
 
-    Pinning a zero-distance pair never breaks optimality (triangle
-    inequality) and guarantees observed positions score exactly zero.
+    Exact coincidences are pinned first (each estimate, in order, takes the
+    first unused truth equal to it): pinning a zero-distance pair never
+    breaks optimality (triangle inequality) and guarantees observed
+    positions score exactly zero.
     """
+    errors = [0.0] * len(est)
     unused = list(range(len(truth)))
-    pinned: list[tuple[int, PitchPoint, float]] = []
-    remaining: list[tuple[int, PitchPoint]] = []
-    for idx, pos in est:
-        hit = next(
-            (j for j in unused if truth[j].x == pos.x and truth[j].y == pos.y), None
-        )
-        if hit is not None:
-            unused.remove(hit)
-            pinned.append((idx, truth[hit], 0.0))
+    remaining: list[int] = []
+    for c, pos in enumerate(est):
+        hit = next((j for j in unused if truth[j] == pos), None)
+        if hit is None:
+            remaining.append(c)
         else:
-            remaining.append((idx, pos))
+            unused.remove(hit)
     if remaining:
-        cost = np.empty((len(unused), len(remaining)))
-        for i, j in enumerate(unused):
-            for c, (_, pos) in enumerate(remaining):
-                cost[i, c] = truth[j].distance_to(pos)
-        for col, row in solve_assignment(cost).items():
-            idx, pos = remaining[col]
-            matched = truth[unused[row]]
-            pinned.append((idx, matched, matched.distance_to(pos)))
-    return pinned
+        # truth rows x estimate columns: linear_sum_assignment breaks ties by
+        # orientation, so the orientation is part of the output
+        cost = np.array([[truth[j].distance_to(est[c]) for c in remaining] for j in unused])
+        for r, c in zip(*linear_sum_assignment(cost)):
+            errors[remaining[c]] = float(cost[r, c])
+    return errors
 
 
 def match_and_score(
-    estimated: EnrichedFrame,
-    truth_players: Sequence[tuple[str, PitchPoint]],
-    *,
-    ages: Sequence[float] | None = None,
-    phase: str = IN_PHASE,
+    snapshot: EnrichedFrame, truth_frame: ObservationFrame, phase: str
 ) -> FrameError:
-    """Score one snapshot against the true outfield positions of both teams.
+    """Score a snapshot's outfielders against the true ones, team by team.
 
-    ``truth_players`` holds (team, position) for outfielders only; goalkeeper
-    entries in the snapshot are ignored.  ``ages`` aligns with
-    ``estimated.players`` and defaults to zero.
+    ``truth_frame`` is the native frame at the snapshot's time; goalkeepers
+    on either side are ignored.  Raises TruthMismatchError when a team's
+    estimated and true outfielder counts differ.
     """
-    indexed: list[tuple[int, PlayerScore]] = []
-    ages_by_outfield: dict[int, float] = {}
-    if ages is not None:
-        pos = 0
-        for team in (HOME, AWAY):
-            for i, p in enumerate(estimated.players):
-                if p.tag.team == team and not p.tag.is_goalkeeper:
-                    ages_by_outfield[i] = ages[pos]
-                    pos += 1
+    outfield = [p for p in snapshot.players if not p.tag.is_goalkeeper]
+    errors = [0.0] * len(outfield)
     for team in (HOME, AWAY):
-        est = [
-            (i, p.position)
-            for i, p in enumerate(estimated.players)
-            if p.tag.team == team and not p.tag.is_goalkeeper
-        ]
-        truth = [pos for tm, pos in truth_players if tm == team]
-        if len(est) != len(truth):
+        idx = [i for i, p in enumerate(outfield) if p.tag.team == team]
+        truth = truth_frame.visible_for(team)
+        if len(idx) != len(truth):
             raise TruthMismatchError(
-                f"team {team}: {len(est)} estimates vs {len(truth)} true positions"
+                f"team {team}: {len(idx)} estimates vs {len(truth)} true positions"
             )
-        for idx, true_pos, err in _match_team(est, truth):
-            indexed.append(
-                (
-                    idx,
-                    PlayerScore(
-                        team=team,
-                        true_pos=true_pos,
-                        est_pos=estimated.players[idx].position,
-                        error_m=err,
-                        provenance=estimated.players[idx].provenance,
-                        seconds_to_obs=ages_by_outfield.get(idx, 0.0),
-                    ),
-                )
-            )
-    # keep scores in the snapshot's player order so callers can walk them
-    indexed.sort(key=lambda pair: pair[0])
-    scores = [s for _, s in indexed]
-    total_sq = sum(s.error_m**2 for s in scores)
+        for i, err in zip(idx, _match_team([outfield[i].position for i in idx], truth)):
+            errors[i] = err
     return FrameError(
-        time=estimated.time, phase=phase, scores=tuple(scores), total_squared_error=total_sq
+        time=snapshot.time,
+        phase=phase,
+        errors=tuple(errors),
+        total_squared_error=sum(e**2 for e in errors),
     )
 
 
@@ -167,11 +124,6 @@ class HalfResult:
     frame_errors: list[FrameError]  # in-phase, time order
     rows: list[PredictionRow]
     n_frames: int
-
-
-def _truth_outfield(half: MatchHalf, t: float) -> list[tuple[str, PitchPoint]]:
-    native = ground_truth_at(half, t)
-    return [(tag.team, pos) for tag, pos in native.visible if not tag.is_goalkeeper]
 
 
 def event_frame_times(events: Sequence[Event], frame_times: Sequence[float]) -> set[float]:
@@ -204,33 +156,32 @@ def evaluate_half(
     rows: list[PredictionRow] = []
     skipped: list[float] = []
 
+    outfield_paths = [*paths.outfield[HOME], *paths.outfield[AWAY]]
+
     def score_at(t: float, phase: str, prev_time: float | None) -> FrameError:
         snapshot, ages = snapshot_at(paths, t)
-        fe = match_and_score(
-            snapshot, _truth_outfield(truth, t), ages=_outfield_ages(snapshot, ages), phase=phase
-        )
+        fe = match_and_score(snapshot, ground_truth_at(truth, t), phase)
         at_event = phase == IN_PHASE and t in ev_frames
-        # scores align with the snapshot's outfield players in order
-        idx = 0
-        for team in (HOME, AWAY):
-            for path in paths.outfield[team]:
-                s = fe.scores[idx]
-                rows.append(
-                    PredictionRow(
-                        half_id=record.half_id,
-                        time=t,
-                        phase=phase,
-                        provenance=s.provenance,
-                        error_m=s.error_m,
-                        seconds_to_obs=s.seconds_to_obs,
-                        prev_frame_observed=(
-                            prev_time is not None
-                            and path.trajectory.observed_at(prev_time)
-                        ),
-                        at_event_frame=at_event,
-                    )
+        outfield = [
+            (p.provenance, age)
+            for p, age in zip(snapshot.players, ages)
+            if not p.tag.is_goalkeeper
+        ]
+        for (provenance, age), path, err in zip(outfield, outfield_paths, fe.errors, strict=True):
+            rows.append(
+                PredictionRow(
+                    half_id=record.half_id,
+                    time=t,
+                    phase=phase,
+                    provenance=provenance,
+                    error_m=err,
+                    seconds_to_obs=age,
+                    prev_frame_observed=(
+                        prev_time is not None and path.trajectory.observed_at(prev_time)
+                    ),
+                    at_event_frame=at_event,
                 )
-                idx += 1
+            )
         return fe
 
     for i, t in enumerate(frame_times):
@@ -262,16 +213,6 @@ def evaluate_half(
         rows=rows,
         n_frames=len(frame_times),
     )
-
-
-def _outfield_ages(snapshot: EnrichedFrame, ages: Sequence[float]) -> list[float]:
-    """Ages for outfielders in the order match_and_score walks them."""
-    out = []
-    for team in (HOME, AWAY):
-        for p, age in zip(snapshot.players, ages):
-            if p.tag.team == team and not p.tag.is_goalkeeper:
-                out.append(age)
-    return out
 
 
 # --- aggregation -------------------------------------------------------------

@@ -95,13 +95,13 @@ class ObservationFrame:
 
     def __post_init__(self):
         object.__setattr__(self, "visible", tuple(self.visible))
+        counts: dict[tuple[str, bool], int] = {}
+        for tag, _ in self.visible:
+            key = (tag.team, tag.is_goalkeeper)
+            counts[key] = counts.get(key, 0) + 1
         for team in (HOME, AWAY):
-            outfield = sum(
-                1 for tag, _ in self.visible if tag.team == team and not tag.is_goalkeeper
-            )
-            keepers = sum(
-                1 for tag, _ in self.visible if tag.team == team and tag.is_goalkeeper
-            )
+            outfield = counts.get((team, False), 0)
+            keepers = counts.get((team, True), 0)
             if outfield > 10:
                 raise MalformedInputError(
                     f"frame at t={self.time}: {outfield} visible {team} outfielders (max 10)"

@@ -314,34 +314,48 @@ def attach_events(halves: list[MatchHalf], events_path: str | Path) -> None:
 
     Events share the tracking files' raw clock, so each half's tracking
     offset applies; events falling outside the half's frame span are dropped.
+    A file without a ``Start Time [s]`` column, a team other than Home or
+    Away, and a period or start time that is not a finite number raise
+    MalformedInputError naming the file and the CSV row.
     """
-    raw: dict[int, list[tuple[float, dict]]] = {}
+    raw: dict[int, list[tuple[float, str, dict]]] = {}
     with Path(events_path).open(newline="", encoding="utf8") as fh:
-        for row in csv.DictReader(fh):
-            norm = {k.strip().lower(): (v or "").strip() for k, v in row.items()}
+        reader = csv.DictReader(fh)
+        if "start time [s]" not in [(k or "").strip().lower() for k in reader.fieldnames or ()]:
+            raise MalformedInputError(f"{events_path} row 1: no 'Start Time [s]' column")
+        for row in reader:
+            where = f"{events_path} row {reader.line_num}"
+            norm = {k.strip().lower(): (v or "").strip() for k, v in row.items() if k is not None}
+            team = norm.get("team", "").lower()
+            if team not in (HOME, AWAY):
+                raise MalformedInputError(f"{where}: team {norm.get('team')!r} is not Home or Away")
             try:
                 period = int(float(norm.get("period", "1")))
                 t = float(norm["start time [s]"])
-            except (KeyError, ValueError):
-                continue
-            raw.setdefault(period, []).append((t, norm))
+            except (ValueError, OverflowError):
+                t = math.nan
+            if not math.isfinite(t):
+                raise MalformedInputError(
+                    f"{where}: period {norm.get('period')!r} or start time "
+                    f"{norm['start time [s]']!r} is not a finite number"
+                )
+            raw.setdefault(period, []).append((t, team, norm))
     for half in halves:
         rows = raw.get(half.half_id, [])
         if not rows or not half.frames:
             continue
         events = []
-        for t, norm in sorted(rows, key=lambda r: r[0]):
+        for t, team, norm in sorted(rows, key=lambda r: r[0]):
             t -= half.time_offset
             if not (0.0 <= t <= half.times[-1]):
                 continue
-            team = norm.get("team", "").lower()
             x, y = (_float_or_nan(norm.get(f"start {c}", "")) for c in "xy")
             try:  # a blank, NaN or out-of-range location leaves the ball unknown
                 ball = scale_percent_coords(x, y, source="events")
             except MalformedInputError:
                 ball = None
             kind = norm.get("type", "").lower() or "unknown"
-            events.append(Event(t, kind, team if team in (HOME, AWAY) else HOME, ball))
+            events.append(Event(t, kind, team, ball))
         half.events = events
 
 

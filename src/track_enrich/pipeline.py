@@ -6,8 +6,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .assigner import LOG_DENSITY_FLOOR, TrackedTeams, build_trajectories
-from .forecaster import ForecastModel, GridSeries, ball_grid_from_frames
+from .assigner import TrackedTeams, build_trajectories
+from .forecaster import ForecastModel
 from .geometry import (
     AWAY,
     HOME,
@@ -29,7 +29,6 @@ class PathSet:
     keepers: dict[str, ContinuousPath]
     field: VelocityField
     ball_track: Trajectory
-    ball_grid: GridSeries
 
     def ball_at(self, t: float) -> PitchPoint:
         """Ball position at ``t``: recorded when available, else interpolated."""
@@ -48,25 +47,20 @@ class PathSet:
 
 
 def build_paths(
-    record: DiscreteMatchRecord,
-    model: ForecastModel,
-    *,
-    alpha: float = 0.5,
-    log_floor: float = LOG_DENSITY_FLOOR,
+    record: DiscreteMatchRecord, model: ForecastModel, *, alpha: float = 0.5
 ) -> PathSet:
     """Assign trajectories and wrap them as continuous paths."""
-    tracked = build_trajectories(record, model, log_floor=log_floor)
-    ball_grid = ball_grid_from_frames(record.frames, model.grid_step)
+    tracked = build_trajectories(record, model)
     field = compute_velocity_field(tracked.all_outfield(), alpha, model.grid_step)
     ball_track = Trajectory(tag=None)  # type: ignore[arg-type]
     for fr in record.frames:
         ball_track.append(fr.time, fr.ball)
     outfield = {
-        team: [ContinuousPath(t, model, ball_grid) for t in tracked.outfield[team]]
+        team: [ContinuousPath(t, model, tracked.ball) for t in tracked.outfield[team]]
         for team in (HOME, AWAY)
     }
     keepers = {
-        team: ContinuousPath(tracked.keepers[team], model, ball_grid)
+        team: ContinuousPath(tracked.keepers[team], model, tracked.ball)
         for team in (HOME, AWAY)
     }
     return PathSet(
@@ -75,7 +69,6 @@ def build_paths(
         keepers=keepers,
         field=field,
         ball_track=ball_track,
-        ball_grid=ball_grid,
     )
 
 

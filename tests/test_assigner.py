@@ -37,7 +37,6 @@ class TestLogLikelihood:
     def test_floor(self):
         fc = Forecast(mean=PitchPoint(0, 0), std=0.1)
         assert log_likelihood(fc, PitchPoint(120, 80)) == -50.0
-        assert log_likelihood(fc, PitchPoint(120, 80), floor=-200.0) == -200.0
 
 
 def brute_force_min(cost: np.ndarray) -> float:

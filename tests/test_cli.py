@@ -143,6 +143,37 @@ def test_out_of_range_tracking_csv_exits_2(tmp_path, capsys):
     assert "away.csv row 11" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
 
+def test_evaluate_with_bad_events_csv_exits_2(tmp_path, capsys):
+    half = synth_half(seconds=20.0, fps=5, seed=76, half_id=1)
+    home, away, events = tmp_path / "home.csv", tmp_path / "away.csv", tmp_path / "events.csv"
+    write_metrica_csvs([half], home, away, events_path=events)
+    lines = events.read_text().splitlines()
+    lines[1] = "Visitors" + lines[1][lines[1].index(","):]
+    events.write_text("\n".join(lines) + "\n")
+    model_path = tmp_path / "model.json"
+    save_model(
+        ForecastModel(
+            ar=(0.3,), ma=(0.1,), exog=(0.05,), intercept=0.0, resid_std=0.5, one_step_std=0.8
+        ),
+        model_path,
+    )
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "test_home_csv": str(home),
+                "test_away_csv": str(away),
+                "test_events_csv": str(events),
+                "model_path": str(model_path),
+                "output_dir": str(tmp_path / "out"),
+            }
+        )
+    )
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    assert "events.csv row 2: team 'Visitors'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def _write_360_feed(tmp_path, n=40):
     """A small 360 feed: n linked frames one second apart plus one orphan."""
     events = [

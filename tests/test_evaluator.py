@@ -11,6 +11,7 @@ from track_enrich.evaluator import (
     FrameError,
     IN_PHASE,
     OUT_OF_PHASE,
+    TruthMismatchError,
     build_report,
     evaluate_half,
     event_frame_times,
@@ -25,11 +26,12 @@ from track_enrich.geometry import (
     HOME,
     EnrichedFrame,
     EnrichedPlayer,
+    ObservationFrame,
     PitchPoint,
     PlayerTag,
 )
 from track_enrich.ingest import Event
-from track_enrich.pipeline import build_paths
+from track_enrich.pipeline import build_paths, seconds_to_nearest_observation
 
 
 def snapshot(home_pts, away_pts, time=30.0, provenance=None):
@@ -57,15 +59,18 @@ def spread_points(n, x0=20.0, y0=10.0, dx=3.0, dy=6.0):
     return [(x0 + dx * i, y0 + (dy * i) % 60) for i in range(n)]
 
 
+def truth_frame(home_pts, away_pts, time=30.0):
+    visible = [(PlayerTag(team=HOME), PitchPoint(*p)) for p in home_pts] + [
+        (PlayerTag(team=AWAY), PitchPoint(*p)) for p in away_pts
+    ]
+    return ObservationFrame(time=time, ball=PitchPoint(60, 40), visible=tuple(visible))
+
+
 class TestMatchAndScore:
     def test_identity_scores_zero(self):
         home, away = spread_points(10), spread_points(10, x0=80.0)
-        frame = snapshot(home, away)
-        truth = [(HOME, PitchPoint(*p)) for p in home] + [
-            (AWAY, PitchPoint(*p)) for p in away
-        ]
-        fe = match_and_score(frame, truth)
-        assert all(s.error_m == 0.0 for s in fe.scores)
+        fe = match_and_score(snapshot(home, away), truth_frame(home, away), IN_PHASE)
+        assert fe.errors == (0.0,) * 20
         assert fe.total_squared_error == 0.0
 
     def test_swapped_pair_unswapped(self):
@@ -73,11 +78,7 @@ class TestMatchAndScore:
         away = spread_points(10, x0=80.0)
         swapped = list(home)
         swapped[0], swapped[1] = swapped[1], swapped[0]
-        frame = snapshot(swapped, away)
-        truth = [(HOME, PitchPoint(*p)) for p in home] + [
-            (AWAY, PitchPoint(*p)) for p in away
-        ]
-        fe = match_and_score(frame, truth)
+        fe = match_and_score(snapshot(swapped, away), truth_frame(home, away), IN_PHASE)
         # matching reassigns the swap; every error is zero again
         assert fe.total_squared_error == 0.0
 
@@ -88,14 +89,11 @@ class TestMatchAndScore:
                 est = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 80))) for _ in range(n)]
                 tru = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 80))) for _ in range(n)]
                 home_fill = spread_points(10 - n, x0=100.0, y0=70.0)
-                frame = snapshot(est + home_fill, spread_points(10, x0=80.0))
-                truth = (
-                    [(HOME, PitchPoint(*p)) for p in tru]
-                    + [(HOME, PitchPoint(*p)) for p in home_fill]
-                    + [(AWAY, PitchPoint(*p)) for p in spread_points(10, x0=80.0)]
+                away = spread_points(10, x0=80.0)
+                fe = match_and_score(
+                    snapshot(est + home_fill, away), truth_frame(tru + home_fill, away), IN_PHASE
                 )
-                fe = match_and_score(frame, truth)
-                total = sum(s.error_m for s in fe.scores if s.team == HOME)
+                total = sum(fe.errors[:10])  # the home outfielders come first
                 best = min(
                     sum(
                         math.dist(est[j], tru[perm[j]])
@@ -109,24 +107,19 @@ class TestMatchAndScore:
         rng = np.random.default_rng(2)
         est = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 80))) for _ in range(10)]
         tru = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 80))) for _ in range(10)]
-        frame = snapshot(est, spread_points(10, x0=80.0))
-        truth = [(HOME, PitchPoint(*p)) for p in tru] + [
-            (AWAY, PitchPoint(*p)) for p in spread_points(10, x0=80.0)
-        ]
-        fe = match_and_score(frame, truth)
-        total = sum(s.error_m for s in fe.scores if s.team == HOME)
+        away = spread_points(10, x0=80.0)
+        fe = match_and_score(snapshot(est, away), truth_frame(tru, away), IN_PHASE)
+        total = sum(fe.errors[:10])
         for _ in range(20_000):
             perm = rng.permutation(10)
             sampled = sum(math.dist(est[j], tru[perm[j]]) for j in range(10))
             assert total <= sampled + 1e-9
 
     def test_size_mismatch_fatal(self):
-        frame = snapshot(spread_points(10), spread_points(10, x0=80.0))
-        truth = [(HOME, PitchPoint(1, 1))] * 9 + [
-            (AWAY, PitchPoint(*p)) for p in spread_points(10, x0=80.0)
-        ]
-        with pytest.raises(ValueError, match="estimates vs"):
-            match_and_score(frame, truth)
+        away = spread_points(10, x0=80.0)
+        frame = snapshot(spread_points(10), away)
+        with pytest.raises(TruthMismatchError, match="estimates vs"):
+            match_and_score(frame, truth_frame([(1, 1)] * 9, away), IN_PHASE)
 
     def test_team_relabel_invariance(self):
         rng = np.random.default_rng(3)
@@ -134,21 +127,13 @@ class TestMatchAndScore:
         away = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 80))) for _ in range(10)]
         th = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 80))) for _ in range(10)]
         ta = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 80))) for _ in range(10)]
-        fe1 = match_and_score(
-            snapshot(home, away),
-            [(HOME, PitchPoint(*p)) for p in th] + [(AWAY, PitchPoint(*p)) for p in ta],
-        )
-        fe2 = match_and_score(
-            snapshot(away, home),
-            [(HOME, PitchPoint(*p)) for p in ta] + [(AWAY, PitchPoint(*p)) for p in th],
-        )
-        assert sorted(s.error_m for s in fe1.scores) == pytest.approx(
-            sorted(s.error_m for s in fe2.scores)
-        )
+        fe1 = match_and_score(snapshot(home, away), truth_frame(th, ta), IN_PHASE)
+        fe2 = match_and_score(snapshot(away, home), truth_frame(ta, th), IN_PHASE)
+        assert sorted(fe1.errors) == pytest.approx(sorted(fe2.errors))
 
 
 def fe_with_total(t, total):
-    return FrameError(time=t, phase=IN_PHASE, scores=(), total_squared_error=total)
+    return FrameError(time=t, phase=IN_PHASE, errors=(), total_squared_error=total)
 
 
 class TestPercentileFrames:
@@ -203,6 +188,14 @@ def scored(model):
     paths = build_paths(record, model, alpha=0.5)
     result = evaluate_half(record, paths, half)
     return half, record, result
+
+
+@pytest.fixture(scope="module")
+def occluded(model):
+    half = synth_half(seconds=150.0, fps=5, seed=44)
+    record = degrade(half, DegradeConfig(1.0, 30.0, 3))
+    paths = build_paths(record, model, alpha=0.5)
+    return record, paths, evaluate_half(record, paths, half)
 
 
 class TestEvaluateHalf:
@@ -264,13 +257,30 @@ class TestEvaluateHalf:
         ):
             assert key in doc
 
+    def test_rows_align_with_outfield_paths(self, occluded):
+        record, paths, result = occluded
+        trajs = [path.trajectory for team in (HOME, AWAY) for path in paths.outfield[team]]
+        # no query time is skipped, so the rows come in blocks of 20 per time
+        assert len(result.rows) == 20 * (2 * len(record.frames) - 1)
+        prev = None
+        for k in range(0, len(result.rows), 20):
+            block = result.rows[k : k + 20]
+            t = block[0].time
+            for row, traj in zip(block, trajs):
+                assert row.time == t
+                assert (row.provenance == "observed") == traj.observed_at(t)
+                assert row.seconds_to_obs == seconds_to_nearest_observation(traj, t)
+                # an out-of-phase row follows the in-phase row of the frame before
+                assert row.prev_frame_observed == (
+                    row.phase == OUT_OF_PHASE and traj.observed_at(prev)
+                )
+            prev = t
+        assert {r.provenance for r in result.rows} == {"observed", "estimated"}
+
 
 class TestDegradedEvaluation:
-    def test_occluded_run_produces_sane_report(self, model):
-        half = synth_half(seconds=150.0, fps=5, seed=44)
-        record = degrade(half, DegradeConfig(1.0, 30.0, 3))
-        paths = build_paths(record, model, alpha=0.5)
-        result = evaluate_half(record, paths, half)
+    def test_occluded_run_produces_sane_report(self, occluded):
+        _, _, result = occluded
         report = build_report([result])
         assert report.n_predictions > 0
         assert 0.0 <= report.mean_all_in_phase < report.mean_offcam_in_phase

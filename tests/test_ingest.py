@@ -229,6 +229,36 @@ class TestEvents:
             assert ev.ball is not None
 
 
+EVENTS_CSV = """Team,Type,Subtype,Period,Start Frame,Start Time [s],End Frame,End Time [s],Start X,Start Y
+Home,PASS,,1,0,1.00,0,1.00,0.5,0.5
+Away,PASS,,1,0,2.00,0,2.00,0.6,0.5
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        pytest.param("Away,", "Visitors,", r"e\.csv row 3: team 'Visitors'", id="unknown-team"),
+        pytest.param(",2.00,0,", ",12..5,0,", r"e\.csv row 3: .*start time '12\.\.5'", id="unparseable-start"),
+        pytest.param(",2.00,0,", ",inf,0,", r"e\.csv row 3: .*start time 'inf'", id="infinite-start"),
+        pytest.param(",1,0,2.00", ",one,0,2.00", r"e\.csv row 3: period 'one'", id="unparseable-period"),
+        pytest.param("Start Time [s]", "Start [s]", r"e\.csv row 1: no 'Start Time \[s\]' column", id="no-start-time"),
+    ],
+)
+def test_hostile_events_csv_names_file_and_row(tmp_path, old, new, where):
+    halves = _synth_csv_halves(tmp_path)
+    ep = tmp_path / "e.csv"
+    ep.write_text(EVENTS_CSV)
+    attach_events(halves, ep)
+    assert [ev.attacking_team for ev in halves[0].events] == [HOME, AWAY]
+
+    halves = _synth_csv_halves(tmp_path)
+    ep.write_text(EVENTS_CSV.replace(old, new, 1))
+    with pytest.raises(MalformedInputError, match=where):
+        attach_events(halves, ep)
+    assert halves[0].events == []
+
+
 def enriched_frame(time=30.0, visible_count=10):
     players = []
     for team in (HOME, AWAY):
