@@ -3,8 +3,9 @@
 Each team keeps 10 outfield trajectories (plus a single goalkeeper stream that
 bypasses assignment).  At every frame the visible positions are matched to the
 trajectories by solving a linear assignment over negated forecast
-log-likelihoods, so each visible position extends exactly one trajectory and
-no trajectory receives two positions from the same frame.
+log-likelihoods (``lsap.linear_sum_assignment``, the package's own solver), so
+each visible position extends exactly one trajectory and no trajectory
+receives two positions from the same frame.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .forecaster import Forecast, ForecastModel, ForecastState, GridSeries, ball_grid_from_frames
 from .geometry import (
@@ -25,6 +25,7 @@ from .geometry import (
     Trajectory,
 )
 from .ingest import DiscreteMatchRecord
+from .lsap import linear_sum_assignment
 
 # Log-density floor: keeps cost matrices finite when a player reappears far
 # from every forecast (e.g. after a long occlusion at a corner).
@@ -66,8 +67,8 @@ def solve_assignment(cost: np.ndarray) -> dict[int, int]:
         )
     if not np.isfinite(cost).all():
         raise RuntimeError("non-finite assignment costs: log-density flooring failed")
-    rows, cols = linear_sum_assignment(cost)
-    return {int(j): int(i) for i, j in zip(rows, cols)}
+    rows, cols = linear_sum_assignment(cost.tolist())
+    return dict(zip(cols, rows))
 
 
 def _seed_slots(visible_ys: list[float], n_needed: int) -> list[float]:

@@ -7,6 +7,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .geometry import is_finite_number
+from .ingest import MAX_HALF_GRID_POINTS, MAX_HALF_SPAN_S
+
 
 class ConfigError(ValueError):
     """Invalid configuration or missing input; maps to exit code 2."""
@@ -41,8 +44,15 @@ class PipelineConfig:
     enrich_period_s: float = 1.0
 
     def validate(self) -> None:
-        if self.sample_period_s <= 0 or self.grid_step_s <= 0 or self.enrich_period_s <= 0:
-            raise ConfigError("periods and grid step must be positive")
+        for name in ("sample_period_s", "grid_step_s", "enrich_period_s"):
+            period = getattr(self, name)
+            if not period > 0:
+                raise ConfigError("periods and grid step must be positive")
+            if MAX_HALF_SPAN_S / period > MAX_HALF_GRID_POINTS:
+                raise ConfigError(
+                    f"{name} {period!r} would put more than {MAX_HALF_GRID_POINTS} points "
+                    f"on a {MAX_HALF_SPAN_S:g} s half"
+                )
         if self.visibility_radius_m <= 0:
             raise ConfigError("visibility_radius_m must be positive")
         if self.trim_frames < 0:
@@ -62,6 +72,14 @@ class PipelineConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+
+# What each field type accepts (annotations are strings here), and its name.
+_ACCEPTS = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (is_finite_number, "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: isinstance(v, str), "a string or null"),
+}
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
@@ -86,5 +104,8 @@ def apply_overrides(cfg: PipelineConfig, values: dict, *, source: str = "flags")
             continue
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key '{key}' (from {source})")
+        accepts, kind = _ACCEPTS[_FIELDS[key].type]
+        if not accepts(value):
+            raise ConfigError(f"config key '{key}' (from {source}) must be {kind}, got {value!r}")
         setattr(cfg, key, value)
     cfg.validate()

@@ -2,7 +2,8 @@
 error-vs-occlusion curve, percentile example frames, and pitch drawings.
 
 Estimates are compared to truth per team with a minimum-total-distance
-bijection (goalkeepers are drawn in the figures but excluded from all error
+bijection, solved by the package's own ``lsap.linear_sum_assignment``
+(goalkeepers are drawn in the figures but excluded from all error
 statistics).  Queries run both in phase (at sampled-frame times, where
 observed players score exactly zero) and out of phase (halfway between
 frames).
@@ -17,7 +18,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .broadcast import ground_truth_at
 from .geometry import (
@@ -29,6 +29,7 @@ from .geometry import (
     nearest_time_index,
 )
 from .ingest import DiscreteMatchRecord, Event, MatchHalf
+from .lsap import linear_sum_assignment
 from .pipeline import PathSet, snapshot_at
 
 logger = logging.getLogger(__name__)
@@ -67,11 +68,11 @@ def _match_team(est: list[PitchPoint], truth: list[PitchPoint]) -> list[float]:
         else:
             unused.remove(hit)
     if remaining:
-        # truth rows x estimate columns: linear_sum_assignment breaks ties by
+        # truth rows x estimate columns: the solver breaks ties by
         # orientation, so the orientation is part of the output
-        cost = np.array([[truth[j].distance_to(est[c]) for c in remaining] for j in unused])
+        cost = [[truth[j].distance_to(est[c]) for c in remaining] for j in unused]
         for r, c in zip(*linear_sum_assignment(cost)):
-            errors[remaining[c]] = float(cost[r, c])
+            errors[remaining[c]] = cost[r][c]
     return errors
 
 

@@ -33,11 +33,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import (
+    MalformedInputError,
     ObservationFrame,
     PitchPoint,
     Trajectory,
     clamp_to_pitch,
+    is_finite_number,
 )
+from .ingest import MAX_HALF_GRID_POINTS, MAX_HALF_SPAN_S, load_json
 
 _TOL = 1e-9
 _MIN_STD = 1e-9
@@ -379,22 +382,6 @@ def backward_state(model: ForecastModel, traj: Trajectory, ball: GridSeries) -> 
     return state
 
 
-def forecast(model: ForecastModel, traj: Trajectory, ball: GridSeries, t: float) -> Forecast:
-    """Forecast the player's position at ``t``, at or after the last sighting."""
-    return forward_state(model, traj, ball).forecast_at(t)
-
-
-def backward_forecast(
-    model: ForecastModel, traj: Trajectory, ball: GridSeries, t: float
-) -> Forecast:
-    """Forecast at ``t``, at or before the first sighting, by time reversal."""
-    if traj.times and t > traj.times[0] + _TOL:
-        raise ValueError(
-            f"backward forecast time {t} is after first sighting {traj.times[0]}"
-        )
-    return backward_state(model, traj, ball).forecast_at(-t)
-
-
 # --- fitting -----------------------------------------------------------------
 
 TrainingHalf = tuple[Sequence[Trajectory], GridSeries]
@@ -545,16 +532,32 @@ def save_model(model: ForecastModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ForecastModel:
-    doc = json.loads(Path(path).read_text(encoding="utf8"))
+    """Read a model file; a malformed one raises MalformedInputError naming the key."""
+    doc = load_json(path)
+    if not isinstance(doc, dict):
+        raise MalformedInputError(f"model file {path} must hold a JSON object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r} in {path}")
-    return ForecastModel(
-        ar=tuple(doc["ar"]),
-        ma=tuple(doc["ma"]),
-        exog=tuple(doc["exog"]),
-        intercept=doc["intercept"],
-        resid_std=doc["resid_std"],
-        one_step_std=doc["one_step_std"],
-        grid_step=doc["grid_step"],
-    )
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise MalformedInputError(
+            f"{path}: format_version: unsupported model format version {version!r}"
+        )
+    fields = {}
+    for key in ("ar", "ma", "exog", "intercept", "resid_std", "one_step_std", "grid_step"):
+        value = doc.get(key)
+        if key in ("ar", "ma", "exog"):
+            if not isinstance(value, list) or not all(map(is_finite_number, value)):
+                raise MalformedInputError(f"{path}: {key}: must be a list of finite numbers")
+            value = tuple(value)
+        elif not is_finite_number(value):
+            raise MalformedInputError(f"{path}: {key}: must be a finite number, got {value!r}")
+        elif key in ("resid_std", "one_step_std", "grid_step") and value <= 0:
+            raise MalformedInputError(f"{path}: {key}: must be positive, got {value!r}")
+        fields[key] = value
+    if MAX_HALF_SPAN_S / fields["grid_step"] > MAX_HALF_GRID_POINTS:
+        raise MalformedInputError(
+            f"{path}: grid_step: more than {MAX_HALF_GRID_POINTS} grid points on a half"
+        )
+    try:
+        return ForecastModel(**fields)
+    except ValueError as e:  # non-stationary: the spreads were checked above
+        raise MalformedInputError(f"{path}: ar: {e}") from None

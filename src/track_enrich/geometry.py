@@ -7,6 +7,7 @@ start of the half.  The two halves of a match never share a time axis.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
@@ -27,6 +28,11 @@ Provenance = Literal["observed", "estimated"]
 
 class MalformedInputError(ValueError):
     """Source data violated a documented precondition."""
+
+
+def is_finite_number(value) -> bool:
+    """True for an int or float that is a finite float (a bool is not one)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def other_team(team: str) -> str:

@@ -9,9 +9,10 @@ without a period or time are skipped, rows without a ball (home, else away)
 are dropped and counted, and a row with more than ten outfielders of a team
 keeps the ten first seen (ties by column name).  Each period becomes a half
 rebased to start one native period after zero.  Unparseable cells, home and
-away times that differ or do not increase, and kept coordinates outside
-[-0.05, 1.05] raise MalformedInputError naming the file and the CSV row
-(exit code 2 on the command line).
+away times that differ or do not increase, a period whose times span more
+than MAX_HALF_SPAN_S, and kept coordinates outside [-0.05, 1.05] raise
+MalformedInputError naming the file and the CSV row (exit code 2 on the
+command line).
 
 All numeric output is serialized in fixed decimal with at least two
 fractional digits (six digits of precision), so files are byte-deterministic
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .geometry import (
     PitchPoint,
     PlayerTag,
     Trajectory,
+    is_finite_number,
     nearest_time_index,
     other_team,
     scale_percent_coords,
@@ -63,6 +65,10 @@ EVENT_MATCH_WINDOW_S = 2.0
 # No half lasts longer than this (seconds); a 360 feed whose frame times span
 # more is read in the wrong unit (e.g. milliseconds) rather than played.
 MAX_HALF_SPAN_S = 2 * 3600.0
+
+# A sampling, grid or output period puts at most this many points on a half
+# of MAX_HALF_SPAN_S, so a tiny period is a configuration error, not a hang.
+MAX_HALF_GRID_POINTS = 1_000_000
 
 SOURCE_SIMULATED = "simulated"
 SOURCE_BROADCAST_360 = "broadcast-360"
@@ -211,6 +217,11 @@ def _match_half(period: int, home: _TeamTable, away: _TeamTable) -> MatchHalf:
             f"{home.path} row {home.rows[sel[stuck[0] + 1]]}: time does not increase"
         )
     times, n = home.time[sel], len(sel)
+    if times[-1] - times[0] > MAX_HALF_SPAN_S:
+        raise MalformedInputError(
+            f"{home.path} row {home.rows[sel[-1]]}: period {period} times span "
+            f"{times[-1] - times[0]:g} s, more than {MAX_HALF_SPAN_S:g} s"
+        )
     offset = float(times[0] - (times[1] - times[0])) if n >= 2 else 0.0
     home_ball = ~np.isnan(home.xy[sel, 0]).any(axis=1)
     ball = np.where(home_ball[:, None], home.xy[sel, 0], away.xy[sel, 0])
@@ -366,12 +377,6 @@ def _flip(x: float, y: float) -> tuple[float, float]:
     return (PITCH_LENGTH_M - x, PITCH_WIDTH_M - y)
 
 
-def flip_point(p: PitchPoint) -> PitchPoint:
-    """Rotate a position half a turn about the pitch centre (an involution)."""
-    fx, fy = _flip(p.x, p.y)
-    return PitchPoint(fx, fy)
-
-
 def _seconds(value) -> float:
     """Finite seconds from a number or an ``[hh:]mm:ss.sss`` string."""
     seconds = 0.0
@@ -423,12 +428,7 @@ def read_360_frames(
     A malformed event raises MalformedInputError; a frame that cannot be read
     is excluded, so the records hold only finite times and positions.
     """
-    try:
-        frames_doc, events_doc = (
-            json.loads(Path(path).read_text(encoding="utf8")) for path in (frames_path, events_path)
-        )
-    except ValueError as e:
-        raise MalformedInputError(f"360 input is not JSON: {e}") from None
+    frames_doc, events_doc = load_json(frames_path), load_json(events_path)
     if not isinstance(frames_doc, list) or not isinstance(events_doc, list):
         raise MalformedInputError("360 frame and event files must be JSON arrays")
 
@@ -603,12 +603,64 @@ def _json_array(lines: Sequence[str], indent: str = "") -> str:
     return f"[\n{items}\n{indent}]" if lines else f"[\n{indent}]"
 
 
+def _finite(d: dict, key: str) -> float:
+    """``d[key]`` if it is a finite JSON number (a bool is not one)."""
+    value = d.get(key)
+    if not is_finite_number(value):
+        raise MalformedInputError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
+def _flag(d: dict, key: str) -> bool:
+    value = d.get(key)
+    if type(value) is not bool:
+        raise MalformedInputError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _point(d: dict) -> PitchPoint:
-    return PitchPoint(d["x"], d["y"])
+    return PitchPoint(_finite(d, "x"), _finite(d, "y"))
 
 
 def _tag(d: dict) -> PlayerTag:
-    return PlayerTag(team=d["team"], is_goalkeeper=d["keeper"])
+    team = d.get("team")
+    if team not in (HOME, AWAY):
+        raise MalformedInputError(f"team must be 'home' or 'away', got {team!r}")
+    return PlayerTag(team=team, is_goalkeeper=_flag(d, "keeper"))
+
+
+def load_json(path: str | Path):
+    """The JSON document in ``path``; invalid JSON raises MalformedInputError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf8"))
+    except ValueError as e:
+        raise MalformedInputError(f"{path} is not valid JSON: {e}") from None
+
+
+def _read_frames(path: str | Path, frames, build: Callable) -> list:
+    """``build(time_s, ball, players)`` for each frame object of a JSON array.
+
+    Any fault, in the frame or in what ``build`` makes of it, raises
+    MalformedInputError naming the file and the frame index.
+    """
+    if not isinstance(frames, list):
+        raise MalformedInputError(f"{path}: frames must be a JSON array")
+    out = []
+    for i, fr in enumerate(frames):
+        try:
+            if not (
+                isinstance(fr, dict)
+                and isinstance(fr.get("ball"), dict)
+                and isinstance(fr.get("players"), list)
+                and all(isinstance(p, dict) for p in fr["players"])
+            ):
+                raise MalformedInputError(
+                    "a frame must be an object with a ball object and a players array of objects"
+                )
+            out.append(build(_finite(fr, "time_s"), _point(fr["ball"]), fr["players"]))
+        except MalformedInputError as e:
+            raise MalformedInputError(f"{path}: frame {i}: {e}") from None
+    return out
 
 
 def write_enriched(frames: Sequence[EnrichedFrame], path: str | Path) -> None:
@@ -626,18 +678,20 @@ def write_enriched(frames: Sequence[EnrichedFrame], path: str | Path) -> None:
     Path(path).write_text(_json_array(lines) + "\n", encoding="utf8")
 
 
+def _enriched_frame(time: float, ball: PitchPoint, players: list[dict]) -> EnrichedFrame:
+    return EnrichedFrame(
+        time=time,
+        ball=ball,
+        players=tuple(
+            EnrichedPlayer(_tag(p), _point(p), "observed" if _flag(p, "visible") else "estimated")
+            for p in players
+        ),
+    )
+
+
 def read_enriched(path: str | Path) -> list[EnrichedFrame]:
-    return [
-        EnrichedFrame(
-            time=fr["time_s"],
-            ball=_point(fr["ball"]),
-            players=tuple(
-                EnrichedPlayer(_tag(p), _point(p), "observed" if p["visible"] else "estimated")
-                for p in fr["players"]
-            ),
-        )
-        for fr in json.loads(Path(path).read_text(encoding="utf8"))
-    ]
+    """Read an enriched file; a malformed one raises MalformedInputError."""
+    return _read_frames(path, load_json(path), _enriched_frame)
 
 
 def write_discrete(record: DiscreteMatchRecord, path: str | Path) -> None:
@@ -656,21 +710,44 @@ def write_discrete(record: DiscreteMatchRecord, path: str | Path) -> None:
     )
 
 
+def _observation_frame(time: float, ball: PitchPoint, players: list[dict]) -> ObservationFrame:
+    return ObservationFrame(
+        time=time, ball=ball, visible=tuple((_tag(p), _point(p)) for p in players)
+    )
+
+
 def read_discrete(path: str | Path) -> DiscreteMatchRecord:
-    doc = json.loads(Path(path).read_text(encoding="utf8"))
-    frames = [
-        ObservationFrame(
-            time=fr["time_s"],
-            ball=_point(fr["ball"]),
-            visible=tuple((_tag(p), _point(p)) for p in fr["players"]),
+    """Read a discrete half.
+
+    A malformed file raises MalformedInputError naming the file and the key
+    or frame: every player needs a home or away ``team``, a boolean
+    ``keeper`` and finite ``x`` and ``y``; frame times must be finite and
+    increase, and span no more than ``MAX_HALF_SPAN_S``.
+    """
+    doc = load_json(path)
+    try:
+        if not isinstance(doc, dict):
+            raise MalformedInputError("a discrete half must be a JSON object")
+        half_id, source, sides = doc.get("half_id"), doc.get("source"), doc.get("defends_left")
+        if type(half_id) is not int or not isinstance(source, str) or not isinstance(sides, dict):
+            raise MalformedInputError(
+                "half_id must be an integer, source a string and defends_left an object"
+            )
+        defends_left = {team: _flag(sides, team) for team in (HOME, AWAY)}
+    except MalformedInputError as e:
+        raise MalformedInputError(f"{path}: {e}") from None
+    frames = _read_frames(path, doc.get("frames"), _observation_frame)
+    if not frames:
+        raise MalformedInputError(f"{path}: no frames")
+    for i in range(1, len(frames)):
+        if not frames[i].time > frames[i - 1].time:
+            raise MalformedInputError(f"{path}: frame {i}: time_s does not increase")
+    if frames[-1].time - frames[0].time > MAX_HALF_SPAN_S:
+        raise MalformedInputError(
+            f"{path}: frame times span more than {MAX_HALF_SPAN_S:g} s"
         )
-        for fr in doc["frames"]
-    ]
     return DiscreteMatchRecord(
-        half_id=doc["half_id"],
-        frames=frames,
-        source=doc["source"],
-        defends_left={HOME: doc["defends_left"]["home"], AWAY: doc["defends_left"]["away"]},
+        half_id=half_id, frames=frames, source=source, defends_left=defends_left
     )
 
 

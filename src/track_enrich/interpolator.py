@@ -58,21 +58,6 @@ class VelocityField:
             )
         self._cum = cum
 
-    def velocity_at(self, t: float) -> tuple[float, float]:
-        if not self.vx:
-            return (0.0, 0.0)
-        s = (t - self.start_k * self.step) / self.step
-        if s <= 0.0:
-            return (self.vx[0], self.vy[0])
-        if s >= len(self.vx) - 1:
-            return (self.vx[-1], self.vy[-1])
-        i = int(s)
-        f = s - i
-        return (
-            self.vx[i] + f * (self.vx[i + 1] - self.vx[i]),
-            self.vy[i] + f * (self.vy[i + 1] - self.vy[i]),
-        )
-
     def _antiderivative(self, t: float) -> tuple[float, float]:
         """Exact integral of u from the first node to ``t`` (closed form)."""
         if not self.vx:
@@ -195,13 +180,3 @@ def position_at(path: ContinuousPath, field_: VelocityField, t: float) -> PitchP
         p1.x + w1x + f * (p2.x - p1.x - w12x),
         p1.y + w1y + f * (p2.y - p1.y - w12y),
     )
-
-
-def velocity_correction(
-    field_: VelocityField, t1: float, t2: float, t: float
-) -> tuple[float, float]:
-    """The correction added to plain linear interpolation inside a gap."""
-    w1x, w1y = field_.weighted_velocity(t1, t)
-    w12x, w12y = field_.weighted_velocity(t1, t2)
-    f = (t - t1) / (t2 - t1)
-    return (w1x - f * w12x, w1y - f * w12y)

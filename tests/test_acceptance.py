@@ -18,6 +18,7 @@ import pytest
 
 from synth import count_identity_switches, synth_half
 
+from oracles import flip_point, forecast, velocity_correction
 from test_forecaster import flat_ball, make_traj, simple_model, unrolled_oracle
 
 from track_enrich.assigner import build_trajectories, solve_assignment
@@ -27,14 +28,12 @@ from track_enrich.forecaster import (
     GridSeries,
     ball_grid_from_frames,
     fit,
-    forecast,
 )
 from track_enrich.geometry import AWAY, HOME, PitchPoint, PlayerTag, Trajectory
 from track_enrich.ingest import (
     DiscreteMatchRecord,
     ObservationFrame,
     attach_events,
-    flip_point,
     read_discrete,
     read_tracking_csv,
     write_discrete,
@@ -42,7 +41,6 @@ from track_enrich.ingest import (
 from track_enrich.interpolator import (
     VelocityField,
     position_at,
-    velocity_correction,
 )
 from track_enrich.pipeline import build_paths
 

@@ -1,14 +1,20 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from synth import synth_half, write_metrica_csvs
 
+from track_enrich.broadcast import DegradeConfig, degrade
 from track_enrich.cli import main
 from track_enrich.forecaster import ForecastModel, save_model
 from track_enrich.geometry import MalformedInputError
-from track_enrich.ingest import read_360_frames, read_enriched
+from track_enrich.ingest import read_360_frames, read_enriched, write_discrete
 
 
 @pytest.fixture(scope="module")
@@ -250,3 +256,113 @@ def test_enrich_360_millisecond_timestamps_rejected(tmp_path, capsys):
     assert time.perf_counter() - started < 10.0
     assert "span" in capsys.readouterr().err
     assert not list((tmp_path / "out360").glob("enriched_half*.json"))
+
+
+def _src_env() -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, track_enrich.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture(scope="module")
+def tiny_enrich(tmp_path_factory):
+    """A model file and one discrete half, ready for enrich."""
+    root = tmp_path_factory.mktemp("tiny")
+    save_model(
+        ForecastModel(ar=(0.3,), ma=(0.1,), exog=(0.05,), intercept=0.0, resid_std=0.5, one_step_std=0.8),
+        root / "model.json",
+    )
+    half = synth_half(seconds=20.0, fps=5, seed=77, half_id=1)
+    (root / "out").mkdir()
+    write_discrete(degrade(half, DegradeConfig(1.0, 30.0, 0)), root / "out" / "discrete_half1.json")
+    return root
+
+
+def _enrich_copy(tmp_path, tiny_enrich, edit_model=None, edit_discrete=None, config=None):
+    """Run enrich on copies of the tiny inputs, each edited in place by its callback.
+
+    The run is a separate process under a 10 s timeout, because some of these
+    inputs would run without end were their checks missing.
+    """
+    shutil.copytree(tiny_enrich, tmp_path, dirs_exist_ok=True)
+    for name, edit in (("model.json", edit_model), ("out/discrete_half1.json", edit_discrete)):
+        if edit is not None:
+            doc = json.loads((tmp_path / name).read_text())
+            edit(doc)
+            (tmp_path / name).write_text(json.dumps(doc))
+    cfg = tmp_path / "c.json"
+    paths = {"model_path": str(tmp_path / "model.json"), "output_dir": str(tmp_path / "out")}
+    cfg.write_text(json.dumps({**paths, **(config or {})}))
+    return subprocess.run(
+        [sys.executable, "-m", "track_enrich.cli", "enrich", "--config", str(cfg)],
+        env=_src_env(), capture_output=True, text=True, timeout=10,
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("team", ["home"], "team must be 'home' or 'away'"),
+        ("keeper", "yes", "keeper must be true or false"),
+        ("x", "12", "x must be a finite number"),
+    ],
+)
+def test_enrich_corrupt_discrete_player_exits_2(tmp_path, tiny_enrich, field, value, message):
+    def corrupt(doc):
+        doc["frames"][3]["players"][0][field] = value
+
+    run = _enrich_copy(tmp_path, tiny_enrich, edit_discrete=corrupt)
+    assert run.returncode == 2
+    assert f"discrete_half1.json: frame 3: {message}" in run.stderr
+    assert not (tmp_path / "out" / "enriched_half1.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("ar", "xy"),
+        ("intercept", None),
+        ("resid_std", float("nan")),
+        ("resid_std", -1.0),
+        ("grid_step", 0),
+        ("grid_step", 1e-9),
+        ("format_version", 2),
+    ],
+)
+def test_enrich_malformed_model_exits_2(tmp_path, tiny_enrich, key, value):
+    run = _enrich_copy(tmp_path, tiny_enrich, edit_model=lambda doc: doc.update({key: value}))
+    assert run.returncode == 2
+    assert f"model.json: {key}: " in run.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("alpha", "0.5", "'alpha' (from "),
+        ("trim_frames", 2.5, "'trim_frames' (from "),
+        ("trim_frames", True, "'trim_frames' (from "),
+        ("visibility_radius_m", False, "'visibility_radius_m' (from "),
+        ("visibility_radius_m", float("nan"), "'visibility_radius_m' (from "),
+        ("sample_period_s", float("inf"), "'sample_period_s' (from "),
+        ("model_path", 3, "'model_path' (from "),
+        ("enrich_period_s", 1e-9, "enrich_period_s 1e-09 would put more than"),
+        ("sample_period_s", 1e-9, "sample_period_s 1e-09 would put more than"),
+        ("grid_step_s", 1e-9, "grid_step_s 1e-09 would put more than"),
+    ],
+)
+def test_enrich_bad_config_value_exits_2(tmp_path, tiny_enrich, key, value, message):
+    run = _enrich_copy(tmp_path, tiny_enrich, config={key: value})
+    assert run.returncode == 2
+    assert message in run.stderr
+    assert not (tmp_path / "out" / "enriched_half1.json").exists()
+
+
+def test_config_accepts_int_for_float_key(tmp_path, tiny_enrich):
+    assert _enrich_copy(tmp_path, tiny_enrich, config={"alpha": 1, "enrich_period_s": 2}).returncode == 0

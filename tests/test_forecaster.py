@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,14 +10,14 @@ from track_enrich.forecaster import (
     GridSeries,
     armax_recursion,
     ball_grid_from_frames,
-    backward_forecast,
     fit,
-    forecast,
     load_model,
     resample_to_grid,
     save_model,
 )
-from track_enrich.geometry import PitchPoint, PlayerTag, Trajectory
+from track_enrich.geometry import MalformedInputError, PitchPoint, PlayerTag, Trajectory
+
+from oracles import backward_forecast, forecast
 
 
 def make_traj(points, tag=None):
@@ -396,6 +397,46 @@ class TestPersistence:
         path = tmp_path / "bad.json"
         path.write_text('{"format_version": 99}')
         with pytest.raises(ValueError, match="format version"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ar", "xy"),
+            ("ar", [0.2, None]),
+            ("ma", [True]),
+            ("exog", None),
+            ("intercept", None),
+            ("intercept", "0.1"),
+            ("intercept", False),
+            ("resid_std", float("nan")),
+            ("resid_std", -0.5),
+            ("one_step_std", 0.0),
+            ("one_step_std", float("inf")),
+            ("grid_step", 0),
+            ("grid_step", 1e-9),
+            ("ar", [1.2]),
+            ("format_version", "1"),
+            ("format_version", True),
+            ("format_version", 2),
+        ],
+    )
+    def test_malformed_model_names_file_and_key(self, tmp_path, model, key, value):
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedInputError, match=f"model.json: {key}: "):
+            load_model(path)
+
+    def test_missing_key_names_file_and_key(self, tmp_path, model):
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        del doc["one_step_std"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedInputError, match="model.json: one_step_std: "):
             load_model(path)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import flip_point
 from synth import synth_half, write_metrica_csvs
 
 from track_enrich.geometry import (
@@ -22,7 +23,6 @@ from track_enrich.ingest import (
     AxisErrorRecord,
     DiscreteMatchRecord,
     attach_events,
-    flip_point,
     read_360_frames,
     read_discrete,
     read_enriched,
@@ -152,6 +152,12 @@ ROW5_AWAY = "1,2,0.08,0.71000,0.50000,0.91000,0.40000,0.52000,0.50000"
             id="decreasing-time",
         ),
         pytest.param(ROW5_HOME, ROW5_AWAY.replace("0.08", "0.12", 1), r"a\.csv row 5", id="times-disagree"),
+        pytest.param(
+            ROW5_HOME.replace("0.08", "10000000", 1),
+            ROW5_AWAY.replace("0.08", "10000000", 1),
+            r"h\.csv row 5: period 1 times span",
+            id="huge-span",
+        ),
         pytest.param(
             ROW5_HOME, ROW5_AWAY.replace("0.91000", "1.20000"), r"x=1\.2 in .*a\.csv row 5", id="away-out-of-range"
         ),
@@ -574,6 +580,109 @@ def test_360_reader_returns_records_and_exclusions_or_raises_malformed(tmp_path,
     for e in errors:
         points = [p for p in (e.ball_event, e.ball_frame) if p is not None]
         assert not any(math.isnan(v) for v in [e.disagreement, *(c for p in points for c in (p.x, p.y))])
+
+
+def _mostly(valid):
+    """``valid``, or one time in ten any JSON value."""
+    return st.integers(0, 9).flatmap(lambda k: _json if k == 0 else valid)
+
+
+_coord = _mostly(st.floats(-10.0, 130.0) | st.integers(-5, 130))
+_player = _mostly(
+    st.fixed_dictionaries(
+        {
+            "team": _mostly(st.sampled_from([HOME, AWAY])),
+            "keeper": _mostly(st.booleans()),
+            "x": _coord,
+            "y": _coord,
+        }
+    )
+)
+_frame = _mostly(
+    st.fixed_dictionaries(
+        {
+            "time_s": _mostly(st.floats(0.0, 30.0)),
+            "ball": _mostly(st.fixed_dictionaries({"x": _coord, "y": _coord})),
+            "players": _mostly(st.lists(_player, max_size=3)),
+        }
+    )
+)
+_discrete_doc = _mostly(
+    st.fixed_dictionaries(
+        {
+            "half_id": _mostly(st.sampled_from([1, 2])),
+            "source": _mostly(st.just("simulated")),
+            "defends_left": _mostly(
+                st.fixed_dictionaries({"home": _mostly(st.booleans()), "away": _mostly(st.booleans())})
+            ),
+            "frames": _mostly(st.lists(_frame, max_size=3)),
+        }
+    )
+)
+
+
+def _finite_frame_numbers(fr, points) -> bool:
+    numbers = [fr.time, fr.ball.x, fr.ball.y, *(c for p in points for c in (p.x, p.y))]
+    return all(math.isfinite(v) for v in numbers)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_discrete_doc)
+def test_discrete_reader_returns_a_record_or_raises_malformed(tmp_path, doc):
+    path = tmp_path / "discrete.json"
+    path.write_text(json.dumps(doc))
+    try:
+        record = read_discrete(path)
+    except MalformedInputError as e:
+        assert str(path) in str(e)
+        return
+    assert record.frames and all(a.time < b.time for a, b in zip(record.frames, record.frames[1:]))
+    for fr in record.frames:
+        assert _finite_frame_numbers(fr, [p for _, p in fr.visible])
+        assert all(tag.team in (HOME, AWAY) and type(tag.is_goalkeeper) is bool for tag, _ in fr.visible)
+
+
+_enriched_player = _mostly(
+    st.fixed_dictionaries(
+        {"keeper": _mostly(st.booleans()), "x": _coord, "y": _coord, "visible": _mostly(st.booleans())}
+    )
+)
+
+
+@st.composite
+def _enriched_docs(draw):
+    """Frames of 11 home and 11 away players, any entry possibly replaced by other JSON."""
+    frames = []
+    for _ in range(draw(st.integers(0, 2))):
+        players = []
+        for team in [HOME] * 11 + [AWAY] * 11:
+            p = draw(_enriched_player)
+            if isinstance(p, dict):
+                p = {"team": draw(_mostly(st.just(team))), **p}
+            players.append(p)
+        frame = {
+            "time_s": draw(_mostly(st.floats(0.0, 30.0))),
+            "ball": draw(_mostly(st.fixed_dictionaries({"x": _coord, "y": _coord}))),
+            "players": players,
+        }
+        frames.append(draw(_mostly(st.just(frame))))
+    return draw(_mostly(st.just(frames)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_enriched_docs())
+def test_enriched_reader_returns_frames_or_raises_malformed(tmp_path, doc):
+    path = tmp_path / "enriched.json"
+    path.write_text(json.dumps(doc))
+    try:
+        frames = read_enriched(path)
+    except MalformedInputError as e:
+        assert str(path) in str(e)
+        return
+    for fr in frames:
+        assert _finite_frame_numbers(fr, [p.position for p in fr.players])
+        assert all(type(p.tag.is_goalkeeper) is bool for p in fr.players)
+
 
 class TestNumberFormat:
     def test_min_two_decimals(self):

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from track_enrich import forecaster
-from track_enrich.forecaster import GridSeries, backward_forecast, forecast
+from track_enrich.forecaster import GridSeries
 from track_enrich.geometry import PitchPoint, PlayerTag, Trajectory
 from track_enrich.interpolator import (
     ContinuousPath,
     VelocityField,
     compute_velocity_field,
     position_at,
-    velocity_correction,
 )
 
+from oracles import backward_forecast, forecast, velocity_at, velocity_correction
 from test_forecaster import flat_ball, make_traj, simple_model
 
 
@@ -84,8 +84,8 @@ class TestWeightedVelocity:
             s = float(rng.uniform(0, n - 1))
             t = float(rng.uniform(s, n - 1))
             ts = np.linspace(s, t, 20001)
-            ux = [field.velocity_at(tt)[0] for tt in ts]
-            uy = [field.velocity_at(tt)[1] for tt in ts]
+            ux = [velocity_at(field, tt)[0] for tt in ts]
+            uy = [velocity_at(field, tt)[1] for tt in ts]
             wx, wy = field.weighted_velocity(s, t)
             assert abs(wx - alpha * np.trapezoid(ux, ts)) < 1e-6
             assert abs(wy - alpha * np.trapezoid(uy, ts)) < 1e-6
@@ -155,12 +155,12 @@ class TestPositionAt:
             t = float(rng.uniform(t1, t2))
             ts = np.linspace(t1, t, 20001)
             w1 = [
-                alpha * np.trapezoid([field.velocity_at(x)[ax] for x in ts], ts)
+                alpha * np.trapezoid([velocity_at(field, x)[ax] for x in ts], ts)
                 for ax in (0, 1)
             ]
             ts2 = np.linspace(t1, t2, 20001)
             w12 = [
-                alpha * np.trapezoid([field.velocity_at(x)[ax] for x in ts2], ts2)
+                alpha * np.trapezoid([velocity_at(field, x)[ax] for x in ts2], ts2)
                 for ax in (0, 1)
             ]
             f = (t - t1) / (t2 - t1)
