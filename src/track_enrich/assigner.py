@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecaster import Forecast, ForecastModel, ForecastState, GridSeries, ball_grid_from_frames
+from .forecaster import Forecast, ForecastModel, ForecastState, GridSeries, ball_grid
 from .geometry import (
     AWAY,
     HOME,
@@ -145,7 +145,9 @@ def build_trajectories(record: DiscreteMatchRecord, model: ForecastModel) -> Tra
     """Run the causal frame loop, appending every visible position to a trajectory."""
     if not record.frames:
         raise ValueError("cannot build trajectories from an empty record")
-    ball = ball_grid_from_frames(record.frames, model.grid_step)
+    ball = ball_grid(
+        [fr.time for fr in record.frames], [fr.ball for fr in record.frames], model.grid_step
+    )
     first = record.frames[0]
 
     outfield: dict[str, list[Trajectory]] = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import ObservationFrame, nearest_time_index
+from .geometry import MalformedInputError, ObservationFrame, nearest_time_index
 from .ingest import SOURCE_SIMULATED, DiscreteMatchRecord, MatchHalf
 
 _TOL = 1e-9
@@ -37,22 +37,29 @@ def ground_truth_at(half: MatchHalf, t: float) -> ObservationFrame:
     """The native frame nearest to ``t`` (ties go to the earlier frame).
 
     Valid for any time from the start of the half (zero) up to the last
-    native frame; times below the first frame snap forward to it.
+    native frame; times below the first frame snap forward to it.  Other
+    times raise MalformedInputError naming the half.
     """
     times = half.times
     if not times or t < -_TOL or t > times[-1] + _TOL:
-        raise ValueError(f"time {t} outside half span [0, {times[-1] if times else 0}]")
+        raise MalformedInputError(
+            f"half {half.half_id}: time {t} outside half span [0, {times[-1] if times else 0}]"
+        )
     return half.frames[nearest_time_index(times, t)]
 
 
 def degrade(half: MatchHalf, cfg: DegradeConfig) -> DiscreteMatchRecord:
-    """Sample, trim, and restrict visibility to within radius of the ball."""
+    """Sample, trim, and restrict visibility to within radius of the ball.
+
+    An empty half, or one too short to keep a frame after trimming, raises
+    MalformedInputError naming the half.
+    """
     if not half.frames:
-        raise ValueError("cannot degrade an empty half")
+        raise MalformedInputError(f"half {half.half_id}: cannot degrade an empty half")
     t_first, t_last = half.times[0], half.times[-1]
     if t_last - t_first <= 2 * cfg.trim_frames * cfg.sample_period:
-        raise ValueError(
-            f"half too short: span {t_last - t_first:.1f}s cannot absorb "
+        raise MalformedInputError(
+            f"half {half.half_id}: half too short: span {t_last - t_first:.1f}s cannot absorb "
             f"2x{cfg.trim_frames} trimmed frames at {cfg.sample_period}s"
         )
     k_start = max(cfg.trim_frames, math.ceil(t_first / cfg.sample_period - _TOL))

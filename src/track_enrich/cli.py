@@ -32,7 +32,7 @@ def _training_halves(cfg: PipelineConfig):
         trajs = [
             t for t in half.player_tracks.values() if not t.tag.is_goalkeeper and len(t) >= 2
         ]
-        ball = forecaster.ball_grid_from_frames(half.frames, cfg.grid_step_s)
+        ball = forecaster.ball_grid(half.times, half.ball, cfg.grid_step_s)
         out.append((trajs, ball))
     return out
 

@@ -24,6 +24,7 @@ from .geometry import (
     AWAY,
     HOME,
     EnrichedFrame,
+    MalformedInputError,
     ObservationFrame,
     PitchPoint,
     nearest_time_index,
@@ -147,7 +148,7 @@ def evaluate_half(
 
     Query times where the truth momentarily lacks ten outfielders per team
     (substitution transitions) are skipped; more than 1% of them failing
-    indicates broken inputs and raises.
+    indicates broken inputs and raises MalformedInputError naming the half.
     """
     events = truth.events if events is None else events
     frame_times = [fr.time for fr in record.frames]
@@ -204,7 +205,7 @@ def evaluate_half(
             len(skipped),
         )
         if len(skipped) > 0.01 * (2 * len(frame_times)):
-            raise ValueError(
+            raise MalformedInputError(
                 f"half {record.half_id}: {len(skipped)} query times lacked a full "
                 "set of true outfielders; inputs look inconsistent"
             )

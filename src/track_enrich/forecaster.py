@@ -34,7 +34,6 @@ import numpy as np
 
 from .geometry import (
     MalformedInputError,
-    ObservationFrame,
     PitchPoint,
     Trajectory,
     clamp_to_pitch,
@@ -46,6 +45,7 @@ _TOL = 1e-9
 _MIN_STD = 1e-9
 
 MODEL_FORMAT_VERSION = 1
+MODEL_KIND = "armax-displacement"
 
 
 @dataclass
@@ -121,14 +121,14 @@ def resample_to_grid(traj: Trajectory, grid_step: float = 1.0) -> GridSeries:
     return GridSeries(k_first, grid_step, values)
 
 
-def ball_grid_from_frames(
-    frames: Sequence[ObservationFrame], grid_step: float = 1.0
+def ball_grid(
+    times: Sequence[float], ball: Sequence[PitchPoint], grid_step: float = 1.0
 ) -> GridSeries:
-    """Resample the per-frame ball positions onto the grid."""
-    ball = Trajectory(tag=None)  # type: ignore[arg-type]
-    for fr in frames:
-        ball.append(fr.time, fr.ball)
-    return resample_to_grid(ball, grid_step)
+    """Resample the ball positions at increasing ``times`` onto the grid."""
+    track = Trajectory(tag=None)  # type: ignore[arg-type]
+    for t, pos in zip(times, ball):
+        track.append(t, pos)
+    return resample_to_grid(track, grid_step)
 
 
 def ar_is_stationary(ar: Sequence[float]) -> bool:
@@ -519,7 +519,7 @@ def fit(
 def save_model(model: ForecastModel, path: str | Path) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "kind": "armax-displacement",
+        "kind": MODEL_KIND,
         "ar": list(model.ar),
         "ma": list(model.ma),
         "exog": list(model.exog),
@@ -541,6 +541,8 @@ def load_model(path: str | Path) -> ForecastModel:
         raise MalformedInputError(
             f"{path}: format_version: unsupported model format version {version!r}"
         )
+    if doc.get("kind") != MODEL_KIND:
+        raise MalformedInputError(f"{path}: kind: must be {MODEL_KIND!r}, got {doc.get('kind')!r}")
     fields = {}
     for key in ("ar", "ma", "exog", "intercept", "resid_std", "one_step_std", "grid_step"):
         value = doc.get(key)

@@ -12,7 +12,9 @@ rebased to start one native period after zero.  Unparseable cells, home and
 away times that differ or do not increase, a period whose times span more
 than MAX_HALF_SPAN_S, and kept coordinates outside [-0.05, 1.05] raise
 MalformedInputError naming the file and the CSV row (exit code 2 on the
-command line).
+command line).  A read half keeps its positions in arrays and builds an
+ObservationFrame or a Trajectory only when one is looked up (FrameView,
+TrackView).
 
 All numeric output is serialized in fixed decimal with at least two
 fractional digits (six digits of precision), so files are byte-deterministic
@@ -25,11 +27,12 @@ import csv
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,20 +93,32 @@ class MatchHalf:
 
     ``player_tracks`` keeps the per-column identities from the source file;
     the pipeline proper never uses them, but training and the evaluation
-    oracle do.
+    oracle do.  A half read from tracking CSVs keeps its positions in arrays:
+    its ``frames`` and ``player_tracks`` are read-only views that build a
+    frame or a track each time one is looked up.
     """
 
     half_id: int
-    frames: list[ObservationFrame]
+    frames: Sequence[ObservationFrame]
     events: list[Event] = field(default_factory=list)
-    player_tracks: dict[str, Trajectory] = field(default_factory=dict)
+    player_tracks: Mapping[str, Trajectory] = field(default_factory=dict)
     defends_left: dict[str, bool] = field(default_factory=dict)
     dropped_rows: int = 0
     time_offset: float = 0.0  # raw-clock seconds subtracted during rebasing
     times: list[float] = field(init=False, repr=False)  # the frames' times
 
     def __post_init__(self):
-        self.times = [fr.time for fr in self.frames]
+        if isinstance(self.frames, FrameView):
+            self.times = self.frames.table.times
+        else:
+            self.times = [fr.time for fr in self.frames]
+
+    @property
+    def ball(self) -> list[PitchPoint]:
+        """Each frame's ball position, built without building the frames."""
+        if isinstance(self.frames, FrameView):
+            return [PitchPoint(x, y) for x, y in self.frames.table.cells[:, 0].tolist()]
+        return [fr.ball for fr in self.frames]
 
 
 @dataclass
@@ -139,6 +154,60 @@ class _TeamTable(NamedTuple):
     xy: np.ndarray  # (rows, 1 + players, 2) fractions, the ball first; NaN when absent
 
 
+class _TruthTable(NamedTuple):
+    """One half's truth: row i is the native frame at ``times[i]``."""
+
+    times: list[float]  # seconds since the start of the half
+    cells: np.ndarray  # (rows, 1 + players, 2) metres, the ball first
+    used: np.ndarray  # (rows, 1 + players) True where a cell is on the pitch
+    keys: list[str]  # the player columns' "<team>:<Player column>"
+    tags: list[PlayerTag]
+
+
+class FrameView(Sequence[ObservationFrame]):
+    """A truth table's rows as ObservationFrames, each built when indexed."""
+
+    def __init__(self, table: _TruthTable):
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table.times)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        tab = self.table
+        (ball, *row), on = tab.cells[i].tolist(), tab.used[i, 1:].tolist()
+        visible = ((tag, PitchPoint(x, y)) for (x, y), tag in compress(zip(row, tab.tags), on))
+        return ObservationFrame(time=tab.times[i], ball=PitchPoint(*ball), visible=tuple(visible))
+
+
+class TrackView(Mapping[str, Trajectory]):
+    """A truth table's player columns as Trajectories, each built when looked up."""
+
+    def __init__(self, table: _TruthTable):
+        self.table = table
+        self._column = {key: j for j, key in enumerate(table.keys, start=1)}
+
+    def __len__(self) -> int:
+        return len(self._column)
+
+    def __iter__(self):
+        return iter(self._column)
+
+    def __contains__(self, key) -> bool:
+        return key in self._column
+
+    def __getitem__(self, key: str) -> Trajectory:
+        j, tab = self._column[key], self.table
+        on = tab.used[:, j]
+        return Trajectory(
+            tag=tab.tags[j - 1],
+            times=list(compress(tab.times, on.tolist())),
+            points=[PitchPoint(x, y) for x, y in tab.cells[on, j].tolist()],
+        )
+
+
 def _read_team_csv(path: Path, team: str) -> _TeamTable:
     """Parse one wide per-team CSV into float arrays; untimed rows are skipped."""
     with path.open(newline="", encoding="utf8") as fh:
@@ -164,24 +233,16 @@ def _read_team_csv(path: Path, team: str) -> _TeamTable:
             raise MalformedInputError(f"{path}: header repeats a player column")
         cols = [0, time_col, *(c for i in [ball, *players] for c in (i, i + 1))]
         pick, pad = itemgetter(*cols), [""] * (max(cols) + 1)
-        numbers, cells = [], []
+        numbers, parsed = [], array("d")
         for n, raw in enumerate(chain(head[header_idx + 1 :], reader), start=header_idx + 2):
             if raw and raw[0].strip():
                 numbers.append(n)
-                cells.append(pick(raw + pad[len(raw) :]))
-    table = np.array(cells, dtype=str).reshape(len(cells), len(cols))
-    del cells
-    table = np.char.strip(table)
-    try:
-        values = np.where(table == "", "nan", table).astype(float)
-    except ValueError:
-        for n, row in zip(numbers, table.tolist()):
-            for cell in row:
-                try:
-                    float(cell or "nan")
-                except ValueError:
-                    raise MalformedInputError(f"{path} row {n}: {cell!r} is not a number") from None
-        raise
+                cells = pick(raw + pad[len(raw) :])
+                try:  # whole rows only: a row that fails appends nothing
+                    parsed.extend(list(map(float, cells)))
+                except ValueError:  # a blank cell, else a malformed one
+                    parsed.extend([_number(path, n, cell) for cell in cells])
+    values = np.frombuffer(parsed).reshape(len(numbers), len(cols))
     rows, period, time = np.array(numbers, dtype=int), values[:, 0], values[:, 1]
     bad = np.flatnonzero(~np.isfinite(period) | np.isinf(time))
     if bad.size:
@@ -189,6 +250,15 @@ def _read_team_csv(path: Path, team: str) -> _TeamTable:
     timed = ~np.isnan(time)
     xy = values[timed, 2:].reshape(-1, 1 + len(keys), 2)
     return _TeamTable(path, keys, rows[timed], period[timed].astype(int), time[timed], xy)
+
+
+def _number(path: Path, n: int, cell: str) -> float:
+    """A CSV cell as a float: NaN when blank, MalformedInputError when not a number."""
+    cell = cell.strip()
+    try:
+        return float(cell or "nan")
+    except ValueError:
+        raise MalformedInputError(f"{path} row {n}: {cell!r} is not a number") from None
 
 
 def read_tracking_csv(home_path: str | Path, away_path: str | Path) -> list[MatchHalf]:
@@ -262,22 +332,9 @@ def _match_half(period: int, home: _TeamTable, away: _TeamTable) -> MatchHalf:
     scale = np.array([PITCH_LENGTH_M, PITCH_WIDTH_M])
     cells = np.minimum(np.maximum(cells * scale, 0.0), scale)
 
-    times = times[kept] - offset
-    points: list[list[PitchPoint]] = [[] for _ in keys]
-    frames = []
-    for t, row, on in zip(times.tolist(), cells.tolist(), used.tolist()):
-        visible = []
-        for (x, y), tag, track in compress(zip(row[1:], tags, points), on[1:]):
-            pos = PitchPoint(x, y)
-            visible.append((tag, pos))
-            track.append(pos)
-        frames.append(ObservationFrame(time=t, ball=PitchPoint(*row[0]), visible=tuple(visible)))
-    tracks = {
-        key: Trajectory(tag=tag, times=times[used[:, j + 1]].tolist(), points=track)
-        for j, (key, tag, track) in enumerate(zip(keys, tags, points))
-    }
+    table = _TruthTable((times[kept] - offset).tolist(), cells, used, keys, tags)
     return MatchHalf(
-        period, frames, player_tracks=tracks, defends_left=defends,
+        period, FrameView(table), player_tracks=TrackView(table), defends_left=defends,
         dropped_rows=dropped, time_offset=offset,
     )
 

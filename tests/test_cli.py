@@ -334,6 +334,8 @@ def test_enrich_corrupt_discrete_player_exits_2(tmp_path, tiny_enrich, field, va
         ("grid_step", 0),
         ("grid_step", 1e-9),
         ("format_version", 2),
+        ("kind", "arima"),
+        ("kind", None),
     ],
 )
 def test_enrich_malformed_model_exits_2(tmp_path, tiny_enrich, key, value):
@@ -366,3 +368,70 @@ def test_enrich_bad_config_value_exits_2(tmp_path, tiny_enrich, key, value, mess
 
 def test_config_accepts_int_for_float_key(tmp_path, tiny_enrich):
     assert _enrich_copy(tmp_path, tiny_enrich, config={"alpha": 1, "enrich_period_s": 2}).returncode == 0
+
+
+@pytest.fixture(scope="module")
+def tiny_truth(tiny_enrich, tmp_path_factory):
+    """The CSV lines of the match behind ``tiny_enrich``'s discrete half."""
+    root = tmp_path_factory.mktemp("tiny_truth")
+    half = synth_half(seconds=20.0, fps=5, seed=77, half_id=1)
+    write_metrica_csvs([half], root / "home.csv", root / "away.csv")
+    return {team: (root / f"{team}.csv").read_text().splitlines() for team in ("home", "away")}
+
+
+def _run_on_truth(tmp_path, tiny_enrich, lines, command, config=None):
+    """Run ``command`` as its own process under a 10 s timeout, on the tiny
+    model and discrete half and on tracking CSVs made of ``lines``."""
+    shutil.copytree(tiny_enrich, tmp_path, dirs_exist_ok=True)
+    cfg = {"model_path": str(tmp_path / "model.json"), "output_dir": str(tmp_path / "out"), **(config or {})}
+    for team, rows in lines.items():
+        (tmp_path / f"{team}.csv").write_text("\n".join(rows) + "\n")
+        cfg[f"test_{team}_csv"] = str(tmp_path / f"{team}.csv")
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    return subprocess.run(
+        [sys.executable, "-m", "track_enrich.cli", command, "--config", str(tmp_path / "c.json")],
+        env=_src_env(), capture_output=True, text=True, timeout=10,
+    )
+
+
+def _blank_ball(row: str) -> str:
+    return ",".join(row.split(",")[:-2] + ["", ""])
+
+
+def _blank_first_player(row: str) -> str:
+    cells = row.split(",")
+    return ",".join(cells[:3] + ["NaN", "NaN"] + cells[5:])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows[:3] + [_blank_ball(r) for r in rows[3:]], "half 1: cannot degrade an empty half"),
+        (lambda rows: rows[:4], "half 1: half too short"),
+        (lambda rows: rows[:40], "half 1: half too short"),
+    ],
+    ids=["balls-all-blank", "one-row", "37-rows"],
+)
+def test_simulate_broadcast_on_too_little_truth_exits_2(tmp_path, tiny_enrich, tiny_truth, edit, message):
+    lines = {team: edit(rows) for team, rows in tiny_truth.items()}
+    run = _run_on_truth(tmp_path, tiny_enrich, lines, "simulate-broadcast", {"trim_frames": 5})
+    assert run.returncode == 2
+    assert message in run.stderr
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda team, rows: rows[:53], "half 1: time 10.5 outside half span [0, 10.0]"),
+        (
+            lambda team, rows: rows[:3] + [_blank_first_player(r) for r in rows[3:]] if team == "home" else rows,
+            "query times lacked a full set of true outfielders",
+        ),
+    ],
+    ids=["truth-shorter-than-discrete", "truth-lacks-an-outfielder"],
+)
+def test_evaluate_against_mismatched_truth_exits_2(tmp_path, tiny_enrich, tiny_truth, edit, message):
+    lines = {team: edit(team, rows) for team, rows in tiny_truth.items()}
+    run = _run_on_truth(tmp_path, tiny_enrich, lines, "evaluate")
+    assert run.returncode == 2
+    assert message in run.stderr

@@ -9,7 +9,7 @@ from track_enrich.forecaster import (
     ForecastState,
     GridSeries,
     armax_recursion,
-    ball_grid_from_frames,
+    ball_grid,
     fit,
     load_model,
     resample_to_grid,
@@ -365,7 +365,7 @@ class TestFit:
 
     def test_fit_deterministic(self, training_half, model):
         trajs = [t for t in training_half.player_tracks.values() if not t.tag.is_goalkeeper]
-        ball = ball_grid_from_frames(training_half.frames)
+        ball = ball_grid(training_half.times, training_half.ball)
         again = fit([(trajs, ball)])
         assert again == model
 
@@ -419,6 +419,9 @@ class TestPersistence:
             ("format_version", "1"),
             ("format_version", True),
             ("format_version", 2),
+            ("kind", "arima"),
+            ("kind", None),
+            ("kind", ["armax-displacement"]),
         ],
     )
     def test_malformed_model_names_file_and_key(self, tmp_path, model, key, value):

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ from hypothesis import strategies as st
 from oracles import flip_point
 from synth import synth_half, write_metrica_csvs
 
+from track_enrich.broadcast import DegradeConfig, degrade
+from track_enrich.cli import _training_halves
+from track_enrich.config import PipelineConfig
 from track_enrich.geometry import (
     AWAY,
     HOME,
@@ -18,6 +23,7 @@ from track_enrich.geometry import (
     ObservationFrame,
     PitchPoint,
     PlayerTag,
+    Trajectory,
 )
 from track_enrich.ingest import (
     AxisErrorRecord,
@@ -212,6 +218,94 @@ def test_substitution_keeps_ten_longest_established(tmp_path):
     assert [len(fr.visible_for(HOME)) for fr in half.frames] == [9, 10, 10]
     assert all(len(fr.visible_for(HOME, keepers=True)) == 1 for fr in half.frames)
     assert half.player_tracks["home:PlayerKeeper"].tag.is_goalkeeper
+
+_cell = st.floats(0.0, 1.0).map(lambda v: f"{v:.5f}")
+_present = st.tuples(_cell, _cell)
+_absent = st.sampled_from([("NaN", "NaN"), ("", ""), (" ", "nan")])
+
+
+@st.composite
+def _tracking_csvs(draw):
+    """Home and away wide CSVs of one period whose players come and go (at
+    times more than ten outfielders a team), with blank or NaN cells and rows
+    that lack a ball in one file or both."""
+    n_rows = draw(st.integers(1, 10))
+    out = {}
+    for team in (HOME, AWAY):
+        names = [f"Player{i:02d}" for i in range(draw(st.integers(1, 13)))]
+        lines = [",,,Team", ",,,Number", "Period,Frame,Time [s]," + "".join(f"{n},," for n in names) + "Ball,"]
+        for k in range(n_rows):
+            cells = ["1", str(k + 1), f"{0.04 * (k + 1):.2f}"]
+            for _ in [*names, "Ball"]:
+                cells.extend(draw(st.one_of(_present, _present, _absent)))
+            lines.append(",".join(cells))
+        out[team] = "\n".join(lines) + "\n"
+    return out
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csvs=_tracking_csvs(), data=st.data())
+def test_read_half_frames_match_its_tracks_and_index_as_a_list(tmp_path, csvs, data):
+    hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
+    hp.write_text(csvs[HOME])
+    ap.write_text(csvs[AWAY])
+    for half in read_tracking_csv(hp, ap):
+        frames = list(half.frames)
+        assert half.times == [fr.time for fr in frames]
+        assert half.ball == [fr.ball for fr in frames]
+        tracks = list(half.player_tracks.values())
+        for t, fr in zip(half.times, frames):
+            visible = tuple((tr.tag, tr.point_at(t)) for tr in tracks if tr.point_at(t) is not None)
+            assert fr == ObservationFrame(time=t, ball=fr.ball, visible=visible)
+        n = len(frames)
+        for i in range(-n, 0):
+            assert half.frames[i] == frames[i]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                half.frames[i]
+        bound = st.none() | st.integers(-n - 2, n + 2)
+        cut = slice(data.draw(bound), data.draw(bound), data.draw(st.none() | st.integers(-3, 3).filter(bool)))
+        assert half.frames[cut] == frames[cut]
+
+
+def test_read_builds_frames_and_tracks_only_on_demand(tmp_path, monkeypatch):
+    hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
+    write_metrica_csvs([synth_half(seconds=30.0, fps=5, seed=3, half_id=1)], hp, ap)
+    built = {ObservationFrame: 0, Trajectory: 0}
+    for cls in built:
+        def counted(self, cls=cls, original=cls.__post_init__):
+            built[cls] += 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+
+    half = read_tracking_csv(hp, ap)[0]
+    assert built == {ObservationFrame: 0, Trajectory: 0}
+    record = degrade(half, DegradeConfig(1.0, 30.0, 2))
+    # one truth frame and its degraded copy per sampled time
+    assert built == {ObservationFrame: 2 * len(record.frames), Trajectory: 0}
+    training = _training_halves(PipelineConfig(train_home_csv=str(hp), train_away_csv=str(ap)))
+    assert built[ObservationFrame] == 2 * len(record.frames)
+    # one track per player and one for the ball
+    assert built[Trajectory] == len(half.player_tracks) + len(training)
+
+
+def test_read_half_retains_under_1kb_per_row(tmp_path):
+    hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
+    write_metrica_csvs([synth_half(seconds=60.0, fps=25, seed=5, half_id=1)], hp, ap)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        halves = read_tracking_csv(hp, ap)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = sum(len(h.frames) for h in halves)
+    assert rows == 1500
+    assert retained < 1024 * rows
+
 
 def _synth_csv_halves(tmp_path, seconds=30.0):
     half = synth_half(seconds=seconds, fps=5, seed=3, half_id=1)
