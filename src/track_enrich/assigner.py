@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .forecaster import Forecast, ForecastModel, ForecastState, GridSeries, ball_grid
 from .geometry import (
     AWAY,
@@ -50,25 +48,6 @@ def log_likelihood(fc: Forecast, pos: PitchPoint) -> float:
     dy = pos.y - fc.mean.y
     ll = -(_LOG_2PI + 2.0 * math.log(fc.std)) - (dx * dx + dy * dy) / (2.0 * var)
     return max(ll, LOG_DENSITY_FLOOR)
-
-
-def solve_assignment(cost: np.ndarray) -> dict[int, int]:
-    """Minimum-total-cost injective map of columns (positions) to rows (trajectories).
-
-    Requires no more columns than rows; with a rectangular matrix the unmatched
-    rows simply receive no position this frame.
-    """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
-    if cost.shape[1] > cost.shape[0]:
-        raise ValueError(
-            f"more positions ({cost.shape[1]}) than trajectories ({cost.shape[0]})"
-        )
-    if not np.isfinite(cost).all():
-        raise RuntimeError("non-finite assignment costs: log-density flooring failed")
-    rows, cols = linear_sum_assignment(cost.tolist())
-    return dict(zip(cols, rows))
 
 
 def _seed_slots(visible_ys: list[float], n_needed: int) -> list[float]:
@@ -166,12 +145,12 @@ def build_trajectories(record: DiscreteMatchRecord, model: ForecastModel) -> Tra
         for team in (HOME, AWAY):
             positions = frame.visible_for(team)
             if positions:
-                cost = np.empty((N_OUTFIELD, len(positions)))
-                for i, st in enumerate(states[team]):
-                    fc = st.forecast_at(frame.time)
-                    for j, pos in enumerate(positions):
-                        cost[i, j] = -log_likelihood(fc, pos)
-                for j, i in solve_assignment(cost).items():
+                # trajectories x positions; the frame holds at most N_OUTFIELD
+                # positions per team and the floored log-densities keep every
+                # cost finite
+                forecasts = [st.forecast_at(frame.time) for st in states[team]]
+                cost = [[-log_likelihood(fc, pos) for pos in positions] for fc in forecasts]
+                for i, j in zip(*linear_sum_assignment(cost)):
                     outfield[team][i].append(frame.time, positions[j])
                     states[team][i].append(frame.time, positions[j])
             seen_keeper = frame.visible_for(team, keepers=True)

@@ -25,16 +25,24 @@ from .geometry import MalformedInputError
 logger = logging.getLogger(__name__)
 
 
+class _OutfieldTracks:
+    """A half's outfield trajectories of two or more points, built one by one
+    as they are iterated so a fit holds one at a time.  Iterable more than
+    once: a fit retried at a lower AR order reads them again."""
+
+    def __init__(self, half: ingest.MatchHalf):
+        self.tracks = half.player_tracks
+
+    def __iter__(self):
+        return (t for t in self.tracks.values() if not t.tag.is_goalkeeper and len(t) >= 2)
+
+
 def _training_halves(cfg: PipelineConfig):
     halves = ingest.read_tracking_csv(cfg.train_home_csv, cfg.train_away_csv)
-    out = []
-    for half in halves:
-        trajs = [
-            t for t in half.player_tracks.values() if not t.tag.is_goalkeeper and len(t) >= 2
-        ]
-        ball = forecaster.ball_grid(half.times, half.ball, cfg.grid_step_s)
-        out.append((trajs, ball))
-    return out
+    return [
+        (_OutfieldTracks(half), forecaster.ball_grid(half.times, half.ball, cfg.grid_step_s))
+        for half in halves
+    ]
 
 
 def cmd_train(cfg: PipelineConfig) -> int:

@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .forecaster import MAX_LAGS
 from .geometry import is_finite_number
 from .ingest import MAX_HALF_GRID_POINTS, MAX_HALF_SPAN_S
 
@@ -59,8 +60,10 @@ class PipelineConfig:
             raise ConfigError("trim_frames must be non-negative")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.ar_order < 0 or self.ma_order < 0 or self.ball_lags < 0:
-            raise ConfigError("model orders must be non-negative")
+        for name in ("ar_order", "ma_order", "ball_lags"):
+            lags = getattr(self, name)
+            if not 0 <= lags <= MAX_LAGS:
+                raise ConfigError(f"{name} must lie in [0, {MAX_LAGS}], got {lags}")
 
     def require_paths(self, *names: str) -> None:
         for name in names:

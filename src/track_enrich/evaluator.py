@@ -11,9 +11,10 @@ frames).
 
 from __future__ import annotations
 
+import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -138,21 +139,15 @@ def event_frame_times(events: Sequence[Event], frame_times: Sequence[float]) -> 
     return {frame_times[nearest_time_index(frame_times, ev.time)] for ev in events}
 
 
-def evaluate_half(
-    record: DiscreteMatchRecord,
-    paths: PathSet,
-    truth: MatchHalf,
-    events: Sequence[Event] | None = None,
-) -> HalfResult:
+def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf) -> HalfResult:
     """Score every in-phase and out-of-phase query time of one half.
 
     Query times where the truth momentarily lacks ten outfielders per team
     (substitution transitions) are skipped; more than 1% of them failing
     indicates broken inputs and raises MalformedInputError naming the half.
     """
-    events = truth.events if events is None else events
     frame_times = [fr.time for fr in record.frames]
-    ev_frames = event_frame_times(events, frame_times)
+    ev_frames = event_frame_times(truth.events, frame_times)
 
     frame_errors: list[FrameError] = []
     rows: list[PredictionRow] = []
@@ -220,31 +215,6 @@ def evaluate_half(
 # --- aggregation -------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CurveBucket:
-    bucket_s: float
-    mean_m: float
-    p12_5: float
-    p87_5: float
-    p2_5: float
-    p97_5: float
-    n: int
-
-
-@dataclass
-class ErrorReport:
-    mean_all_in_phase: float
-    mean_offcam_in_phase: float
-    median_offcam_in_phase: float
-    mean_all_out_of_phase: float
-    mean_prev_frame_observed: float
-    mean_offcam_event_frames: float
-    curve: list[CurveBucket]
-    n_frames: int
-    n_predictions: int
-    per_half: dict[int, dict[str, float]] = field(default_factory=dict)
-
-
 def _mean(values: list[float]) -> float:
     return float(np.mean(values)) if values else math.nan
 
@@ -266,17 +236,12 @@ def _headline(rows: list[PredictionRow]) -> dict[str, float]:
         "mean_all_out_of_phase_m": _mean(out_all),
         "mean_prev_frame_observed_m": _mean(prev),
         "mean_offcam_event_frames_m": _mean(ev_off),
-        "n_predictions": float(
-            sum(1 for r in rows if r.phase == IN_PHASE and r.provenance == "estimated")
-        ),
+        "n_predictions": float(len(in_off)),
     }
 
 
-def build_report(results: Sequence[HalfResult]) -> ErrorReport:
-    """Pool all halves into one report; per-half figures ride along."""
-    rows = [r for res in results for r in res.rows]
-    pooled = _headline(rows)
-
+def _curve(rows: list[PredictionRow]) -> list[dict]:
+    """Error statistics per half-second bucket of occlusion age."""
     buckets: dict[float, list[float]] = {}
     for r in rows:
         if not math.isfinite(r.seconds_to_obs):
@@ -287,29 +252,32 @@ def build_report(results: Sequence[HalfResult]) -> ErrorReport:
     for key in sorted(buckets):
         vals = np.asarray(buckets[key])
         curve.append(
-            CurveBucket(
-                bucket_s=key,
-                mean_m=float(vals.mean()),
-                p12_5=float(np.percentile(vals, 12.5)),
-                p87_5=float(np.percentile(vals, 87.5)),
-                p2_5=float(np.percentile(vals, 2.5)),
-                p97_5=float(np.percentile(vals, 97.5)),
-                n=int(len(vals)),
-            )
+            {
+                "bucket_s": key,
+                "mean_m": float(vals.mean()),
+                "p12_5_m": float(np.percentile(vals, 12.5)),
+                "p87_5_m": float(np.percentile(vals, 87.5)),
+                "p2_5_m": float(np.percentile(vals, 2.5)),
+                "p97_5_m": float(np.percentile(vals, 97.5)),
+                "n": len(vals),
+            }
         )
+    return curve
 
-    return ErrorReport(
-        mean_all_in_phase=pooled["mean_all_in_phase_m"],
-        mean_offcam_in_phase=pooled["mean_offcam_in_phase_m"],
-        median_offcam_in_phase=pooled["median_offcam_in_phase_m"],
-        mean_all_out_of_phase=pooled["mean_all_out_of_phase_m"],
-        mean_prev_frame_observed=pooled["mean_prev_frame_observed_m"],
-        mean_offcam_event_frames=pooled["mean_offcam_event_frames_m"],
-        curve=curve,
-        n_frames=sum(res.n_frames for res in results),
-        n_predictions=int(pooled["n_predictions"]),
-        per_half={res.half_id: _headline(res.rows) for res in results},
-    )
+
+def build_report(results: Sequence[HalfResult]) -> dict:
+    """The ``report.json`` document: the pooled headline errors, the frame and
+    off-camera prediction counts, each half's headline figures under its id,
+    and the error-vs-occlusion curve."""
+    rows = [r for res in results for r in res.rows]
+    pooled = _headline(rows)
+    return {
+        **pooled,
+        "n_frames": sum(res.n_frames for res in results),
+        "n_predictions": int(pooled["n_predictions"]),
+        "per_half": {str(res.half_id): _headline(res.rows) for res in results},
+        "curve": _curve(rows),
+    }
 
 
 def percentile_frames(
@@ -333,66 +301,45 @@ def percentile_frames(
 
 
 def _json_value(v):
+    """``v`` with NaN as None and every other float rounded to 4 decimals,
+    through dicts and lists."""
     if isinstance(v, float):
         return None if math.isnan(v) else round(v, 4)
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_json_value(x) for x in v]
     return v
 
 
-def write_report_json(report: ErrorReport, path: str | Path) -> None:
-    import json
-
-    doc = {
-        "mean_all_in_phase_m": _json_value(report.mean_all_in_phase),
-        "mean_offcam_in_phase_m": _json_value(report.mean_offcam_in_phase),
-        "median_offcam_in_phase_m": _json_value(report.median_offcam_in_phase),
-        "mean_all_out_of_phase_m": _json_value(report.mean_all_out_of_phase),
-        "mean_prev_frame_observed_m": _json_value(report.mean_prev_frame_observed),
-        "mean_offcam_event_frames_m": _json_value(report.mean_offcam_event_frames),
-        "n_frames": report.n_frames,
-        "n_predictions": report.n_predictions,
-        "per_half": {
-            str(h): {k: _json_value(v) for k, v in stats.items()}
-            for h, stats in sorted(report.per_half.items())
-        },
-        "curve": [
-            {
-                "bucket_s": b.bucket_s,
-                "mean_m": _json_value(b.mean_m),
-                "p12_5_m": _json_value(b.p12_5),
-                "p87_5_m": _json_value(b.p87_5),
-                "p2_5_m": _json_value(b.p2_5),
-                "p97_5_m": _json_value(b.p97_5),
-                "n": b.n,
-            }
-            for b in report.curve
-        ],
-    }
+def write_report_json(report: dict, path: str | Path) -> None:
+    doc = _json_value(report)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf8")
 
 
-def write_curve_csv(report: ErrorReport, path: str | Path) -> None:
+def write_curve_csv(report: dict, path: str | Path) -> None:
     lines = ["bucket_s,mean_m,p12.5,p87.5,p2.5,p97.5,n"]
-    for b in report.curve:
+    for b in report["curve"]:
         lines.append(
-            f"{b.bucket_s:.1f},{b.mean_m:.4f},{b.p12_5:.4f},{b.p87_5:.4f},"
-            f"{b.p2_5:.4f},{b.p97_5:.4f},{b.n}"
+            f"{b['bucket_s']:.1f},{b['mean_m']:.4f},{b['p12_5_m']:.4f},{b['p87_5_m']:.4f},"
+            f"{b['p2_5_m']:.4f},{b['p97_5_m']:.4f},{b['n']}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf8")
 
 
-def format_report(report: ErrorReport) -> str:
-    def fmt(v: float) -> str:
-        return "n/a" if math.isnan(v) else f"{v:6.2f} m"
+def format_report(report: dict) -> str:
+    def fmt(key: str) -> str:
+        return "n/a" if math.isnan(report[key]) else f"{report[key]:6.2f} m"
 
     lines = [
-        f"frames evaluated        : {report.n_frames}",
-        f"off-camera predictions  : {report.n_predictions}",
-        f"mean error, in phase    : {fmt(report.mean_all_in_phase)} (all players)",
-        f"mean error, off camera  : {fmt(report.mean_offcam_in_phase)} (in phase)",
-        f"median error, off camera: {fmt(report.median_offcam_in_phase)} (in phase)",
-        f"mean error, out of phase: {fmt(report.mean_all_out_of_phase)} (all players)",
-        f"mean error, seen 1s ago : {fmt(report.mean_prev_frame_observed)}",
-        f"mean error at events    : {fmt(report.mean_offcam_event_frames)} (off camera)",
+        f"frames evaluated        : {report['n_frames']}",
+        f"off-camera predictions  : {report['n_predictions']}",
+        f"mean error, in phase    : {fmt('mean_all_in_phase_m')} (all players)",
+        f"mean error, off camera  : {fmt('mean_offcam_in_phase_m')} (in phase)",
+        f"median error, off camera: {fmt('median_offcam_in_phase_m')} (in phase)",
+        f"mean error, out of phase: {fmt('mean_all_out_of_phase_m')} (all players)",
+        f"mean error, seen 1s ago : {fmt('mean_prev_frame_observed_m')}",
+        f"mean error at events    : {fmt('mean_offcam_event_frames_m')} (off camera)",
     ]
     return "\n".join(lines)
 

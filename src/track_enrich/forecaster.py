@@ -47,6 +47,10 @@ _MIN_STD = 1e-9
 MODEL_FORMAT_VERSION = 1
 MODEL_KIND = "armax-displacement"
 
+# The most lags per coefficient list (AR, MA, ball); the recursion and the
+# training rows cost time in proportion to them.
+MAX_LAGS = 20
+
 
 @dataclass
 class GridSeries:
@@ -384,7 +388,8 @@ def backward_state(model: ForecastModel, traj: Trajectory, ball: GridSeries) -> 
 
 # --- fitting -----------------------------------------------------------------
 
-TrainingHalf = tuple[Sequence[Trajectory], GridSeries]
+# A half's training trajectories (iterated once per fit attempt) and its ball grid.
+TrainingHalf = tuple[Iterable[Trajectory], GridSeries]
 
 
 def _segments(
@@ -445,7 +450,13 @@ def fit(
     segments = _segments(halves, grid_step, ball_lags)
     total = sum(len(d) for d, _ in segments)
     if total < min_steps:
-        raise ValueError(f"training data too short: {total} grid steps, need {min_steps}")
+        raise MalformedInputError(f"training data too short: {total} grid steps, need {min_steps}")
+    t0 = max(ar_order, ma_order, 1)
+    if not any(len(d) > t0 for d, _ in segments):
+        raise MalformedInputError(
+            f"training data too short: no trajectory spans more than {t0} grid steps, "
+            f"as ar_order {ar_order} and ma_order {ma_order} need"
+        )
 
     pooled = np.concatenate([d for d, _ in segments])
     one_step_std = max(float(np.std(pooled, ddof=1)), 1e-6)
@@ -470,7 +481,6 @@ def fit(
 
     # Stage 2: ARMAX regression, iterated with residuals recomputed from the
     # current coefficients (non-stationary intermediates are tolerated).
-    t0 = max(p, q, 1)
     for _ in range(3):
         xs, ys = [], []
         for (d, g), e in zip(segments, e_hat):
@@ -549,6 +559,10 @@ def load_model(path: str | Path) -> ForecastModel:
         if key in ("ar", "ma", "exog"):
             if not isinstance(value, list) or not all(map(is_finite_number, value)):
                 raise MalformedInputError(f"{path}: {key}: must be a list of finite numbers")
+            if len(value) > MAX_LAGS:
+                raise MalformedInputError(
+                    f"{path}: {key}: {len(value)} lags, at most {MAX_LAGS} allowed"
+                )
             value = tuple(value)
         elif not is_finite_number(value):
             raise MalformedInputError(f"{path}: {key}: must be a finite number, got {value!r}")

@@ -336,7 +336,10 @@ def test_enrich_corrupt_discrete_player_exits_2(tmp_path, tiny_enrich, field, va
         ("format_version", 2),
         ("kind", "arima"),
         ("kind", None),
+        ("exog", [0.0] * 200_000),
+        ("ma", [0.0] * 200_000),
     ],
+    ids=lambda v: f"{len(v)}-zeros" if isinstance(v, list) else None,
 )
 def test_enrich_malformed_model_exits_2(tmp_path, tiny_enrich, key, value):
     run = _enrich_copy(tmp_path, tiny_enrich, edit_model=lambda doc: doc.update({key: value}))
@@ -381,12 +384,14 @@ def tiny_truth(tiny_enrich, tmp_path_factory):
 
 def _run_on_truth(tmp_path, tiny_enrich, lines, command, config=None):
     """Run ``command`` as its own process under a 10 s timeout, on the tiny
-    model and discrete half and on tracking CSVs made of ``lines``."""
+    model and discrete half and on tracking CSVs made of ``lines`` (the
+    training CSVs for ``train``, the test CSVs otherwise)."""
     shutil.copytree(tiny_enrich, tmp_path, dirs_exist_ok=True)
     cfg = {"model_path": str(tmp_path / "model.json"), "output_dir": str(tmp_path / "out"), **(config or {})}
+    role = "train" if command == "train" else "test"
     for team, rows in lines.items():
         (tmp_path / f"{team}.csv").write_text("\n".join(rows) + "\n")
-        cfg[f"test_{team}_csv"] = str(tmp_path / f"{team}.csv")
+        cfg[f"{role}_{team}_csv"] = str(tmp_path / f"{team}.csv")
     (tmp_path / "c.json").write_text(json.dumps(cfg))
     return subprocess.run(
         [sys.executable, "-m", "track_enrich.cli", command, "--config", str(tmp_path / "c.json")],
@@ -433,5 +438,24 @@ def test_simulate_broadcast_on_too_little_truth_exits_2(tmp_path, tiny_enrich, t
 def test_evaluate_against_mismatched_truth_exits_2(tmp_path, tiny_enrich, tiny_truth, edit, message):
     lines = {team: edit(team, rows) for team, rows in tiny_truth.items()}
     run = _run_on_truth(tmp_path, tiny_enrich, lines, "evaluate")
+    assert run.returncode == 2
+    assert message in run.stderr
+
+
+@pytest.mark.parametrize(
+    "rows, config, message",
+    [
+        (30, {}, "training data too short: 200 grid steps, need 500"),
+        (None, {"grid_step_s": 100.0}, "training data too short: 0 grid steps, need 500"),
+        (None, {"ar_order": 20}, "no trajectory spans more than 20 grid steps"),
+        (None, {"ar_order": 1000}, "ar_order must lie in [0, 20], got 1000"),
+        (None, {"ma_order": 500}, "ma_order must lie in [0, 20], got 500"),
+        (None, {"ball_lags": 5000}, "ball_lags must lie in [0, 20], got 5000"),
+    ],
+    ids=["30-rows", "grid-step-100", "ar-order-20", "ar-order-1000", "ma-order-500", "ball-lags-5000"],
+)
+def test_train_on_too_little_data_or_too_many_lags_exits_2(tmp_path, tiny_enrich, tiny_truth, rows, config, message):
+    lines = {team: text[: None if rows is None else 3 + rows] for team, text in tiny_truth.items()}
+    run = _run_on_truth(tmp_path, tiny_enrich, lines, "train", config)
     assert run.returncode == 2
     assert message in run.stderr

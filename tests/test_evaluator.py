@@ -15,6 +15,7 @@ from track_enrich.evaluator import (
     build_report,
     evaluate_half,
     event_frame_times,
+    format_report,
     match_and_score,
     percentile_frames,
     render_pitch_svg,
@@ -217,21 +218,32 @@ class TestEvaluateHalf:
     def test_report_fields(self, scored):
         half, record, result = scored
         report = build_report([result])
-        assert report.mean_all_in_phase == 0.0
-        assert report.n_frames == len(record.frames)
-        assert report.n_predictions == 0  # nobody was hidden
+        assert report["mean_all_in_phase_m"] == 0.0
+        assert report["n_frames"] == len(record.frames)
+        assert report["n_predictions"] == 0  # nobody was hidden
         # no off-camera players anywhere, so the off-camera cohorts are empty
-        assert math.isnan(report.mean_offcam_in_phase)
-        assert math.isnan(report.mean_offcam_event_frames)
+        assert math.isnan(report["mean_offcam_in_phase_m"])
+        assert math.isnan(report["mean_offcam_event_frames_m"])
+
+    def test_format_report_prints_counts_and_na(self, scored):
+        _, record, result = scored
+        lines = format_report(build_report([result])).splitlines()
+        assert lines[0] == f"frames evaluated        : {len(record.frames)}"
+        assert lines[1] == "off-camera predictions  : 0"
+        assert lines[2] == "mean error, in phase    :   0.00 m (all players)"
+        # the off-camera cohorts are empty, so their figures are NaN
+        assert lines[3] == "mean error, off camera  : n/a (in phase)"
+        assert lines[4] == "median error, off camera: n/a (in phase)"
+        assert lines[7] == "mean error at events    : n/a (off camera)"
 
     def test_curve_bucket_zero_mean_zero(self, scored):
         _, _, result = scored
         report = build_report([result])
-        bucket0 = next(b for b in report.curve if b.bucket_s == 0.0)
-        assert bucket0.mean_m == 0.0
-        for b in report.curve:
-            assert b.p12_5 >= b.p2_5 - 1e-12
-            assert b.p87_5 <= b.p97_5 + 1e-12
+        bucket0 = next(b for b in report["curve"] if b["bucket_s"] == 0.0)
+        assert bucket0["mean_m"] == 0.0
+        for b in report["curve"]:
+            assert b["p12_5_m"] >= b["p2_5_m"] - 1e-12
+            assert b["p87_5_m"] <= b["p97_5_m"] + 1e-12
 
     def test_report_files(self, scored, tmp_path):
         _, _, result = scored
@@ -282,11 +294,11 @@ class TestDegradedEvaluation:
     def test_occluded_run_produces_sane_report(self, occluded):
         _, _, result = occluded
         report = build_report([result])
-        assert report.n_predictions > 0
-        assert 0.0 <= report.mean_all_in_phase < report.mean_offcam_in_phase
-        assert report.mean_offcam_in_phase < 40.0
-        assert not math.isnan(report.mean_prev_frame_observed)
-        assert report.mean_prev_frame_observed < 2.0
+        assert report["n_predictions"] > 0
+        assert 0.0 <= report["mean_all_in_phase_m"] < report["mean_offcam_in_phase_m"]
+        assert report["mean_offcam_in_phase_m"] < 40.0
+        assert not math.isnan(report["mean_prev_frame_observed_m"])
+        assert report["mean_prev_frame_observed_m"] < 2.0
         # off-camera players at in-phase frames have nonzero ages
         est_rows = [r for r in result.rows if r.provenance == "estimated" and r.phase == IN_PHASE]
         assert est_rows and all(r.seconds_to_obs > 0 for r in est_rows)

@@ -286,8 +286,12 @@ def test_read_builds_frames_and_tracks_only_on_demand(tmp_path, monkeypatch):
     assert built == {ObservationFrame: 2 * len(record.frames), Trajectory: 0}
     training = _training_halves(PipelineConfig(train_home_csv=str(hp), train_away_csv=str(ap)))
     assert built[ObservationFrame] == 2 * len(record.frames)
-    # one track per player and one for the ball
-    assert built[Trajectory] == len(half.player_tracks) + len(training)
+    # one track for the ball; the player tracks wait until a fit iterates them
+    assert built[Trajectory] == len(training)
+    for _ in range(2):
+        assert len([t for trajs, _ in training for t in trajs]) == 20  # the outfielders
+    # each pass builds every player's track once, keepers included
+    assert built[Trajectory] == len(training) + 2 * len(half.player_tracks)
 
 
 def test_read_half_retains_under_1kb_per_row(tmp_path):
