@@ -13,8 +13,9 @@ match is both the training and the test match.  ``train``,
 as its own process on this checkout's ``src``, with each command's wall time
 and peak anonymous resident set (``RssAnon``, polled) recorded.  One more
 process times ``read_tracking_csv`` on the match and, under tracemalloc,
-measures the bytes a read match keeps.  The results, the report's two error
-figures and the machine's description go to the output JSON.
+measures the bytes a read allocates at its peak and the bytes a read match
+keeps.  The results, the report's two error figures and the machine's
+description go to the output JSON.
 
 The real Metrica match is 2 x 45 min at 25 fps too, so the probe shows what
 a command costs at the size the paper works with, which the benchmark's
@@ -42,7 +43,8 @@ COMMANDS = ("train", "simulate-broadcast", "enrich", "evaluate")
 POLL_S = 0.01
 
 # Run in a fresh process: time one read, then measure what a second read
-# keeps (tracemalloc slows the read it traces, so it is not the timed one).
+# allocates at its peak and keeps (tracemalloc slows the read it traces, so it
+# is not the timed one).
 _READ_PROBE = """
 import gc, json, sys, time, tracemalloc
 from track_enrich.ingest import read_tracking_csv
@@ -57,8 +59,8 @@ tracemalloc.start()
 before = tracemalloc.get_traced_memory()[0]
 halves = read_tracking_csv(home, away)
 gc.collect()
-kept = tracemalloc.get_traced_memory()[0] - before
-print(json.dumps({"rows": rows, "seconds": seconds, "kept_bytes": kept}))
+kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+print(json.dumps({"rows": rows, "seconds": seconds, "kept_bytes": kept, "peak_bytes": peak}))
 """
 
 
@@ -147,6 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         "read_tracking_csv": {
             "us_per_row": round(1e6 * read["seconds"] / read["rows"], 2),
             "kept_bytes_per_row": round(read["kept_bytes"] / read["rows"], 1),
+            "peak_bytes_per_row": round(read["peak_bytes"] / read["rows"], 1),
         },
         "err_in_phase_offcam_m": report["mean_offcam_in_phase_m"],
         "err_out_of_phase_m": report["mean_all_out_of_phase_m"],

@@ -7,6 +7,9 @@ enriched output, and reports are byte-reproducible.
 Exit codes: 0 success, 2 configuration or input validation error
 (``ConfigError``, ``MalformedInputError``), 1 runtime failure.
 Set TRACK_ENRICH_LOG=DEBUG (or INFO/WARNING) to adjust verbosity.
+
+Each command imports the modules it runs: ``enrich`` loads no numpy, which
+only CSV ingest, the fit and the report statistics use.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import broadcast, evaluator, forecaster, ingest, pipeline
+from . import forecaster, ingest
 from .config import ConfigError, PipelineConfig, apply_overrides, load_config
 from .geometry import MalformedInputError
 
@@ -71,6 +74,8 @@ def _discrete_path(cfg: PipelineConfig, half_id: int) -> Path:
 
 
 def cmd_simulate_broadcast(cfg: PipelineConfig) -> int:
+    from . import broadcast
+
     cfg.require_paths("test_home_csv", "test_away_csv")
     dcfg = broadcast.DegradeConfig(
         sample_period=cfg.sample_period_s,
@@ -126,6 +131,8 @@ def _load_records(cfg: PipelineConfig):
 
 
 def cmd_enrich(cfg: PipelineConfig) -> int:
+    from . import pipeline
+
     cfg.require_paths("model_path")
     model = forecaster.load_model(cfg.model_path)
     records, errors = _load_records(cfg)
@@ -150,6 +157,8 @@ def cmd_enrich(cfg: PipelineConfig) -> int:
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
+    from . import evaluator, pipeline
+
     cfg.require_paths("model_path", "test_home_csv", "test_away_csv")
     model = forecaster.load_model(cfg.model_path)
     truth_halves = {

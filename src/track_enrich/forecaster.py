@@ -28,9 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .geometry import (
     MalformedInputError,
@@ -41,8 +39,12 @@ from .geometry import (
 )
 from .ingest import MAX_HALF_GRID_POINTS, MAX_HALF_SPAN_S, load_json
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _TOL = 1e-9
 _MIN_STD = 1e-9
+_STATIONARY_TOL = 1e-7
 
 MODEL_FORMAT_VERSION = 1
 MODEL_KIND = "armax-displacement"
@@ -136,13 +138,22 @@ def ball_grid(
 
 
 def ar_is_stationary(ar: Sequence[float]) -> bool:
-    """True when the AR polynomial has all roots outside the unit circle."""
-    if not ar or not any(ar):
-        return True
-    # phi(z) = 1 - ar[0] z - ... - ar[p-1] z^p, highest power first for np.roots
-    coeffs = [-c for c in reversed(ar)] + [1.0]
-    roots = np.roots(coeffs)
-    return bool(np.all(np.abs(roots) > 1.0 + 1e-7))
+    """True when the AR polynomial ``1 - ar[0] z - ... - ar[p-1] z^p`` has all
+    its roots outside the unit circle.
+
+    Step-down (Schur-Cohn) test: the reverse Levinson recursion lowers the
+    order one lag at a time, and the polynomial is stationary iff every
+    reflection coefficient (the last coefficient at each order) has magnitude
+    below ``1 - 1e-7``, so a root within about 1e-7 of the unit circle counts
+    as non-stationary.  A non-finite coefficient is non-stationary.
+    """
+    phi = list(ar)
+    while phi:
+        k, m = phi[-1], len(phi) - 1
+        if not abs(k) < 1.0 - _STATIONARY_TOL:
+            return False
+        phi = [(phi[i] + k * phi[m - 1 - i]) / (1.0 - k * k) for i in range(m)]
+    return True
 
 
 @dataclass(frozen=True)
@@ -396,6 +407,8 @@ def _segments(
     halves: Sequence[TrainingHalf], grid_step: float, n_exog: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-trajectory, per-axis (displacements, exog-lag matrix) training segments."""
+    import numpy as np
+
     out = []
     for trajs, ball in halves:
         for traj in trajs:
@@ -416,6 +429,8 @@ def _design(
     d: np.ndarray, e: np.ndarray | None, g: np.ndarray, p: int, q: int, t0: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked regression rows [1, d lags, e lags, g lags] for targets d[t0:]."""
+    import numpy as np
+
     n = len(d) - t0
     cols = [np.ones(n)]
     for i in range(1, p + 1):
@@ -447,6 +462,8 @@ def fit(
     inputs reproduces the model bit for bit.  A non-stationary AR estimate is
     retried at the next lower order.
     """
+    import numpy as np
+
     segments = _segments(halves, grid_step, ball_lags)
     total = sum(len(d) for d, _ in segments)
     if total < min_steps:

@@ -32,9 +32,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .geometry import (
     AWAY,
@@ -54,6 +52,9 @@ from .geometry import (
     other_team,
     scale_percent_coords,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -210,6 +211,8 @@ class TrackView(Mapping[str, Trajectory]):
 
 def _read_team_csv(path: Path, team: str) -> _TeamTable:
     """Parse one wide per-team CSV into float arrays; untimed rows are skipped."""
+    import numpy as np
+
     with path.open(newline="", encoding="utf8") as fh:
         reader = csv.reader(fh)
         head = list(islice(reader, 4))
@@ -233,7 +236,7 @@ def _read_team_csv(path: Path, team: str) -> _TeamTable:
             raise MalformedInputError(f"{path}: header repeats a player column")
         cols = [0, time_col, *(c for i in [ball, *players] for c in (i, i + 1))]
         pick, pad = itemgetter(*cols), [""] * (max(cols) + 1)
-        numbers, parsed = [], array("d")
+        numbers, parsed = array("q"), array("d")
         for n, raw in enumerate(chain(head[header_idx + 1 :], reader), start=header_idx + 2):
             if raw and raw[0].strip():
                 numbers.append(n)
@@ -242,14 +245,17 @@ def _read_team_csv(path: Path, team: str) -> _TeamTable:
                     parsed.extend(list(map(float, cells)))
                 except ValueError:  # a blank cell, else a malformed one
                     parsed.extend([_number(path, n, cell) for cell in cells])
+    # Views on the parsed buffers: a fully timed file is kept without a copy.
     values = np.frombuffer(parsed).reshape(len(numbers), len(cols))
-    rows, period, time = np.array(numbers, dtype=int), values[:, 0], values[:, 1]
+    rows, period, time = np.frombuffer(numbers, dtype=np.int64), values[:, 0], values[:, 1]
     bad = np.flatnonzero(~np.isfinite(period) | np.isinf(time))
     if bad.size:
         raise MalformedInputError(f"{path} row {rows[bad[0]]}: period or time is not finite")
     timed = ~np.isnan(time)
-    xy = values[timed, 2:].reshape(-1, 1 + len(keys), 2)
-    return _TeamTable(path, keys, rows[timed], period[timed].astype(int), time[timed], xy)
+    if not timed.all():
+        rows, period, time, values = rows[timed], period[timed], time[timed], values[timed]
+    xy = values[:, 2:].reshape(-1, 1 + len(keys), 2)
+    return _TeamTable(path, keys, rows, period.astype(int), time, xy)
 
 
 def _number(path: Path, n: int, cell: str) -> float:
@@ -263,6 +269,8 @@ def _number(path: Path, n: int, cell: str) -> float:
 
 def read_tracking_csv(home_path: str | Path, away_path: str | Path) -> list[MatchHalf]:
     """Read per-team wide CSVs into one ground-truth MatchHalf per period."""
+    import numpy as np
+
     home = _read_team_csv(Path(home_path), HOME)
     away = _read_team_csv(Path(away_path), AWAY)
     if len(home.time) != len(away.time):
@@ -280,6 +288,8 @@ def read_tracking_csv(home_path: str | Path, away_path: str | Path) -> list[Matc
 
 
 def _match_half(period: int, home: _TeamTable, away: _TeamTable) -> MatchHalf:
+    import numpy as np
+
     sel = np.flatnonzero(home.period == period)
     stuck = np.flatnonzero(np.diff(home.time[sel]) <= 0)
     if stuck.size:
@@ -293,13 +303,16 @@ def _match_half(period: int, home: _TeamTable, away: _TeamTable) -> MatchHalf:
             f"{times[-1] - times[0]:g} s, more than {MAX_HALF_SPAN_S:g} s"
         )
     offset = float(times[0] - (times[1] - times[0])) if n >= 2 else 0.0
+    if sel[-1] - sel[0] == n - 1:  # contiguous rows: index with views, not copies
+        sel = slice(sel[0], sel[-1] + 1)
     home_ball = ~np.isnan(home.xy[sel, 0]).any(axis=1)
     ball = np.where(home_ball[:, None], home.xy[sel, 0], away.xy[sel, 0])
-    xy = np.concatenate([home.xy[sel, 1:], away.xy[sel, 1:]], axis=1)
-    present = ~np.isnan(xy).any(axis=2)
+    present = np.concatenate([~np.isnan(t.xy[sel, 1:]).any(axis=2) for t in (home, away)], axis=1)
     on_pitch = present.any(axis=0)  # False for unused substitutes
     keys = list(compress(home.keys + away.keys, on_pitch))
-    xy, present = xy[:, on_pitch], present[:, on_pitch]
+    columns = ((t, j) for t in (home, away) for j in range(1, 1 + len(t.keys)))
+    xy = [t.xy[sel, j] for t, j in compress(columns, on_pitch)]  # (rows, 2) per player
+    present = present[:, on_pitch]
 
     first_seen = present.argmax(axis=0)
     keepers, defends = _infer_keepers_and_sides(keys, xy, present, first_seen)
@@ -312,25 +325,33 @@ def _match_half(period: int, home: _TeamTable, away: _TeamTable) -> MatchHalf:
         )
         keep[:, cols] &= np.cumsum(present[:, cols], axis=1) <= 10
 
-    kept = np.flatnonzero(~np.isnan(ball).any(axis=1))
+    has_ball = ~np.isnan(ball).any(axis=1)
+    kept = np.flatnonzero(has_ball)
     dropped = n - len(kept)
     if dropped:
         level = logging.WARNING if len(kept) and dropped > 0.05 * n else logging.INFO
         logger.log(level, "period %d: dropped %d of %d rows without a ball", period, dropped, n)
-    cells = np.concatenate([ball[kept, None], xy[kept]], axis=1)
+    cells = np.empty((len(kept), 1 + len(xy), 2))
+    for j, column in enumerate([ball, *xy]):
+        for axis in (0, 1):  # one axis at a time: numpy's fast path for a strided column
+            cells[:, j, axis] = column[:, axis][has_ball]
     used = np.concatenate([np.ones((len(kept), 1), dtype=bool), keep[kept]], axis=1)
-    inside = (cells >= -PERCENT_TOLERANCE) & (cells <= 1.0 + PERCENT_TOLERANCE)
-    outside = used[..., None] & ~inside
-    if outside.any():
-        i, j, axis = np.argwhere(outside)[0]
-        from_home = tags[j - 1].team == HOME if j else home_ball[kept[i]]
-        tab = home if from_home else away
-        raise MalformedInputError(
-            f"percentage coordinate {'xy'[axis]}={float(cells[i, j, axis])!r} in "
-            f"{tab.path} row {tab.rows[sel[kept[i]]]} outside [-0.05, 1.05]"
-        )
+    lo, hi = -PERCENT_TOLERANCE, 1.0 + PERCENT_TOLERANCE
+    # Per-cell masks only when some cell, used or not, lies out of range.
+    if np.fmin.reduce(cells, None, initial=lo) < lo or np.fmax.reduce(cells, None, initial=hi) > hi:
+        outside = used[..., None] & ((cells < lo) | (cells > hi))
+        if outside.any():
+            i, j, axis = np.argwhere(outside)[0]
+            from_home = tags[j - 1].team == HOME if j else home_ball[kept[i]]
+            tab = home if from_home else away
+            raise MalformedInputError(
+                f"percentage coordinate {'xy'[axis]}={float(cells[i, j, axis])!r} in "
+                f"{tab.path} row {tab.rows[sel][kept[i]]} outside [-0.05, 1.05]"
+            )
     scale = np.array([PITCH_LENGTH_M, PITCH_WIDTH_M])
-    cells = np.minimum(np.maximum(cells * scale, 0.0), scale)
+    cells *= scale
+    np.maximum(cells, 0.0, out=cells)
+    np.minimum(cells, scale, out=cells)
 
     table = _TruthTable((times[kept] - offset).tolist(), cells, used, keys, tags)
     return MatchHalf(
@@ -340,13 +361,14 @@ def _match_half(period: int, home: _TeamTable, away: _TeamTable) -> MatchHalf:
 
 
 def _infer_keepers_and_sides(
-    keys: list[str], xy: np.ndarray, present: np.ndarray, first_seen: np.ndarray
+    keys: list[str], xy: list[np.ndarray], present: np.ndarray, first_seen: np.ndarray
 ) -> tuple[set[str], dict[str, bool]]:
     """Pick each team's goalkeeper and defended side from mean positions.
 
-    The defended side is where the team stands in the first populated row
-    (teams line up in their own half at kickoff); the keeper is the player
-    whose mean position, summed left to right, sits closest to that goal.
+    ``xy`` holds each player's (rows, 2) fractions.  The defended side is
+    where the team stands in the first populated row (teams line up in their
+    own half at kickoff); the keeper is the player whose mean position,
+    summed left to right, sits closest to that goal.
     """
     defends: dict[str, bool] = {}
     keepers: set[str] = set()
@@ -354,12 +376,12 @@ def _infer_keepers_and_sides(
         cols = [j for j, k in enumerate(keys) if k.startswith(f"{team}:")]
         if not cols:
             continue
-        first_xs = xy[first_seen[cols], cols, 0].tolist()
+        first_xs = [xy[j][first_seen[j], 0].item() for j in cols]
         defends[team] = sum(first_xs) / len(first_xs) < 0.5
         goal_x = 0.0 if defends[team] else PITCH_LENGTH_M
 
         def goal_distance(j: int) -> float:
-            px, py = xy[present[:, j], j].T.tolist()
+            px, py = xy[j][present[:, j]].T.tolist()
             mx, my = sum(px) / len(px) * PITCH_LENGTH_M, sum(py) / len(py) * PITCH_WIDTH_M
             return math.hypot(mx - goal_x, my - PITCH_WIDTH_M / 2)
 

@@ -4,12 +4,26 @@ They are built from the package's own pieces (forecast states, the velocity
 field's nodes, the 360 reader's flip) but are not used by the pipeline.
 """
 
+import numpy as np
+
 from track_enrich.forecaster import Forecast, ForecastModel, GridSeries, backward_state, forward_state
 from track_enrich.geometry import PitchPoint, Trajectory
 from track_enrich.ingest import _flip
 from track_enrich.interpolator import VelocityField
 
 _TOL = 1e-9
+
+
+def ar_min_root_modulus(ar) -> float:
+    """The smallest root modulus of ``1 - ar[0] z - ... - ar[p-1] z^p``; inf without roots."""
+    # highest power first for np.roots, which drops leading zeros
+    roots = np.roots([-c for c in reversed(ar)] + [1.0])
+    return float(np.abs(roots).min()) if roots.size else float("inf")
+
+
+def ar_is_stationary(ar) -> bool:
+    """The root test: every root of the AR polynomial lies beyond 1 + 1e-7."""
+    return ar_min_root_modulus(ar) > 1.0 + 1e-7
 
 
 def forecast(model: ForecastModel, traj: Trajectory, ball: GridSeries, t: float) -> Forecast:

@@ -271,6 +271,35 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_only_the_modules_every_command_needs():
+    lazy = ["numpy", "track_enrich.broadcast", "track_enrich.evaluator", "track_enrich.pipeline"]
+    code = f"import sys, track_enrich.cli; print(sorted(set(sys.modules) & set({lazy!r})))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("source", ["simulated", "360"])
+def test_enrich_loads_no_numpy(tmp_path, tiny_enrich, source):
+    if source == "360":
+        cfg = _enrich_360_config(tmp_path, tiny_enrich / "model.json", *_write_360_feed(tmp_path))
+    else:
+        shutil.copytree(tiny_enrich, tmp_path, dirs_exist_ok=True)
+        cfg = tmp_path / "c.json"
+        paths = {"model_path": str(tmp_path / "model.json"), "output_dir": str(tmp_path / "out")}
+        cfg.write_text(json.dumps(paths))
+    code = (
+        "import sys; from track_enrich.cli import main; "
+        "status = main(['enrich', '--config', sys.argv[1]]); print(status, 'numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(cfg)],
+        env=_src_env(), capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.split()[-2:] == ["0", "False"]
+
+
 @pytest.fixture(scope="module")
 def tiny_enrich(tmp_path_factory):
     """A model file and one discrete half, ready for enrich."""

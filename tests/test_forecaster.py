@@ -3,11 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from track_enrich.forecaster import (
+    MAX_LAGS,
     ForecastModel,
     ForecastState,
     GridSeries,
+    ar_is_stationary,
     armax_recursion,
     ball_grid,
     fit,
@@ -374,6 +379,16 @@ class TestFit:
         assert 0.05 < model.one_step_std < 4.0
         assert all(math.isfinite(c) for c in model.ar + model.ma + model.exog)
 
+    def test_non_stationary_estimate_retried_at_lower_order(self):
+        traj, x, d = Trajectory(tag=PlayerTag("home")), 10.0, 1e-3
+        for t in range(600):  # displacements growing 1 % a step: an AR(1) of 1.01
+            traj.append(float(t), PitchPoint(x, 40.0))
+            d *= 1.01
+            x += d
+        model = fit([([traj], flat_ball(n=620, start_k=-10))], ar_order=2, ma_order=0, ball_lags=0)
+        assert model.ar == ()
+        assert model.intercept > 0.0
+
     def test_too_little_data(self):
         traj = make_traj([(0, 10, 10), (5, 12, 12)])
         with pytest.raises(ValueError, match="too short"):
@@ -455,3 +470,38 @@ class TestStationarityGuard:
             ForecastModel(
                 ar=(0.1,), ma=(), exog=(), intercept=0.0, resid_std=0.0, one_step_std=1.0
             )
+
+
+# AR vectors of order 0 to MAX_LAGS: coefficients c_i * rho**i put the roots of
+# 1 - sum c_i z^i (all beyond 1/2 for |c_i| <= 1) at 1/rho times that, so both
+# stationary and explosive vectors of every order come up.  A |c_i| below 1e-9
+# becomes zero: np.roots finds a root at 0 when the leading coefficient is
+# near the smallest float.
+_ar_vectors = st.builds(
+    lambda cs, rho: tuple(c * rho ** (i + 1) if abs(c) > 1e-9 else 0.0 for i, c in enumerate(cs)),
+    st.lists(st.floats(-1.0, 1.0), max_size=MAX_LAGS),
+    st.floats(0.1, 2.5),
+)
+
+
+class TestStationarityTest:
+    @pytest.mark.parametrize(
+        "ar, stationary",
+        [
+            ((), True),
+            ((0, 0), True),
+            ((0.9,), True),
+            ((1.0,), False),
+            ((-1.0,), False),
+            ((0.5, 0.5), False),
+            ((2.0,), False),
+        ],
+    )
+    def test_exact_cases(self, ar, stationary):
+        assert ar_is_stationary(ar) is stationary
+
+    @settings(max_examples=400, deadline=None)
+    @given(ar=_ar_vectors)
+    def test_agrees_with_roots_away_from_unit_circle(self, ar):
+        assume(not 1.0 - 1e-3 <= oracles.ar_min_root_modulus(ar) <= 1.0 + 1e-3)
+        assert ar_is_stationary(ar) == oracles.ar_is_stationary(ar)

@@ -311,6 +311,23 @@ def test_read_half_retains_under_1kb_per_row(tmp_path):
     assert retained < 1024 * rows
 
 
+def test_read_peaks_under_three_times_what_it_keeps(tmp_path):
+    hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
+    write_metrica_csvs([synth_half(seconds=60.0, fps=25, seed=5, half_id=1)], hp, ap)
+    read_tracking_csv(hp, ap)  # the first read's one-off allocations stay out of the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        halves = read_tracking_csv(hp, ap)
+        gc.collect()
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert sum(len(h.frames) for h in halves) == 1500
+    assert peak < 3 * kept
+
+
 def _synth_csv_halves(tmp_path, seconds=30.0):
     half = synth_half(seconds=seconds, fps=5, seed=3, half_id=1)
     hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
