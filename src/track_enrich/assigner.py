@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .forecaster import Forecast, ForecastModel, ForecastState, GridSeries, ball_grid
+from .forecaster import Forecast, ForecastModel, ForecastState, GridSeries, resample_to_grid
 from .geometry import (
     AWAY,
     HOME,
@@ -124,7 +124,7 @@ def build_trajectories(record: DiscreteMatchRecord, model: ForecastModel) -> Tra
     """Run the causal frame loop, appending every visible position to a trajectory."""
     if not record.frames:
         raise ValueError("cannot build trajectories from an empty record")
-    ball = ball_grid(
+    ball = resample_to_grid(
         [fr.time for fr in record.frames], [fr.ball for fr in record.frames], model.grid_step
     )
     first = record.frames[0]

@@ -30,8 +30,8 @@ logger = logging.getLogger(__name__)
 
 class _OutfieldTracks:
     """A half's outfield trajectories of two or more points, built one by one
-    as they are iterated so a fit holds one at a time.  Iterable more than
-    once: a fit retried at a lower AR order reads them again."""
+    as they are iterated so a fit holds one at a time.  Like the list they
+    stand for, they can be iterated more than once."""
 
     def __init__(self, half: ingest.MatchHalf):
         self.tracks = half.player_tracks
@@ -43,7 +43,7 @@ class _OutfieldTracks:
 def _training_halves(cfg: PipelineConfig):
     halves = ingest.read_tracking_csv(cfg.train_home_csv, cfg.train_away_csv)
     return [
-        (_OutfieldTracks(half), forecaster.ball_grid(half.times, half.ball, cfg.grid_step_s))
+        (_OutfieldTracks(half), forecaster.resample_to_grid(half.times, half.ball, cfg.grid_step_s))
         for half in halves
     ]
 

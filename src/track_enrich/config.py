@@ -70,8 +70,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if not value:
                 raise ConfigError(f"config key '{name}' is required for this command")
-            if not Path(value).exists():
-                raise ConfigError(f"{name}: path does not exist: {value}")
+            if not Path(value).is_file():
+                raise ConfigError(f"{name}: no such file: {value}")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
@@ -93,6 +93,8 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         doc = json.loads(Path(path).read_text(encoding="utf8"))
     except FileNotFoundError:
         raise ConfigError(f"config file does not exist: {path}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}")
     if not isinstance(doc, dict):

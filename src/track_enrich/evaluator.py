@@ -98,11 +98,11 @@ def match_and_score(
             )
         for i, err in zip(idx, _match_team([outfield[i].position for i in idx], truth)):
             errors[i] = err
+    total = 0.0
+    for e in errors:  # left to right: sum() compensates float sums from Python 3.12
+        total += e**2
     return FrameError(
-        time=snapshot.time,
-        phase=phase,
-        errors=tuple(errors),
-        total_squared_error=sum(e**2 for e in errors),
+        time=snapshot.time, phase=phase, errors=tuple(errors), total_squared_error=total
     )
 
 

@@ -36,6 +36,7 @@ from .geometry import (
     Trajectory,
     clamp_to_pitch,
     is_finite_number,
+    lerp,
 )
 from .ingest import MAX_HALF_GRID_POINTS, MAX_HALF_SPAN_S, load_json
 
@@ -52,6 +53,9 @@ MODEL_KIND = "armax-displacement"
 # The most lags per coefficient list (AR, MA, ball); the recursion and the
 # training rows cost time in proportion to them.
 MAX_LAGS = 20
+
+# The fewest grid displacements, pooled over both axes, a fit accepts.
+MIN_STEPS = 500
 
 
 @dataclass
@@ -93,29 +97,23 @@ class GridSeries:
         return GridSeries(-self.end_k, self.step, self.values[::-1])
 
 
-def _lerp(a: PitchPoint, ta: float, b: PitchPoint, tb: float, t: float) -> PitchPoint:
-    if tb == ta:
-        return a
-    f = (t - ta) / (tb - ta)
-    return PitchPoint(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
+def resample_to_grid(
+    times: Sequence[float], points: Sequence[PitchPoint], grid_step: float = 1.0
+) -> GridSeries:
+    """Resample positions at strictly increasing ``times`` onto the grid by
+    linear interpolation.
 
-
-def resample_to_grid(traj: Trajectory, grid_step: float = 1.0) -> GridSeries:
-    """Resample a trajectory onto the grid by linear interpolation.
-
-    Grid points outside the trajectory's time span are not produced; grid
-    points coinciding with recorded times reproduce the recorded position
-    exactly.
+    Grid points outside the times' span are not produced; grid points
+    coinciding with recorded times reproduce the recorded position exactly.
     """
-    if not traj.times:
-        raise ValueError("cannot resample an empty trajectory")
-    k_first = math.ceil(traj.times[0] / grid_step - _TOL)
-    k_last = math.floor(traj.times[-1] / grid_step + _TOL)
+    if not times:
+        raise ValueError("cannot resample an empty series")
+    k_first = math.ceil(times[0] / grid_step - _TOL)
+    k_last = math.floor(times[-1] / grid_step + _TOL)
     values: list[PitchPoint] = []
     if k_last < k_first:
         return GridSeries(k_first, grid_step, values)
     i = 0
-    times, points = traj.times, traj.points
     for k in range(k_first, k_last + 1):
         t = k * grid_step
         while i + 1 < len(times) and times[i + 1] <= t + _TOL:
@@ -123,18 +121,8 @@ def resample_to_grid(traj: Trajectory, grid_step: float = 1.0) -> GridSeries:
         if abs(times[i] - t) <= _TOL:
             values.append(points[i])
         else:
-            values.append(_lerp(points[i], times[i], points[i + 1], times[i + 1], t))
+            values.append(lerp(points[i], times[i], points[i + 1], times[i + 1], t))
     return GridSeries(k_first, grid_step, values)
-
-
-def ball_grid(
-    times: Sequence[float], ball: Sequence[PitchPoint], grid_step: float = 1.0
-) -> GridSeries:
-    """Resample the ball positions at increasing ``times`` onto the grid."""
-    track = Trajectory(tag=None)  # type: ignore[arg-type]
-    for t, pos in zip(times, ball):
-        track.append(t, pos)
-    return resample_to_grid(track, grid_step)
 
 
 def ar_is_stationary(ar: Sequence[float]) -> bool:
@@ -299,7 +287,7 @@ class ForecastState:
         prev = self._grid_pos
         ks, dx, dy = [], [], []
         for k in range(k_next, k_hi + 1):
-            value = _lerp(self.pos_last, self.t_last, point, t, k * step)
+            value = lerp(self.pos_last, self.t_last, point, t, k * step)
             if prev is not None:
                 ks.append(k)
                 dx.append(value.x - prev.x)
@@ -399,7 +387,7 @@ def backward_state(model: ForecastModel, traj: Trajectory, ball: GridSeries) -> 
 
 # --- fitting -----------------------------------------------------------------
 
-# A half's training trajectories (iterated once per fit attempt) and its ball grid.
+# A half's training trajectories (iterated once per fit) and its ball grid.
 TrainingHalf = tuple[Iterable[Trajectory], GridSeries]
 
 
@@ -414,7 +402,7 @@ def _segments(
         for traj in trajs:
             if len(traj) < 2:
                 continue
-            grid = resample_to_grid(traj, grid_step)
+            grid = resample_to_grid(traj.times, traj.points, grid_step)
             if len(grid) < 3:
                 continue
             # displacement i spans the grid interval ending at start_k + 1 + i
@@ -450,7 +438,6 @@ def fit(
     ar_order: int = 2,
     ma_order: int = 1,
     ball_lags: int = 2,
-    min_steps: int = 500,
 ) -> ForecastModel:
     """Fit one pooled displacement ARMAX over all training trajectories.
 
@@ -460,14 +447,14 @@ def fit(
     ARMAX regression is refined with residuals recomputed from the current
     coefficients.  The procedure is deterministic, so refitting identical
     inputs reproduces the model bit for bit.  A non-stationary AR estimate is
-    retried at the next lower order.
+    retried at the next lower order on the same training segments.
     """
     import numpy as np
 
     segments = _segments(halves, grid_step, ball_lags)
     total = sum(len(d) for d, _ in segments)
-    if total < min_steps:
-        raise MalformedInputError(f"training data too short: {total} grid steps, need {min_steps}")
+    if total < MIN_STEPS:
+        raise MalformedInputError(f"training data too short: {total} grid steps, need {MIN_STEPS}")
     t0 = max(ar_order, ma_order, 1)
     if not any(len(d) > t0 for d, _ in segments):
         raise MalformedInputError(
@@ -478,55 +465,48 @@ def fit(
     pooled = np.concatenate([d for d, _ in segments])
     one_step_std = max(float(np.std(pooled, ddof=1)), 1e-6)
 
-    p, q, r = ar_order, ma_order, ball_lags
-    long_lag = max(8, p + q + 2)
+    q = ma_order
+    for p in range(ar_order, -1, -1):  # AR order 0 is always stationary
+        t0, long_lag = max(p, q, 1), max(8, p + q + 2)
 
-    # Stage 1: long AR (+ exog) to get initial residual estimates.
-    e_hat = [np.zeros(len(d)) for d, _ in segments]
-    if q > 0:
-        stage1 = {
-            idx: _design(d, None, g, long_lag, 0, long_lag)
-            for idx, (d, g) in enumerate(segments)
-            if len(d) > long_lag
-        }
-        if stage1:
-            x1 = np.concatenate([x for x, _ in stage1.values()])
-            y1 = np.concatenate([y for _, y in stage1.values()])
-            beta1, *_ = np.linalg.lstsq(x1, y1, rcond=None)
-            for idx, (x, y) in stage1.items():
-                e_hat[idx][long_lag:] = y - x @ beta1
+        # Stage 1: long AR (+ exog) to get initial residual estimates.
+        e_hat = [np.zeros(len(d)) for d, _ in segments]
+        if q > 0:
+            stage1 = {
+                idx: _design(d, None, g, long_lag, 0, long_lag)
+                for idx, (d, g) in enumerate(segments)
+                if len(d) > long_lag
+            }
+            if stage1:
+                x1 = np.concatenate([x for x, _ in stage1.values()])
+                y1 = np.concatenate([y for _, y in stage1.values()])
+                beta1, *_ = np.linalg.lstsq(x1, y1, rcond=None)
+                for idx, (x, y) in stage1.items():
+                    e_hat[idx][long_lag:] = y - x @ beta1
 
-    # Stage 2: ARMAX regression, iterated with residuals recomputed from the
-    # current coefficients (non-stationary intermediates are tolerated).
-    for _ in range(3):
-        xs, ys = [], []
-        for (d, g), e in zip(segments, e_hat):
-            if len(d) <= t0:
-                continue
-            x, y = _design(d, e, g, p, q, t0)
-            xs.append(x)
-            ys.append(y)
-        coeffs, *_ = np.linalg.lstsq(np.concatenate(xs), np.concatenate(ys), rcond=None)
-        intercept, *rest = coeffs.tolist()
-        ar, ma, exog = tuple(rest[:p]), tuple(rest[p : p + q]), tuple(rest[p + q :])
-        e_hat = [
-            np.array(
-                armax_recursion(
-                    (intercept, ar, ma, exog), [0.0] * p, [0.0] * q, g.tolist(), d.tolist()
+        # Stage 2: ARMAX regression, iterated with residuals recomputed from the
+        # current coefficients (non-stationary intermediates are tolerated).
+        for _ in range(3):
+            xs, ys = [], []
+            for (d, g), e in zip(segments, e_hat):
+                if len(d) <= t0:
+                    continue
+                x, y = _design(d, e, g, p, q, t0)
+                xs.append(x)
+                ys.append(y)
+            coeffs, *_ = np.linalg.lstsq(np.concatenate(xs), np.concatenate(ys), rcond=None)
+            intercept, *rest = coeffs.tolist()
+            ar, ma, exog = tuple(rest[:p]), tuple(rest[p : p + q]), tuple(rest[p + q :])
+            e_hat = [
+                np.array(
+                    armax_recursion(
+                        (intercept, ar, ma, exog), [0.0] * p, [0.0] * q, g.tolist(), d.tolist()
+                    )
                 )
-            )
-            for d, g in segments
-        ]
-
-    if not ar_is_stationary(ar):
-        return fit(
-            halves,
-            grid_step=grid_step,
-            ar_order=p - 1,
-            ma_order=q,
-            ball_lags=r,
-            min_steps=min_steps,
-        )
+                for d, g in segments
+            ]
+        if ar_is_stationary(ar):
+            break
 
     resid_std = max(float(np.std(np.concatenate(e_hat), ddof=1)), 1e-6)
     return ForecastModel(

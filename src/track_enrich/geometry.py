@@ -61,6 +61,14 @@ def nearest_time_index(times: Sequence[float], t: float) -> int:
     return i
 
 
+def lerp(a: PitchPoint, ta: float, b: PitchPoint, tb: float, t: float) -> PitchPoint:
+    """The point on the line from ``a`` at time ``ta`` to ``b`` at ``tb`` at time ``t``."""
+    if tb == ta:
+        return a
+    f = (t - ta) / (tb - ta)
+    return PitchPoint(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
+
+
 def clamp_to_pitch(x: float, y: float) -> PitchPoint:
     return PitchPoint(
         min(max(x, 0.0), PITCH_LENGTH_M),
@@ -129,26 +137,23 @@ class ObservationFrame:
 class Trajectory:
     """Ordered (position, time) points believed to belong to one player.
 
-    ``seeded`` marks a trajectory whose first point is an invented kickoff
-    seed rather than an observation; such a point anchors interpolation but
-    never counts as a sighting.
+    ``times`` strictly increase and ``points`` runs parallel to them; a point
+    is looked up by bisecting ``times`` for an exact match.  ``seeded`` marks
+    a trajectory whose first point is an invented kickoff seed rather than an
+    observation; such a point anchors interpolation but never counts as a
+    sighting.
     """
 
     tag: PlayerTag
     times: list[float] = field(default_factory=list)
     points: list[PitchPoint] = field(default_factory=list)
     seeded: bool = False
-    _time_index: dict[float, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._time_index = {t: i for i, t in enumerate(self.times)}
 
     def append(self, t: float, point: PitchPoint) -> None:
         if self.times and t <= self.times[-1]:
             raise ValueError(
                 f"trajectory times must strictly increase: {t} after {self.times[-1]}"
             )
-        self._time_index[t] = len(self.times)
         self.times.append(t)
         self.points.append(point)
 
@@ -157,15 +162,13 @@ class Trajectory:
 
     def point_at(self, t: float) -> PitchPoint | None:
         """Recorded point at exactly time ``t``, if any."""
-        i = self._time_index.get(t)
-        return None if i is None else self.points[i]
+        i = bisect_left(self.times, t)
+        return self.points[i] if i < len(self.times) and self.times[i] == t else None
 
     def observed_at(self, t: float) -> bool:
         """True when a real observation (not an invented seed) exists at ``t``."""
-        i = self._time_index.get(t)
-        if i is None:
-            return False
-        return not (self.seeded and i == 0)
+        i = bisect_left(self.times, t)
+        return i < len(self.times) and self.times[i] == t and not (self.seeded and i == 0)
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,9 +12,9 @@ rebased to start one native period after zero.  Unparseable cells, home and
 away times that differ or do not increase, a period whose times span more
 than MAX_HALF_SPAN_S, and kept coordinates outside [-0.05, 1.05] raise
 MalformedInputError naming the file and the CSV row (exit code 2 on the
-command line).  A read half keeps its positions in arrays and builds an
-ObservationFrame or a Trajectory only when one is looked up (FrameView,
-TrackView).
+command line); a file that is not UTF-8 text raises it naming the file.  A
+read half keeps its positions in arrays and builds an ObservationFrame or a
+Trajectory only when one is looked up (FrameView, TrackView).
 
 All numeric output is serialized in fixed decimal with at least two
 fractional digits (six digits of precision), so files are byte-deterministic
@@ -214,7 +214,7 @@ def _read_team_csv(path: Path, team: str) -> _TeamTable:
     import numpy as np
 
     with path.open(newline="", encoding="utf8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         head = list(islice(reader, 4))
         if len(head) < 4:
             raise MalformedInputError(f"{path}: too short to contain headers and data")
@@ -256,6 +256,15 @@ def _read_team_csv(path: Path, team: str) -> _TeamTable:
         rows, period, time, values = rows[timed], period[timed], time[timed], values[timed]
     xy = values[:, 2:].reshape(-1, 1 + len(keys), 2)
     return _TeamTable(path, keys, rows, period.astype(int), time, xy)
+
+
+def _utf8_lines(fh, path: str | Path):
+    """The lines of a text file opened as UTF-8; other bytes raise
+    MalformedInputError naming the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as e:
+        raise MalformedInputError(f"{path} is not UTF-8 text: {e}") from None
 
 
 def _number(path: Path, n: int, cell: str) -> float:
@@ -367,8 +376,9 @@ def _infer_keepers_and_sides(
 
     ``xy`` holds each player's (rows, 2) fractions.  The defended side is
     where the team stands in the first populated row (teams line up in their
-    own half at kickoff); the keeper is the player whose mean position,
-    summed left to right, sits closest to that goal.
+    own half at kickoff); the keeper is the player whose mean position sits
+    closest to that goal.  Both means sum left to right, as ``sum()`` does
+    only before Python 3.12, so the choice does not depend on the interpreter.
     """
     defends: dict[str, bool] = {}
     keepers: set[str] = set()
@@ -376,13 +386,16 @@ def _infer_keepers_and_sides(
         cols = [j for j, k in enumerate(keys) if k.startswith(f"{team}:")]
         if not cols:
             continue
-        first_xs = [xy[j][first_seen[j], 0].item() for j in cols]
-        defends[team] = sum(first_xs) / len(first_xs) < 0.5
+        total = 0.0
+        for j in cols:
+            total += xy[j][first_seen[j], 0].item()
+        defends[team] = total / len(cols) < 0.5
         goal_x = 0.0 if defends[team] else PITCH_LENGTH_M
 
         def goal_distance(j: int) -> float:
-            px, py = xy[j][present[:, j]].T.tolist()
-            mx, my = sum(px) / len(px) * PITCH_LENGTH_M, sum(py) / len(py) * PITCH_WIDTH_M
+            seen = xy[j][present[:, j]]
+            sx, sy = seen.cumsum(axis=0)[-1].tolist()
+            mx, my = sx / len(seen) * PITCH_LENGTH_M, sy / len(seen) * PITCH_WIDTH_M
             return math.hypot(mx - goal_x, my - PITCH_WIDTH_M / 2)
 
         keepers.add(keys[min(sorted(cols, key=keys.__getitem__), key=goal_distance)])
@@ -406,11 +419,12 @@ def attach_events(halves: list[MatchHalf], events_path: str | Path) -> None:
     offset applies; events falling outside the half's frame span are dropped.
     A file without a ``Start Time [s]`` column, a team other than Home or
     Away, and a period or start time that is not a finite number raise
-    MalformedInputError naming the file and the CSV row.
+    MalformedInputError naming the file and the CSV row; a file that is not
+    UTF-8 text raises it naming the file.
     """
     raw: dict[int, list[tuple[float, str, dict]]] = {}
     with Path(events_path).open(newline="", encoding="utf8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(_utf8_lines(fh, events_path))
         if "start time [s]" not in [(k or "").strip().lower() for k in reader.fieldnames or ()]:
             raise MalformedInputError(f"{events_path} row 1: no 'Start Time [s]' column")
         for row in reader:

@@ -160,19 +160,18 @@ def position_at(path: ContinuousPath, field_: VelocityField, t: float) -> PitchP
     recorded span fall back to the forecast mean (backwards before the first
     sighting).  The result is clamped to the pitch.
     """
-    traj = path.trajectory
-    if not traj.times:
+    times, points = path.trajectory.times, path.trajectory.points
+    if not times:
         raise ValueError("cannot evaluate an empty trajectory")
-    exact = traj.point_at(t)
-    if exact is not None:
-        return exact
-    if t < traj.times[0]:
+    i = bisect_right(times, t) - 1  # the last recorded time at or before t
+    if i >= 0 and times[i] == t:
+        return points[i]
+    if i < 0:
         return path.behind.forecast_at(-t).mean
-    if t > traj.times[-1]:
+    if i == len(times) - 1:
         return path.ahead.forecast_at(t).mean
-    i = bisect_right(traj.times, t) - 1
-    t1, t2 = traj.times[i], traj.times[i + 1]
-    p1, p2 = traj.points[i], traj.points[i + 1]
+    t1, t2 = times[i], times[i + 1]
+    p1, p2 = points[i], points[i + 1]
     w1x, w1y = field_.weighted_velocity(t1, t)
     w12x, w12y = field_.weighted_velocity(t1, t2)
     f = (t - t1) / (t2 - t1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .assigner import TrackedTeams, build_trajectories
 from .forecaster import ForecastModel
@@ -15,6 +16,7 @@ from .geometry import (
     EnrichedPlayer,
     PitchPoint,
     Trajectory,
+    lerp,
 )
 from .ingest import DiscreteMatchRecord
 from .interpolator import ContinuousPath, VelocityField, compute_velocity_field, position_at
@@ -22,28 +24,27 @@ from .interpolator import ContinuousPath, VelocityField, compute_velocity_field,
 
 @dataclass
 class PathSet:
-    """Continuous paths for a whole half plus the shared velocity field."""
+    """Continuous paths for a whole half plus the shared velocity field, and
+    the record they were built from."""
 
     tracked: TrackedTeams
     outfield: dict[str, list[ContinuousPath]]
     keepers: dict[str, ContinuousPath]
     field: VelocityField
-    ball_track: Trajectory
+    record: DiscreteMatchRecord
 
     def ball_at(self, t: float) -> PitchPoint:
-        """Ball position at ``t``: recorded when available, else interpolated."""
-        times, points = self.ball_track.times, self.ball_track.points
-        exact = self.ball_track.point_at(t)
-        if exact is not None:
-            return exact
-        if t <= times[0]:
-            return points[0]
-        if t >= times[-1]:
-            return points[-1]
-        i = bisect_right(times, t) - 1
-        f = (t - times[i]) / (times[i + 1] - times[i])
-        a, b = points[i], points[i + 1]
-        return PitchPoint(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
+        """Ball position at ``t``: the recorded ball at a frame time, interpolated
+        between frames, and the first or last ball outside the record's span."""
+        frames = self.record.frames
+        i = bisect_right(frames, t, key=attrgetter("time"))  # frames[i - 1] is at or before t
+        if i == 0:
+            return frames[0].ball
+        a = frames[i - 1]
+        if a.time == t or i == len(frames):
+            return a.ball
+        b = frames[i]
+        return lerp(a.ball, a.time, b.ball, b.time, t)
 
 
 def build_paths(
@@ -52,9 +53,6 @@ def build_paths(
     """Assign trajectories and wrap them as continuous paths."""
     tracked = build_trajectories(record, model)
     field = compute_velocity_field(tracked.all_outfield(), alpha, model.grid_step)
-    ball_track = Trajectory(tag=None)  # type: ignore[arg-type]
-    for fr in record.frames:
-        ball_track.append(fr.time, fr.ball)
     outfield = {
         team: [ContinuousPath(t, model, tracked.ball) for t in tracked.outfield[team]]
         for team in (HOME, AWAY)
@@ -68,7 +66,7 @@ def build_paths(
         outfield=outfield,
         keepers=keepers,
         field=field,
-        ball_track=ball_track,
+        record=record,
     )
 
 
@@ -119,7 +117,7 @@ def enrich_frames(
     paths: PathSet, *, period: float = 1.0
 ) -> list[EnrichedFrame]:
     """Snapshots on a fixed grid spanning the record (used by the enrich step)."""
-    t0, t1 = paths.ball_track.times[0], paths.ball_track.times[-1]
+    t0, t1 = paths.record.frames[0].time, paths.record.frames[-1].time
     k0 = math.ceil(t0 / period - 1e-9)
     k1 = math.floor(t1 / period + 1e-9)
     return [snapshot_at(paths, k * period)[0] for k in range(k0, k1 + 1)]

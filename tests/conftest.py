@@ -7,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from synth import synth_half  # noqa: E402
 
-from track_enrich.forecaster import ball_grid, fit  # noqa: E402
+from track_enrich.forecaster import fit, resample_to_grid  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +22,7 @@ def model(training_half):
         for t in training_half.player_tracks.values()
         if not t.tag.is_goalkeeper
     ]
-    ball = ball_grid(training_half.times, training_half.ball)
+    ball = resample_to_grid(training_half.times, training_half.ball)
     return fit([(trajs, ball)])
 
 

@@ -26,8 +26,8 @@ from track_enrich.broadcast import DegradeConfig, degrade, degrade_stats
 from track_enrich.evaluator import IN_PHASE, build_report, evaluate_half
 from track_enrich.forecaster import (
     GridSeries,
-    ball_grid,
     fit,
+    resample_to_grid,
 )
 from track_enrich.geometry import AWAY, HOME, PitchPoint, PlayerTag, Trajectory
 from track_enrich.ingest import (
@@ -121,7 +121,7 @@ def match1_report(match1_halves, match1_records):
             t for t in half.player_tracks.values()
             if not t.tag.is_goalkeeper and len(t) >= 2
         ]
-        training.append((trajs, ball_grid(half.times, half.ball)))
+        training.append((trajs, resample_to_grid(half.times, half.ball)))
     started = time.perf_counter()
     model = fit(training)
     assert 0.1 < model.resid_std < 3.0, f"implausible resid_std {model.resid_std}"

@@ -402,6 +402,23 @@ def test_config_accepts_int_for_float_key(tmp_path, tiny_enrich):
     assert _enrich_copy(tmp_path, tiny_enrich, config={"alpha": 1, "enrich_period_s": 2}).returncode == 0
 
 
+def test_enrich_model_path_directory_exits_2(tmp_path, tiny_enrich):
+    run = _enrich_copy(tmp_path, tiny_enrich, config={"model_path": str(tmp_path / "out")})
+    assert run.returncode == 2
+    assert f"model_path: no such file: {tmp_path / 'out'}" in run.stderr
+
+
+def test_non_utf8_config_exits_2(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(b'{"alpha": 0.5}\xff')
+    run = subprocess.run(
+        [sys.executable, "-m", "track_enrich.cli", "enrich", "--config", str(cfg)],
+        env=_src_env(), capture_output=True, text=True, timeout=10,
+    )
+    assert run.returncode == 2
+    assert f"config file {cfg} is not UTF-8 text" in run.stderr
+
+
 @pytest.fixture(scope="module")
 def tiny_truth(tiny_enrich, tmp_path_factory):
     """The CSV lines of the match behind ``tiny_enrich``'s discrete half."""

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from track_enrich import forecaster
 from track_enrich.forecaster import (
     MAX_LAGS,
     ForecastModel,
@@ -14,7 +15,6 @@ from track_enrich.forecaster import (
     GridSeries,
     ar_is_stationary,
     armax_recursion,
-    ball_grid,
     fit,
     load_model,
     resample_to_grid,
@@ -52,23 +52,23 @@ def simple_model(**kw):
 class TestResample:
     def test_midpoint(self):
         traj = make_traj([(2, 0, 0), (4, 4, 2)])
-        grid = resample_to_grid(traj)
+        grid = resample_to_grid(traj.times, traj.points)
         assert grid.values[3 - grid.start_k] == PitchPoint(2.0, 1.0)
 
     def test_known_time_exact(self):
         traj = make_traj([(2, 0, 0), (4, 4, 2)])
-        grid = resample_to_grid(traj)
+        grid = resample_to_grid(traj.times, traj.points)
         assert grid.values[2 - grid.start_k] == PitchPoint(0.0, 0.0)
         assert grid.values[4 - grid.start_k] == PitchPoint(4.0, 2.0)
 
     def test_one_third(self):
         traj = make_traj([(0, 0, 0), (3, 6, 0)])
-        grid = resample_to_grid(traj)
+        grid = resample_to_grid(traj.times, traj.points)
         assert grid.values[1 - grid.start_k] == PitchPoint(2.0, 0.0)
 
     def test_span_limits(self):
         traj = make_traj([(1.5, 0, 0), (3.5, 4, 4)])
-        grid = resample_to_grid(traj)
+        grid = resample_to_grid(traj.times, traj.points)
         assert grid.start_k == 2 and grid.end_k == 3
 
     def test_recorded_grid_points_exact(self):
@@ -78,7 +78,7 @@ class TestResample:
             times = np.sort(rng.choice(np.arange(0, 40), size=n, replace=False)).astype(float)
             pts = rng.uniform(0, 100, (n, 2))
             traj = make_traj([(t, p[0], p[1]) for t, p in zip(times, pts)])
-            grid = resample_to_grid(traj)
+            grid = resample_to_grid(traj.times, traj.points)
             for t, p in zip(times, pts):
                 got = grid.values[int(t) - grid.start_k]
                 assert got.x == p[0] and got.y == p[1]
@@ -347,7 +347,7 @@ class TestFit:
                 traj.append(float(t), PitchPoint(30.0 + 10 * i, 40.0))
             trajs.append(traj)
         ball = flat_ball(n=220, start_k=-10)
-        model = fit([(trajs, ball)], min_steps=500)
+        model = fit([(trajs, ball)])
         assert all(abs(c) < 1e-8 for c in model.ar)
         assert all(abs(c) < 1e-8 for c in model.ma)
         assert all(abs(c) < 1e-8 for c in model.exog)
@@ -370,7 +370,7 @@ class TestFit:
 
     def test_fit_deterministic(self, training_half, model):
         trajs = [t for t in training_half.player_tracks.values() if not t.tag.is_goalkeeper]
-        ball = ball_grid(training_half.times, training_half.ball)
+        ball = resample_to_grid(training_half.times, training_half.ball)
         again = fit([(trajs, ball)])
         assert again == model
 
@@ -379,7 +379,10 @@ class TestFit:
         assert 0.05 < model.one_step_std < 4.0
         assert all(math.isfinite(c) for c in model.ar + model.ma + model.exog)
 
-    def test_non_stationary_estimate_retried_at_lower_order(self):
+    def test_non_stationary_estimate_retried_at_lower_order(self, monkeypatch):
+        calls = []
+        segments = forecaster._segments
+        monkeypatch.setattr(forecaster, "_segments", lambda *a: calls.append(a) or segments(*a))
         traj, x, d = Trajectory(tag=PlayerTag("home")), 10.0, 1e-3
         for t in range(600):  # displacements growing 1 % a step: an AR(1) of 1.01
             traj.append(float(t), PitchPoint(x, 40.0))
@@ -388,6 +391,7 @@ class TestFit:
         model = fit([([traj], flat_ball(n=620, start_k=-10))], ar_order=2, ma_order=0, ball_lags=0)
         assert model.ar == ()
         assert model.intercept > 0.0
+        assert len(calls) == 1  # the retries reuse the training segments
 
     def test_too_little_data(self):
         traj = make_traj([(0, 10, 10), (5, 12, 12)])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from track_enrich.geometry import (
     AWAY,
@@ -101,6 +103,23 @@ class TestTrajectory:
         assert traj.point_at(1.5) == PitchPoint(4, 5)
         assert traj.point_at(2.0) is None
         assert traj.point_at(1.5) is not None
+
+
+@given(
+    times=st.lists(st.integers(-50, 50), unique=True).map(sorted),
+    queries=st.lists(st.integers(-52, 52) | st.sampled_from([0.0, -0.0, 0.5, -0.5]), max_size=30),
+    seeded=st.booleans(),
+)
+def test_lookups_match_a_linear_scan(times, queries, seeded):
+    """point_at and observed_at against a scan over strictly increasing times,
+    queried by float and by int, at recorded times and between them."""
+    traj = Trajectory(tag=PlayerTag(HOME), seeded=seeded)
+    for t in times:
+        traj.append(t / 2, PitchPoint(t, -t))
+    for q in [*queries, *(q / 2 for q in queries if type(q) is int)]:
+        hits = [i for i, t in enumerate(traj.times) if t == q]
+        assert traj.point_at(q) == (traj.points[hits[0]] if hits else None)
+        assert traj.observed_at(q) == bool(hits and not (seeded and hits[0] == 0))
 
 
 class TestEnrichedFrame:

@@ -124,7 +124,6 @@ class TestTrackingCsv:
             object.__setattr__(fr, "time", fr.time + 1800.0)
         for key, traj in h2.player_tracks.items():
             traj.times = [t + 1800.0 for t in traj.times]
-            traj._time_index = {t: i for i, t in enumerate(traj.times)}
         hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
         write_metrica_csvs([h1, h2], hp, ap)
         halves = read_tracking_csv(hp, ap)
@@ -167,12 +166,14 @@ ROW5_AWAY = "1,2,0.08,0.71000,0.50000,0.91000,0.40000,0.52000,0.50000"
         pytest.param(
             ROW5_HOME, ROW5_AWAY.replace("0.91000", "1.20000"), r"x=1\.2 in .*a\.csv row 5", id="away-out-of-range"
         ),
+        # "\udcff" is written as the byte 0xff
+        pytest.param(ROW5_HOME + "\udcff", ROW5_AWAY, r"h\.csv is not UTF-8 text", id="not-utf8"),
     ],
 )
 def test_hostile_tracking_csv_names_file_and_row(tmp_path, home_row, away_row, where):
     hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
-    hp.write_text(HOME_CSV.replace(ROW5_HOME, home_row))
-    ap.write_text(AWAY_CSV.replace(ROW5_AWAY, away_row))
+    hp.write_bytes(HOME_CSV.replace(ROW5_HOME, home_row).encode("utf8", "surrogateescape"))
+    ap.write_bytes(AWAY_CSV.replace(ROW5_AWAY, away_row).encode("utf8", "surrogateescape"))
     with pytest.raises(MalformedInputError, match=where):
         read_tracking_csv(hp, ap)
 
@@ -273,11 +274,11 @@ def test_read_builds_frames_and_tracks_only_on_demand(tmp_path, monkeypatch):
     write_metrica_csvs([synth_half(seconds=30.0, fps=5, seed=3, half_id=1)], hp, ap)
     built = {ObservationFrame: 0, Trajectory: 0}
     for cls in built:
-        def counted(self, cls=cls, original=cls.__post_init__):
+        def counted(self, *args, cls=cls, original=cls.__init__, **kwargs):
             built[cls] += 1
-            original(self)
+            original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
 
     half = read_tracking_csv(hp, ap)[0]
     assert built == {ObservationFrame: 0, Trajectory: 0}
@@ -286,12 +287,12 @@ def test_read_builds_frames_and_tracks_only_on_demand(tmp_path, monkeypatch):
     assert built == {ObservationFrame: 2 * len(record.frames), Trajectory: 0}
     training = _training_halves(PipelineConfig(train_home_csv=str(hp), train_away_csv=str(ap)))
     assert built[ObservationFrame] == 2 * len(record.frames)
-    # one track for the ball; the player tracks wait until a fit iterates them
-    assert built[Trajectory] == len(training)
+    # no track for the ball; the player tracks wait until a fit iterates them
+    assert built[Trajectory] == 0
     for _ in range(2):
         assert len([t for trajs, _ in training for t in trajs]) == 20  # the outfielders
     # each pass builds every player's track once, keepers included
-    assert built[Trajectory] == len(training) + 2 * len(half.player_tracks)
+    assert built[Trajectory] == 2 * len(half.player_tracks)
 
 
 def test_read_half_retains_under_1kb_per_row(tmp_path):
@@ -364,6 +365,7 @@ Away,PASS,,1,0,2.00,0,2.00,0.6,0.5
         pytest.param(",2.00,0,", ",inf,0,", r"e\.csv row 3: .*start time 'inf'", id="infinite-start"),
         pytest.param(",1,0,2.00", ",one,0,2.00", r"e\.csv row 3: period 'one'", id="unparseable-period"),
         pytest.param("Start Time [s]", "Start [s]", r"e\.csv row 1: no 'Start Time \[s\]' column", id="no-start-time"),
+        pytest.param("0.6,0.5\n", "0.6,0.5\udcff\n", r"e\.csv is not UTF-8 text", id="not-utf8"),
     ],
 )
 def test_hostile_events_csv_names_file_and_row(tmp_path, old, new, where):
@@ -374,7 +376,7 @@ def test_hostile_events_csv_names_file_and_row(tmp_path, old, new, where):
     assert [ev.attacking_team for ev in halves[0].events] == [HOME, AWAY]
 
     halves = _synth_csv_halves(tmp_path)
-    ep.write_text(EVENTS_CSV.replace(old, new, 1))
+    ep.write_bytes(EVENTS_CSV.replace(old, new, 1).encode("utf8", "surrogateescape"))
     with pytest.raises(MalformedInputError, match=where):
         attach_events(halves, ep)
     assert halves[0].events == []

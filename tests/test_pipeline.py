@@ -63,6 +63,13 @@ class TestSnapshotAt:
         assert mid.y == pytest.approx((b0.y + b1.y) / 2)
         assert paths.ball_at(t0) == b0
 
+    def test_ball_held_outside_the_record(self, degraded):
+        _, record, paths = degraded
+        first, last = record.frames[0], record.frames[-1]
+        assert paths.ball_at(first.time - 3.5) == first.ball
+        assert paths.ball_at(last.time + 3.5) == last.ball
+        assert paths.ball_at(last.time) == last.ball
+
 
 class TestSecondsToNearest:
     def _traj(self, seeded=False):
