@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .forecaster import Forecast, ForecastModel, ForecastState, GridSeries, resample_to_grid
 from .geometry import (
@@ -119,14 +120,34 @@ class TrackedTeams:
     def all_outfield(self) -> list[Trajectory]:
         return [t for team in (HOME, AWAY) for t in self.outfield[team]]
 
+    def in_order(self) -> list[Trajectory]:
+        """Every trajectory: home outfield, home keeper, away outfield, away keeper."""
+        return [t for team in (HOME, AWAY) for t in (*self.outfield[team], self.keepers[team])]
+
+    @classmethod
+    def from_order(cls, trajectories: Sequence[Trajectory], ball: GridSeries) -> TrackedTeams:
+        """The inverse of ``in_order``."""
+        n = N_OUTFIELD + 1
+        teams = {HOME: trajectories[:n], AWAY: trajectories[n : 2 * n]}
+        return cls(
+            outfield={team: list(ts[:N_OUTFIELD]) for team, ts in teams.items()},
+            keepers={team: ts[N_OUTFIELD] for team, ts in teams.items()},
+            ball=ball,
+        )
+
+
+def ball_grid(record: DiscreteMatchRecord, grid_step: float) -> GridSeries:
+    """The record's ball resampled to the forecast grid."""
+    return resample_to_grid(
+        [fr.time for fr in record.frames], [fr.ball for fr in record.frames], grid_step
+    )
+
 
 def build_trajectories(record: DiscreteMatchRecord, model: ForecastModel) -> TrackedTeams:
     """Run the causal frame loop, appending every visible position to a trajectory."""
     if not record.frames:
         raise ValueError("cannot build trajectories from an empty record")
-    ball = resample_to_grid(
-        [fr.time for fr in record.frames], [fr.ball for fr in record.frames], model.grid_step
-    )
+    ball = ball_grid(record, model.grid_step)
     first = record.frames[0]
 
     outfield: dict[str, list[Trajectory]] = {}

@@ -50,6 +50,7 @@ def _training_halves(cfg: PipelineConfig):
 
 def cmd_train(cfg: PipelineConfig) -> int:
     cfg.require_paths("train_home_csv", "train_away_csv")
+    cfg.require_output("model_path")
     model = forecaster.fit(
         _training_halves(cfg),
         grid_step=cfg.grid_step_s,
@@ -73,10 +74,21 @@ def _discrete_path(cfg: PipelineConfig, half_id: int) -> Path:
     return Path(cfg.output_dir) / f"discrete_half{half_id}.json"
 
 
+def _trajectories_path(cfg: PipelineConfig, half_id: int) -> Path:
+    return Path(cfg.output_dir) / f"trajectories_half{half_id}.json"
+
+
+def _model_sha256(cfg: PipelineConfig) -> str:
+    import hashlib  # OpenSSL costs each command that loads it half a megabyte
+
+    return hashlib.sha256(Path(cfg.model_path).read_bytes()).hexdigest()
+
+
 def cmd_simulate_broadcast(cfg: PipelineConfig) -> int:
     from . import broadcast
 
     cfg.require_paths("test_home_csv", "test_away_csv")
+    cfg.require_output("output_dir")
     dcfg = broadcast.DegradeConfig(
         sample_period=cfg.sample_period_s,
         visibility_radius=cfg.visibility_radius_m,
@@ -134,7 +146,9 @@ def cmd_enrich(cfg: PipelineConfig) -> int:
     from . import pipeline
 
     cfg.require_paths("model_path")
+    cfg.require_output("output_dir")
     model = forecaster.load_model(cfg.model_path)
+    model_sha256 = _model_sha256(cfg)
     records, errors = _load_records(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -144,6 +158,10 @@ def cmd_enrich(cfg: PipelineConfig) -> int:
     for record in records:
         started = time.perf_counter()
         paths = pipeline.build_paths(record, model, alpha=cfg.alpha)
+        # written before the frames exist, so the two never share the peak
+        ingest.write_trajectories(
+            paths.tracked.in_order(), model_sha256, _trajectories_path(cfg, record.half_id)
+        )
         frames = pipeline.enrich_frames(paths, period=cfg.enrich_period_s)
         elapsed = time.perf_counter() - started
         out_path = out_dir / f"enriched_half{record.half_id}.json"
@@ -157,10 +175,14 @@ def cmd_enrich(cfg: PipelineConfig) -> int:
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> int:
+    """Score the trajectories ``enrich`` assigned (``alpha`` may differ from
+    enrich's: it only shapes the velocity field) against the truth."""
     from . import evaluator, pipeline
 
     cfg.require_paths("model_path", "test_home_csv", "test_away_csv")
+    cfg.require_output("output_dir")
     model = forecaster.load_model(cfg.model_path)
+    model_sha256 = _model_sha256(cfg)
     truth_halves = {
         h.half_id: h
         for h in ingest.read_tracking_csv(cfg.test_home_csv, cfg.test_away_csv)
@@ -169,39 +191,48 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
         cfg.require_paths("test_events_csv")
         ingest.attach_events(list(truth_halves.values()), cfg.test_events_csv)
     records, _ = _load_records(cfg)
+    for record in records:
+        path = _trajectories_path(cfg, record.half_id)
+        if not path.is_file():
+            raise ConfigError(f"no {path} (run enrich first)")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
-    first_half_errors = None
-    for record in records:
-        truth = truth_halves.get(record.half_id)
+    examples = []  # the first half's percentile frames, drawn while its paths live
+    while records:  # each half's record, truth and paths are released once it is scored
+        record = records.pop(0)
+        truth = truth_halves.pop(record.half_id, None)
         if truth is None:
             raise ConfigError(f"no ground truth for half {record.half_id}")
-        paths = pipeline.build_paths(record, model, alpha=cfg.alpha)
+        path = _trajectories_path(cfg, record.half_id)
+        sha256, trajectories = ingest.read_trajectories(path, record)
+        if sha256 != model_sha256:
+            raise ConfigError(
+                f"{path} was assigned with another model than {cfg.model_path} (run enrich again)"
+            )
+        paths = pipeline.build_paths(record, model, alpha=cfg.alpha, trajectories=trajectories)
         result = evaluator.evaluate_half(record, paths, truth)
+        if not results and len(result.frame_errors) >= 100:
+            for pct, fe in evaluator.percentile_frames(result.frame_errors):
+                frame, ages = pipeline.snapshot_at(paths, fe.time)
+                labels = [f"{age:.0f}" if age < float("inf") else "?" for age in ages]
+                examples.append((pct, fe, evaluator.render_pitch_svg(frame, labels)))
         results.append(result)
-        if first_half_errors is None:
-            first_half_errors = (result, paths)
+        del record, truth, trajectories, paths
 
     report = evaluator.build_report(results)
     evaluator.write_report_json(report, out_dir / "report.json")
     evaluator.write_curve_csv(report, out_dir / "curve.csv")
     print(evaluator.format_report(report))
 
-    if first_half_errors is not None:
-        result, paths = first_half_errors
-        if len(result.frame_errors) >= 100:
-            for pct, fe in evaluator.percentile_frames(result.frame_errors):
-                frame, ages = pipeline.snapshot_at(paths, fe.time)
-                labels = [f"{age:.0f}" if age < float("inf") else "?" for age in ages]
-                svg = evaluator.render_pitch_svg(frame, labels)
-                svg_path = out_dir / f"percentile_{int(pct)}.svg"
-                svg_path.write_text(svg, encoding="utf8")
-                print(
-                    f"p{int(pct)} example: t={fe.time:.1f}s, total squared error "
-                    f"{fe.total_squared_error:.0f} m^2 -> {svg_path}"
-                )
+    for pct, fe, svg in examples:
+        svg_path = out_dir / f"percentile_{int(pct)}.svg"
+        svg_path.write_text(svg, encoding="utf8")
+        print(
+            f"p{int(pct)} example: t={fe.time:.1f}s, total squared error "
+            f"{fe.total_squared_error:.0f} m^2 -> {svg_path}"
+        )
     return 0
 
 

@@ -73,6 +73,19 @@ class PipelineConfig:
             if not Path(value).is_file():
                 raise ConfigError(f"{name}: no such file: {value}")
 
+    def require_output(self, name: str) -> None:
+        """Fail before any work when output key ``name`` cannot be written:
+        ``output_dir`` names a directory and any other output a file, and the
+        nearest existing path on the way to it must be a directory."""
+        path = Path(getattr(self, name))
+        if name != "output_dir":
+            if path.is_dir():
+                raise ConfigError(f"{name}: is a directory: {path}")
+            path = path.parent
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"{name}: not a directory: {existing}")
+
 
 _FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
 
@@ -93,6 +106,8 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         doc = json.loads(Path(path).read_text(encoding="utf8"))
     except FileNotFoundError:
         raise ConfigError(f"config file does not exist: {path}")
+    except IsADirectoryError:
+        raise ConfigError(f"config file {path} is a directory")
     except UnicodeDecodeError as e:
         raise ConfigError(f"config file {path} is not UTF-8 text: {e}")
     except json.JSONDecodeError as e:

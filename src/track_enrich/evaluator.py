@@ -61,15 +61,20 @@ def _match_team(est: list[PitchPoint], truth: list[PitchPoint]) -> list[float]:
     positions score exactly zero.
     """
     errors = [0.0] * len(est)
-    unused = list(range(len(truth)))
+    # unused truth indices by position, in order; equal floats (0.0 and -0.0
+    # too) hash alike, so a lookup finds exactly the truths equal to ``pos``
+    free: dict[tuple[float, float], list[int]] = {}
+    for j, p in enumerate(truth):
+        free.setdefault((p.x, p.y), []).append(j)
     remaining: list[int] = []
     for c, pos in enumerate(est):
-        hit = next((j for j in unused if truth[j] == pos), None)
-        if hit is None:
-            remaining.append(c)
+        hits = free.get((pos.x, pos.y))
+        if hits:
+            del hits[0]
         else:
-            unused.remove(hit)
+            remaining.append(c)
     if remaining:
+        unused = sorted(j for hits in free.values() for j in hits)
         # truth rows x estimate columns: the solver breaks ties by
         # orientation, so the orientation is part of the output
         cost = [[truth[j].distance_to(est[c]) for c in remaining] for j in unused]
@@ -251,14 +256,15 @@ def _curve(rows: list[PredictionRow]) -> list[dict]:
     curve = []
     for key in sorted(buckets):
         vals = np.asarray(buckets[key])
+        p12_5, p87_5, p2_5, p97_5 = np.percentile(vals, [12.5, 87.5, 2.5, 97.5]).tolist()
         curve.append(
             {
                 "bucket_s": key,
                 "mean_m": float(vals.mean()),
-                "p12_5_m": float(np.percentile(vals, 12.5)),
-                "p87_5_m": float(np.percentile(vals, 87.5)),
-                "p2_5_m": float(np.percentile(vals, 2.5)),
-                "p97_5_m": float(np.percentile(vals, 97.5)),
+                "p12_5_m": p12_5,
+                "p87_5_m": p87_5,
+                "p2_5_m": p2_5,
+                "p97_5_m": p97_5,
                 "n": len(vals),
             }
         )

@@ -1,5 +1,5 @@
 """Readers and writers for tracking CSVs, event data, 360-style frame JSON,
-and the enriched output format.
+the enriched output format and the assigned trajectories.
 
 Tracking data is one wide CSV per team (Metrica layout; see the README for
 the full contract).  The reader takes the ``Period`` column, the first
@@ -28,6 +28,7 @@ import json
 import logging
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import itemgetter
@@ -842,6 +843,134 @@ def read_discrete(path: str | Path) -> DiscreteMatchRecord:
     return DiscreteMatchRecord(
         half_id=half_id, frames=frames, source=source, defends_left=defends_left
     )
+
+
+# The assigner's order of a half's trajectories (TrackedTeams.in_order).
+TRAJECTORY_TAGS = tuple(
+    PlayerTag(team, keeper) for team in (HOME, AWAY) for keeper in [False] * 10 + [True]
+)
+
+
+def write_trajectories(
+    trajectories: Sequence[Trajectory], model_sha256: str, path: str | Path
+) -> None:
+    """Write a half's assigned trajectories, in the assigner's order, with the
+    sha256 of the model file that assigned them.  Numbers are written as
+    ``json.dumps`` writes them, so they read back exactly."""
+    lines = [
+        json.dumps(
+            {
+                "team": t.tag.team,
+                "keeper": t.tag.is_goalkeeper,
+                "seeded": t.seeded,
+                "times": t.times,
+                "x": [p.x for p in t.points],
+                "y": [p.y for p in t.points],
+            }
+        )
+        for t in trajectories
+    ]
+    Path(path).write_text(
+        f'{{\n  "model_sha256": {json.dumps(model_sha256)},\n'
+        f'  "trajectories": {_json_array(lines, "  ")}\n}}\n',
+        encoding="utf8",
+    )
+
+
+def _numbers(d: dict, key: str) -> list:
+    values = d.get(key)
+    if not (isinstance(values, list) and all(map(is_finite_number, values))):
+        raise MalformedInputError(f"{key} must be an array of finite numbers")
+    return values
+
+
+def _trajectory(d, tag: PlayerTag) -> Trajectory:
+    if not isinstance(d, dict):
+        raise MalformedInputError("a trajectory must be an object")
+    if _tag(d) != tag:
+        raise MalformedInputError(
+            f"want a {tag.team} {'keeper' if tag.is_goalkeeper else 'outfielder'} "
+            "(10 outfielders, then the keeper, home first)"
+        )
+    times, xs, ys = _numbers(d, "times"), _numbers(d, "x"), _numbers(d, "y")
+    if not times or not len(times) == len(xs) == len(ys):
+        raise MalformedInputError("times, x and y must be non-empty and of equal length")
+    if not all(a < b for a, b in zip(times, times[1:])):
+        raise MalformedInputError("times must increase")
+    return Trajectory(tag, times, list(map(PitchPoint, xs, ys)), _flag(d, "seeded"))
+
+
+def read_trajectories(
+    path: str | Path, record: DiscreteMatchRecord
+) -> tuple[str, list[Trajectory]]:
+    """The model sha256 and the trajectories in a file ``write_trajectories``
+    wrote for ``record``'s half.
+
+    A malformed file raises MalformedInputError naming the file and the
+    trajectory: it must hold 10 outfield trajectories and a keeper per team
+    in the assigner's order, each with finite numbers and increasing times.
+    So does a file that does not fit ``record``: every point must sit at a
+    frame time, a seed only at the first frame, and at each frame each team's
+    outfield and keeper points must equal, as multisets, the frame's visible
+    ones.
+    """
+    doc = load_json(path)
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("model_sha256"), str)
+        and isinstance(doc.get("trajectories"), list)
+    ):
+        raise MalformedInputError(
+            f"{path}: must be an object with a model_sha256 string and a trajectories array"
+        )
+    items = doc["trajectories"]
+    if len(items) != len(TRAJECTORY_TAGS):
+        raise MalformedInputError(
+            f"{path}: {len(items)} trajectories, want 10 outfielders and a keeper per team"
+        )
+    trajectories = []
+    for k, (item, tag) in enumerate(zip(items, TRAJECTORY_TAGS)):
+        try:
+            trajectories.append(_trajectory(item, tag))
+        except MalformedInputError as e:
+            raise MalformedInputError(f"{path}: trajectory {k}: {e}") from None
+    _check_assignment(path, trajectories, record)
+    return doc["model_sha256"], trajectories
+
+
+def _check_assignment(
+    path: str | Path, trajectories: Sequence[Trajectory], record: DiscreteMatchRecord
+) -> None:
+    """Raise unless ``trajectories`` hold exactly ``record``'s visible positions."""
+    frame_index = {fr.time: i for i, fr in enumerate(record.frames)}
+    first = record.frames[0].time
+    held: Counter = Counter()
+    for k, traj in enumerate(trajectories):
+        for t in traj.times:
+            if t not in frame_index:
+                raise MalformedInputError(
+                    f"{path}: trajectory {k}: a point at t={t!r}, which is no frame time"
+                )
+        if traj.seeded and traj.times[0] != first:
+            raise MalformedInputError(
+                f"{path}: trajectory {k}: a seed at t={traj.times[0]!r}, not at the first frame"
+            )
+        tag, skip = traj.tag, int(traj.seeded)
+        held.update(
+            (t, tag.team, tag.is_goalkeeper, p.x, p.y)
+            for t, p in zip(traj.times[skip:], traj.points[skip:])
+        )
+    seen = Counter(
+        (fr.time, tag.team, tag.is_goalkeeper, p.x, p.y)
+        for fr in record.frames
+        for tag, p in fr.visible
+    )
+    if held != seen:
+        t = min(key[0] for key in (held - seen) + (seen - held))
+        raise MalformedInputError(
+            f"{path}: frame {frame_index[t]}: the trajectories do not hold the frame's "
+            "visible positions (run enrich again)"
+        )
 
 
 def write_axis_errors(errors: Sequence[AxisErrorRecord], path: str | Path) -> None:

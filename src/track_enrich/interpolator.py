@@ -10,6 +10,7 @@ defers to the forecaster's mean.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -79,14 +80,6 @@ class VelocityField:
             cy + self.vy[i] * tau + tau * tau / (2 * self.step) * (self.vy[i + 1] - self.vy[i]),
         )
 
-    def weighted_velocity(self, s: float, t: float) -> tuple[float, float]:
-        """w(s, t): alpha times the exact integral of u over [s, t]."""
-        if t < s:
-            raise ValueError(f"weighted_velocity needs s <= t, got {s} > {t}")
-        fs = self._antiderivative(s)
-        ft = self._antiderivative(t)
-        return (self.alpha * (ft[0] - fs[0]), self.alpha * (ft[1] - fs[1]))
-
 
 def compute_velocity_field(
     trajectories: Sequence[Trajectory], alpha: float, grid_step: float = 1.0
@@ -134,14 +127,31 @@ def compute_velocity_field(
 class ContinuousPath:
     """A trajectory with everything needed to evaluate it at any time.
 
-    The forecast states past either end of the span are built on the first
-    query that needs them and then reused, so the trajectory must be complete
-    before that query.
+    The forecast states past either end of the span, and the velocity field's
+    antiderivative at each recorded time, are built on the first query that
+    needs them and then reused, so the trajectory must be complete before
+    that query.
     """
 
     trajectory: Trajectory
     model: ForecastModel
     ball: GridSeries
+    _knots: tuple[VelocityField | None, array, array] = field(
+        default=(None, array("d"), array("d")), init=False, repr=False, compare=False
+    )
+
+    def knot_integrals(self, field_: VelocityField) -> tuple[array, array]:
+        """``field_._antiderivative`` at each recorded time as x and y arrays
+        (16 bytes a point, not a tuple's 104), kept for the last field asked."""
+        owner, fx, fy = self._knots
+        if owner is not field_:
+            fx, fy = array("d"), array("d")
+            for t in self.trajectory.times:
+                x, y = field_._antiderivative(t)
+                fx.append(x)
+                fy.append(y)
+            self._knots = (field_, fx, fy)
+        return fx, fy
 
     @cached_property
     def ahead(self) -> ForecastState:
@@ -170,10 +180,15 @@ def position_at(path: ContinuousPath, field_: VelocityField, t: float) -> PitchP
         return path.behind.forecast_at(-t).mean
     if i == len(times) - 1:
         return path.ahead.forecast_at(t).mean
+    # w(s, t) = alpha * (F(t) - F(s)), with F the exact integral of u
     t1, t2 = times[i], times[i + 1]
     p1, p2 = points[i], points[i + 1]
-    w1x, w1y = field_.weighted_velocity(t1, t)
-    w12x, w12y = field_.weighted_velocity(t1, t2)
+    fx, fy = path.knot_integrals(field_)
+    f1x, f1y, f2x, f2y = fx[i], fy[i], fx[i + 1], fy[i + 1]
+    ftx, fty = field_._antiderivative(t)
+    alpha = field_.alpha
+    w1x, w1y = alpha * (ftx - f1x), alpha * (fty - f1y)
+    w12x, w12y = alpha * (f2x - f1x), alpha * (f2y - f1y)
     f = (t - t1) / (t2 - t1)
     return clamp_to_pitch(
         p1.x + w1x + f * (p2.x - p1.x - w12x),

@@ -28,7 +28,12 @@ def linear_sum_assignment(cost: Sequence[Sequence[float]]) -> tuple[list[int], l
     if transpose:
         cost = list(zip(*cost))
         nr, nc = nc, nr
-    if any(c != c or c == -inf for row in cost for c in row):
+    # a NaN or -inf entry makes the left-to-right sum NaN or -inf, so only
+    # such a sum (or one overflowed to -inf) needs the entries scanned
+    total = sum(map(sum, cost))
+    if (total != total or total == -inf) and any(
+        c != c or c == -inf for row in cost for c in row
+    ):
         raise ValueError("cost matrix contains NaN or -inf entries")
 
     u, v = [0.0] * nr, [0.0] * nc

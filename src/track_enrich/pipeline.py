@@ -6,8 +6,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import Sequence
 
-from .assigner import TrackedTeams, build_trajectories
+from .assigner import TrackedTeams, ball_grid, build_trajectories
 from .forecaster import ForecastModel
 from .geometry import (
     AWAY,
@@ -48,10 +49,19 @@ class PathSet:
 
 
 def build_paths(
-    record: DiscreteMatchRecord, model: ForecastModel, *, alpha: float = 0.5
+    record: DiscreteMatchRecord,
+    model: ForecastModel,
+    *,
+    alpha: float = 0.5,
+    trajectories: Sequence[Trajectory] | None = None,
 ) -> PathSet:
-    """Assign trajectories and wrap them as continuous paths."""
-    tracked = build_trajectories(record, model)
+    """Wrap a half's trajectories as continuous paths: ``trajectories`` in the
+    assigner's order (``TrackedTeams.in_order``) when given, else those the
+    assigner builds from ``record``."""
+    if trajectories is None:
+        tracked = build_trajectories(record, model)
+    else:
+        tracked = TrackedTeams.from_order(trajectories, ball_grid(record, model.grid_step))
     field = compute_velocity_field(tracked.all_outfield(), alpha, model.grid_step)
     outfield = {
         team: [ContinuousPath(t, model, tracked.ball) for t in tracked.outfield[team]]

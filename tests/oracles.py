@@ -4,12 +4,15 @@ They are built from the package's own pieces (forecast states, the velocity
 field's nodes, the 360 reader's flip) but are not used by the pipeline.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 
 from track_enrich.forecaster import Forecast, ForecastModel, GridSeries, backward_state, forward_state
-from track_enrich.geometry import PitchPoint, Trajectory
+from track_enrich.geometry import PitchPoint, Trajectory, clamp_to_pitch
 from track_enrich.ingest import _flip
 from track_enrich.interpolator import VelocityField
+from track_enrich.lsap import linear_sum_assignment
 
 _TOL = 1e-9
 
@@ -55,12 +58,55 @@ def velocity_at(field: VelocityField, t: float) -> tuple[float, float]:
     )
 
 
+def weighted_velocity(field: VelocityField, s: float, t: float) -> tuple[float, float]:
+    """w(s, t): alpha times the exact integral of u over [s, t]."""
+    if t < s:
+        raise ValueError(f"weighted_velocity needs s <= t, got {s} > {t}")
+    fs = field._antiderivative(s)
+    ft = field._antiderivative(t)
+    return (field.alpha * (ft[0] - fs[0]), field.alpha * (ft[1] - fs[1]))
+
+
 def velocity_correction(field: VelocityField, t1: float, t2: float, t: float) -> tuple[float, float]:
     """The correction added to plain linear interpolation inside a gap."""
-    w1x, w1y = field.weighted_velocity(t1, t)
-    w12x, w12y = field.weighted_velocity(t1, t2)
+    w1x, w1y = weighted_velocity(field, t1, t)
+    w12x, w12y = weighted_velocity(field, t1, t2)
     f = (t - t1) / (t2 - t1)
     return (w1x - f * w12x, w1y - f * w12y)
+
+
+def position_in_gap(traj: Trajectory, field: VelocityField, t: float) -> PitchPoint:
+    """The velocity-corrected interpolation at ``t`` strictly between two
+    recorded times, from two ``weighted_velocity`` integrals."""
+    i = bisect_right(traj.times, t) - 1
+    t1, t2 = traj.times[i], traj.times[i + 1]
+    p1, p2 = traj.points[i], traj.points[i + 1]
+    w1x, w1y = weighted_velocity(field, t1, t)
+    w12x, w12y = weighted_velocity(field, t1, t2)
+    f = (t - t1) / (t2 - t1)
+    return clamp_to_pitch(
+        p1.x + w1x + f * (p2.x - p1.x - w12x),
+        p1.y + w1y + f * (p2.y - p1.y - w12y),
+    )
+
+
+def match_team(est: list[PitchPoint], truth: list[PitchPoint]) -> list[float]:
+    """``evaluator._match_team`` with its exact coincidences pinned by a linear
+    scan: each estimate, in order, takes the first unused truth equal to it."""
+    errors = [0.0] * len(est)
+    unused = list(range(len(truth)))
+    remaining: list[int] = []
+    for c, pos in enumerate(est):
+        hit = next((j for j in unused if truth[j] == pos), None)
+        if hit is None:
+            remaining.append(c)
+        else:
+            unused.remove(hit)
+    if remaining:
+        cost = [[truth[j].distance_to(est[c]) for c in remaining] for j in unused]
+        for r, c in zip(*linear_sum_assignment(cost)):
+            errors[remaining[c]] = cost[r][c]
+    return errors
 
 
 def flip_point(p: PitchPoint) -> PitchPoint:

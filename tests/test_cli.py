@@ -428,11 +428,15 @@ def tiny_truth(tiny_enrich, tmp_path_factory):
     return {team: (root / f"{team}.csv").read_text().splitlines() for team in ("home", "away")}
 
 
-def _run_on_truth(tmp_path, tiny_enrich, lines, command, config=None):
-    """Run ``command`` as its own process under a 10 s timeout, on the tiny
-    model and discrete half and on tracking CSVs made of ``lines`` (the
-    training CSVs for ``train``, the test CSVs otherwise)."""
-    shutil.copytree(tiny_enrich, tmp_path, dirs_exist_ok=True)
+def _run_on_truth(tmp_path, inputs, lines, command, config=None, edit=None):
+    """Run ``command`` as its own process under a 10 s timeout, on a copy of
+    ``inputs`` (the tiny model and discrete half, and enrich's output in
+    ``tiny_enriched``), edited in place by ``edit(tmp_path)``, and on tracking
+    CSVs made of ``lines`` (the training CSVs for ``train``, the test CSVs
+    otherwise)."""
+    shutil.copytree(inputs, tmp_path, dirs_exist_ok=True)
+    if edit is not None:
+        edit(tmp_path)
     cfg = {"model_path": str(tmp_path / "model.json"), "output_dir": str(tmp_path / "out"), **(config or {})}
     role = "train" if command == "train" else "test"
     for team, rows in lines.items():
@@ -443,6 +447,18 @@ def _run_on_truth(tmp_path, tiny_enrich, lines, command, config=None):
         [sys.executable, "-m", "track_enrich.cli", command, "--config", str(tmp_path / "c.json")],
         env=_src_env(), capture_output=True, text=True, timeout=10,
     )
+
+
+@pytest.fixture(scope="module")
+def tiny_enriched(tiny_enrich, tmp_path_factory):
+    """``tiny_enrich`` with enrich's output: ready for evaluate."""
+    root = tmp_path_factory.mktemp("tiny_enriched")
+    shutil.copytree(tiny_enrich, root, dirs_exist_ok=True)
+    cfg = root / "c.json"
+    cfg.write_text(json.dumps({"model_path": str(root / "model.json"), "output_dir": str(root / "out")}))
+    assert main(["enrich", "--config", str(cfg)]) == 0
+    cfg.unlink()
+    return root
 
 
 def _blank_ball(row: str) -> str:
@@ -481,9 +497,9 @@ def test_simulate_broadcast_on_too_little_truth_exits_2(tmp_path, tiny_enrich, t
     ],
     ids=["truth-shorter-than-discrete", "truth-lacks-an-outfielder"],
 )
-def test_evaluate_against_mismatched_truth_exits_2(tmp_path, tiny_enrich, tiny_truth, edit, message):
+def test_evaluate_against_mismatched_truth_exits_2(tmp_path, tiny_enriched, tiny_truth, edit, message):
     lines = {team: edit(team, rows) for team, rows in tiny_truth.items()}
-    run = _run_on_truth(tmp_path, tiny_enrich, lines, "evaluate")
+    run = _run_on_truth(tmp_path, tiny_enriched, lines, "evaluate")
     assert run.returncode == 2
     assert message in run.stderr
 
@@ -505,3 +521,96 @@ def test_train_on_too_little_data_or_too_many_lags_exits_2(tmp_path, tiny_enrich
     run = _run_on_truth(tmp_path, tiny_enrich, lines, "train", config)
     assert run.returncode == 2
     assert message in run.stderr
+
+
+def test_evaluate_on_enrich_output_runs(tmp_path, tiny_enriched, tiny_truth):
+    run = _run_on_truth(tmp_path, tiny_enriched, tiny_truth, "evaluate", {"alpha": 0.2})
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "out" / "report.json").is_file()
+
+
+def _other_model(root):
+    save_model(
+        ForecastModel(ar=(0.4,), ma=(0.1,), exog=(0.05,), intercept=0.0, resid_std=0.5, one_step_std=0.8),
+        root / "model.json",
+    )
+
+
+def _record_from_another_radius(root):
+    half = synth_half(seconds=20.0, fps=5, seed=77, half_id=1)
+    write_discrete(degrade(half, DegradeConfig(1.0, 15.0, 0)), root / "out" / "discrete_half1.json")
+
+
+def _edit_trajectories(edit):
+    def apply(root):
+        path = root / "out" / "trajectories_half1.json"
+        doc = json.loads(path.read_text())
+        edit(next(t for t in doc["trajectories"] if not t["seeded"] and len(t["times"]) >= 2))
+        path.write_text(json.dumps(doc))
+
+    return apply
+
+
+def _move_a_point(traj):
+    traj["x"][1] += 1e-9
+
+
+def _point_between_frames(traj):
+    traj["times"][-1] += 0.5
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_other_model, "trajectories_half1.json was assigned with another model than"),
+        (_record_from_another_radius, "the trajectories do not hold the frame's visible positions"),
+        (_edit_trajectories(_move_a_point), "the trajectories do not hold the frame's visible positions"),
+        (_edit_trajectories(_point_between_frames), ", which is no frame time"),
+        (lambda root: (root / "out" / "trajectories_half1.json").unlink(), "(run enrich first)"),
+    ],
+    ids=["model-from-another-fit", "record-from-another-radius", "point-moved-1e-9", "point-between-frames", "no-file"],
+)
+def test_evaluate_on_stale_or_missing_trajectories_exits_2(tmp_path, tiny_enriched, tiny_truth, edit, message):
+    run = _run_on_truth(tmp_path, tiny_enriched, tiny_truth, "evaluate", edit=edit)
+    assert run.returncode == 2
+    assert message in run.stderr
+    assert "trajectories_half1.json" in run.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "track_enrich.cli", *map(str, argv)],
+        env=_src_env(), capture_output=True, text=True, timeout=10,
+    )
+
+
+def test_config_that_is_a_directory_exits_2(tmp_path):
+    run = _cli("enrich", "--config", tmp_path)
+    assert run.returncode == 2
+    assert f"config file {tmp_path} is a directory" in run.stderr
+
+
+def test_train_to_a_model_path_that_is_a_directory_exits_2_before_the_fit(tmp_path, tiny_enrich, tiny_truth):
+    # the tiny match is too short to fit, so only a check made before the fit names model_path
+    run = _run_on_truth(tmp_path, tiny_enrich, tiny_truth, "train", {"model_path": str(tmp_path / "out")})
+    assert run.returncode == 2
+    assert f"model_path: is a directory: {tmp_path / 'out'}" in run.stderr
+
+
+@pytest.mark.parametrize("below", ["", "out"], ids=["the-file", "below-it"])
+@pytest.mark.parametrize("command", ["simulate-broadcast", "enrich", "evaluate"])
+def test_output_dir_that_is_or_is_below_a_file_exits_2(tmp_path, tiny_enriched, tiny_truth, command, below):
+    not_a_dir = tmp_path / "out" / "discrete_half1.json"
+    config = {"output_dir": str(not_a_dir / below)}
+    run = _run_on_truth(tmp_path, tiny_enriched, tiny_truth, command, config)
+    assert run.returncode == 2
+    assert f"output_dir: not a directory: {not_a_dir}" in run.stderr
+
+
+def test_train_to_a_model_path_below_a_file_exits_2_before_the_fit(tmp_path, tiny_enrich, tiny_truth):
+    not_a_dir = tmp_path / "out" / "discrete_half1.json"
+    config = {"model_path": str(not_a_dir / "model.json")}
+    run = _run_on_truth(tmp_path, tiny_enrich, tiny_truth, "train", config)
+    assert run.returncode == 2
+    assert f"model_path: not a directory: {not_a_dir}" in run.stderr

@@ -3,15 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import match_team
 from synth import synth_half
 
 from track_enrich.broadcast import DegradeConfig, degrade
 from track_enrich.evaluator import (
     FrameError,
+    PredictionRow,
     IN_PHASE,
     OUT_OF_PHASE,
     TruthMismatchError,
+    _curve,
+    _match_team,
     build_report,
     evaluate_half,
     event_frame_times,
@@ -309,3 +315,31 @@ def test_event_frame_times_nearest_with_ties_to_the_earlier_frame():
     assert event_frame_times(events, [1.0, 2.0, 3.0]) == {1.0, 2.0, 3.0}
     assert event_frame_times(events[1:2], [1.0, 2.0]) == {1.0}
     assert event_frame_times(events, []) == set()
+
+
+# Few distinct coordinates, so estimates often coincide with one or several
+# equal truths; 0.0 and -0.0 are equal and must pin alike.
+_coordinate = st.sampled_from([0.0, -0.0, 1.5, 40.0]) | st.floats(0.0, 120.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(0, 10))
+def test_pin_by_position_equals_the_linear_scan(data, n):
+    point = st.builds(PitchPoint, _coordinate, _coordinate)
+    truth = data.draw(st.lists(point, min_size=n, max_size=n))
+    est = data.draw(st.lists(st.sampled_from(truth) | point, min_size=n, max_size=n) if n else st.just([]))
+    assert _match_team(est, truth) == match_team(est, truth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    errors=st.lists(
+        st.tuples(st.floats(0.0, 50.0), st.sampled_from([0.0, 0.4, 1.0, 2.2, 7.0])), min_size=1, max_size=60
+    )
+)
+def test_curve_equals_four_separate_percentiles(errors):
+    rows = [PredictionRow(1, 0.0, IN_PHASE, "estimated", e, age, False, False) for e, age in errors]
+    for bucket in _curve(rows):
+        vals = np.asarray([e for e, age in errors if round(age * 2.0) / 2.0 == bucket["bucket_s"]])
+        for key, q in (("p12_5_m", 12.5), ("p87_5_m", 87.5), ("p2_5_m", 2.5), ("p97_5_m", 97.5)):
+            assert bucket[key] == float(np.percentile(vals, q))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import flip_point
 from synth import synth_half, write_metrica_csvs
 
+from track_enrich.assigner import build_trajectories
 from track_enrich.broadcast import DegradeConfig, degrade
 from track_enrich.cli import _training_halves
 from track_enrich.config import PipelineConfig
@@ -26,6 +27,7 @@ from track_enrich.geometry import (
     Trajectory,
 )
 from track_enrich.ingest import (
+    TRAJECTORY_TAGS,
     AxisErrorRecord,
     DiscreteMatchRecord,
     attach_events,
@@ -33,9 +35,11 @@ from track_enrich.ingest import (
     read_discrete,
     read_enriched,
     read_tracking_csv,
+    read_trajectories,
     write_axis_errors,
     write_discrete,
     write_enriched,
+    write_trajectories,
     _fmt,
 )
 
@@ -818,3 +822,145 @@ class TestNumberFormat:
             v = float(rng.uniform(0, 120))
             once = _fmt(v)
             assert _fmt(float(once)) == once
+
+
+# --- trajectories files ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def assigned(model):
+    """A degraded half with occlusions and kickoff seeds, and its assigned
+    trajectories in the assigner's order."""
+    record = degrade(synth_half(seconds=20.0, fps=5, seed=77, half_id=1), DegradeConfig(1.0, 20.0, 0))
+    trajectories = build_trajectories(record, model).in_order()
+    assert any(t.seeded for t in trajectories)
+    return record, trajectories
+
+
+def _changed(value):
+    return _json.filter(lambda v: v != value)
+
+
+def _other_tag_index(draw, k):
+    return draw(st.sampled_from([j for j, tag in enumerate(TRAJECTORY_TAGS) if tag != TRAJECTORY_TAGS[k]]))
+
+
+def _point_index(draw, doc):
+    """A trajectory and one of its points that is not a seed."""
+    k = draw(st.sampled_from([k for k, t in enumerate(doc["trajectories"]) if len(t["times"]) > t["seeded"]]))
+    traj = doc["trajectories"][k]
+    return traj, draw(st.integers(int(traj["seeded"]), len(traj["times"]) - 1))
+
+
+def _replace_document(doc, draw):
+    doc.clear()
+    doc["document"] = draw(_json)  # written alone, below
+
+
+def _replace_model_sha256(doc, draw):
+    doc["model_sha256"] = draw(_json.filter(lambda v: not isinstance(v, str)))
+
+
+def _drop_or_repeat_a_trajectory(doc, draw):
+    trajs = doc["trajectories"]
+    k = draw(st.integers(0, len(trajs) - 1))
+    if draw(st.booleans()):
+        del trajs[k]
+    else:
+        trajs.insert(k, trajs[k])
+
+
+def _swap_trajectories_of_other_roles(doc, draw):
+    trajs = doc["trajectories"]
+    k = draw(st.integers(0, len(trajs) - 1))
+    j = _other_tag_index(draw, k)
+    trajs[k], trajs[j] = trajs[j], trajs[k]
+
+
+def _replace_a_field(doc, draw):
+    trajs = doc["trajectories"]
+    key = draw(st.sampled_from(["team", "keeper", "seeded", "times", "x", "y"]))
+    if key in ("x", "y"):  # a seed may sit anywhere, so change an unseeded trajectory
+        traj = trajs[draw(st.sampled_from([k for k, t in enumerate(trajs) if not t["seeded"]]))]
+    else:
+        traj = trajs[draw(st.integers(0, len(trajs) - 1))]
+    if draw(st.booleans()):
+        traj[key] = draw(_changed(traj[key]))
+    else:
+        del traj[key]
+
+
+def _put_a_non_finite_number(doc, draw):
+    traj = draw(st.sampled_from(doc["trajectories"]))
+    key = draw(st.sampled_from(["times", "x", "y"]))
+    traj[key][draw(st.integers(0, len(traj[key]) - 1))] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+def _move_a_point(doc, draw):
+    traj, i = _point_index(draw, doc)
+    key = draw(st.sampled_from(["x", "y"]))
+    moved = traj[key][i] + draw(st.sampled_from([1e-9, -1e-9, 1e-6, 3.0]))
+    assert moved != traj[key][i]
+    traj[key][i] = moved
+
+
+def _move_a_time_off_its_frame(doc, draw):
+    traj = draw(st.sampled_from(doc["trajectories"]))
+    times = traj["times"]
+    i = draw(st.integers(0, len(times) - 1))
+    times[i] = times[i] + 0.5 * ((times[i + 1] - times[i]) if i + 1 < len(times) else 1.0)
+
+
+def _break_the_time_order(doc, draw):
+    traj = draw(st.sampled_from([t for t in doc["trajectories"] if len(t["times"]) >= 2]))
+    i = draw(st.integers(0, len(traj["times"]) - 2))
+    traj["times"][i + 1] = traj["times"][i] - draw(st.sampled_from([0.0, 0.5]))
+
+
+def _shorten_one_array(doc, draw):
+    traj = draw(st.sampled_from(doc["trajectories"]))
+    traj[draw(st.sampled_from(["times", "x", "y"]))].pop()
+
+
+_HOSTILE = [
+    _replace_document,
+    _replace_model_sha256,
+    _drop_or_repeat_a_trajectory,
+    _swap_trajectories_of_other_roles,
+    _replace_a_field,
+    _put_a_non_finite_number,
+    _move_a_point,
+    _move_a_time_off_its_frame,
+    _break_the_time_order,
+    _shorten_one_array,
+]
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=st.sampled_from([None, *_HOSTILE]), data=st.data())
+def test_trajectories_round_trip_and_every_hostile_edit_raises_naming_the_file(
+    tmp_path, assigned, mutation, data
+):
+    record, trajectories = assigned
+    path = tmp_path / "trajectories_half1.json"
+    write_trajectories(trajectories, "ab" * 32, path)
+    if mutation is not None:
+        doc = json.loads(path.read_text())
+        mutation(doc, data.draw)
+        path.write_text(json.dumps(doc.get("document", doc)))
+        with pytest.raises(MalformedInputError, match=str(path)):
+            read_trajectories(path, record)
+        return
+    sha256, got = read_trajectories(path, record)
+    assert sha256 == "ab" * 32
+    assert got == trajectories
+
+
+def test_trajectories_file_is_byte_deterministic_and_holds_floats_exactly(tmp_path, assigned):
+    record, trajectories = assigned
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    write_trajectories(trajectories, "0" * 64, a)
+    write_trajectories(read_trajectories(a, record)[1], "0" * 64, b)
+    assert a.read_bytes() == b.read_bytes()
+    doc = json.loads(a.read_text())
+    assert [t["x"] for t in doc["trajectories"]] == [[p.x for p in t.points] for t in trajectories]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from track_enrich import forecaster
 from track_enrich.forecaster import GridSeries
@@ -11,7 +13,14 @@ from track_enrich.interpolator import (
     position_at,
 )
 
-from oracles import backward_forecast, forecast, velocity_at, velocity_correction
+from oracles import (
+    backward_forecast,
+    forecast,
+    position_in_gap,
+    velocity_at,
+    velocity_correction,
+    weighted_velocity,
+)
 from test_forecaster import flat_ball, make_traj, simple_model
 
 
@@ -62,16 +71,16 @@ class TestComputeVelocityField:
 class TestWeightedVelocity:
     def test_constant_integrand(self):
         field = field_from([(2.0, 0.0)] * 5, alpha=0.5)  # u == (2, 0) on [0, 4]
-        assert field.weighted_velocity(0.0, 4.0) == (4.0, 0.0)
+        assert weighted_velocity(field, 0.0, 4.0) == (4.0, 0.0)
 
     def test_empty_interval(self):
         field = field_from([(2.0, 1.0)] * 5, alpha=0.5)
-        assert field.weighted_velocity(1.7, 1.7) == (0.0, 0.0)
+        assert weighted_velocity(field, 1.7, 1.7) == (0.0, 0.0)
 
     def test_triangle_area(self):
         # u rises linearly from (0,0) at t=0 to (4,0) at t=2: integral is 4
         field = field_from([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)], alpha=0.5)
-        w = field.weighted_velocity(0.0, 2.0)
+        w = weighted_velocity(field, 0.0, 2.0)
         assert w == (2.0, 0.0)
 
     def test_matches_dense_quadrature(self):
@@ -86,20 +95,20 @@ class TestWeightedVelocity:
             ts = np.linspace(s, t, 20001)
             ux = [velocity_at(field, tt)[0] for tt in ts]
             uy = [velocity_at(field, tt)[1] for tt in ts]
-            wx, wy = field.weighted_velocity(s, t)
+            wx, wy = weighted_velocity(field, s, t)
             assert abs(wx - alpha * np.trapezoid(ux, ts)) < 1e-6
             assert abs(wy - alpha * np.trapezoid(uy, ts)) < 1e-6
 
     def test_constant_extension_beyond_ends(self):
         field = field_from([(1.0, 0.0), (3.0, 0.0)], alpha=1.0, start_k=5)
         # below the grid u holds (1, 0); above it holds (3, 0)
-        assert field.weighted_velocity(3.0, 5.0) == (2.0, 0.0)
-        assert field.weighted_velocity(6.0, 8.0) == pytest.approx((6.0, 0.0))
+        assert weighted_velocity(field, 3.0, 5.0) == (2.0, 0.0)
+        assert weighted_velocity(field, 6.0, 8.0) == pytest.approx((6.0, 0.0))
 
     def test_reversed_interval_rejected(self):
         field = field_from([(1.0, 0.0)] * 3, alpha=1.0)
         with pytest.raises(ValueError):
-            field.weighted_velocity(2.0, 1.0)
+            weighted_velocity(field, 2.0, 1.0)
 
 
 def path_of(points, model=None, ball=None):
@@ -264,6 +273,45 @@ class TestPositionAt:
         path = path_of([(0, 118, 40), (10, 119, 40)])
         p = position_at(path, field, 5.0)
         assert p.x <= 120.0
+
+
+@st.composite
+def _gapped_paths(draw):
+    """A path of 2-8 recorded points, a field whose nodes may start before,
+    inside or after its span, and query times strictly inside its gaps."""
+    n = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(0.1, 9.0), min_size=n - 1, max_size=n - 1))
+    times = [draw(st.floats(-5.0, 5.0))]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    coord = st.floats(-5.0, 125.0)
+    pts = [(t, draw(coord), draw(coord)) for t in times]
+    vs = draw(st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), max_size=40))
+    field = field_from(vs, alpha=draw(st.floats(0.0, 1.0)), start_k=draw(st.integers(-10, 20)))
+    fractions = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, n - 2))
+        t = times[i] + draw(fractions) * (times[i + 1] - times[i])
+        if times[i] < t < times[i + 1]:
+            queries.append(t)
+    return path_of(pts), field, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_gapped_paths())
+def test_gap_positions_equal_the_weighted_velocity_oracle_exactly(case):
+    path, field, queries = case
+    for t in queries:
+        assert position_at(path, field, t) == position_in_gap(path.trajectory, field, t)
+
+
+def test_one_path_follows_the_field_it_is_asked_with():
+    path = path_of([(0, 30, 30), (4, 35, 32), (9, 40, 38)])
+    fields = [field_from([(0.5, 0.2)] * 12, alpha=0.5), field_from([(-1.0, 0.7)] * 3 + [(2.0, 0.0)] * 9)]
+    for field in [*fields, *fields]:
+        for t in (1.3, 4.5, 8.9):
+            assert position_at(path, field, t) == position_in_gap(path.trajectory, field, t)
 
 
 class TestExtrapolationStates:

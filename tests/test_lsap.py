@@ -63,3 +63,20 @@ def test_inf_entries_are_avoided_when_possible():
 def test_invalid_and_infeasible_costs_raise(cost, match):
     with pytest.raises(ValueError, match=match):
         linear_sum_assignment(cost)
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [
+        [[-1e308, -1e308], [-1e308, 0.0]],
+        [[1e308, 1e308], [1e308, 0.0]],
+        [[1e308, 1e308], [-1e308, -1e308]],
+    ],
+    ids=["sum-overflows-to-minus-inf", "sum-overflows-to-inf", "row-sums-overflow-both-ways"],
+)
+def test_huge_finite_entries_that_overflow_the_sum_still_solve(cost):
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment as scipy_lsa
+
+    rows, cols = scipy_lsa(np.array(cost))
+    assert linear_sum_assignment(cost) == (rows.tolist(), cols.tolist())
