@@ -26,6 +26,8 @@ GOLDEN_SHA256 = {
     "percentile_50.svg": "a9de5b18be5eed93ba5e0748f5c367db85b1169da59961411e0a9172baf65fc7",
     "percentile_75.svg": "20f1cbcd4f69980bfaaeb777e5f5ba96753d00b159add29d8aee5e9915464f6f",
     "percentile_95.svg": "b0b55c7fa7afa6bacf10f239bfdf923d29d4aa63b1556aa952fe0c2c6585e0dd",
+    "trajectories_half1.json": "dd7c6fd6a31cf3486ec2a2f668b648417a61e147fba8c3bcdf8244f3e8c88a7b",
+    "trajectories_half2.json": "2b4b084b14cf45fc8215a3c84f6217ba137258dc36b8db97d2ca0c68b44bfda0",
 }
 
 
