@@ -965,7 +965,7 @@ def _check_assignment(
         for fr in record.frames
         for tag, p in fr.visible
     )
-    if held != seen:
+    if held.items() != seen.items():  # compared in C; Counter.__eq__ loops in Python
         t = min(key[0] for key in (held - seen) + (seen - held))
         raise MalformedInputError(
             f"{path}: frame {frame_index[t]}: the trajectories do not hold the frame's "
