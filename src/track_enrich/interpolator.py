@@ -136,22 +136,21 @@ class ContinuousPath:
     trajectory: Trajectory
     model: ForecastModel
     ball: GridSeries
-    _knots: tuple[VelocityField | None, array, array] = field(
-        default=(None, array("d"), array("d")), init=False, repr=False, compare=False
+    _knots: tuple[VelocityField, array, array] | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def knot_integrals(self, field_: VelocityField) -> tuple[array, array]:
         """``field_._antiderivative`` at each recorded time as x and y arrays
         (16 bytes a point, not a tuple's 104), kept for the last field asked."""
-        owner, fx, fy = self._knots
-        if owner is not field_:
+        if self._knots is None or self._knots[0] is not field_:
             fx, fy = array("d"), array("d")
             for t in self.trajectory.times:
                 x, y = field_._antiderivative(t)
                 fx.append(x)
                 fy.append(y)
             self._knots = (field_, fx, fy)
-        return fx, fy
+        return self._knots[1], self._knots[2]
 
     @cached_property
     def ahead(self) -> ForecastState:

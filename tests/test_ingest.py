@@ -853,8 +853,7 @@ def _point_index(draw, doc):
 
 
 def _replace_document(doc, draw):
-    doc.clear()
-    doc["document"] = draw(_json)  # written alone, below
+    return draw(_json)  # the one edit that returns a new document
 
 
 def _replace_model_sha256(doc, draw):
@@ -946,8 +945,8 @@ def test_trajectories_round_trip_and_every_hostile_edit_raises_naming_the_file(
     write_trajectories(trajectories, "ab" * 32, path)
     if mutation is not None:
         doc = json.loads(path.read_text())
-        mutation(doc, data.draw)
-        path.write_text(json.dumps(doc.get("document", doc)))
+        new = mutation(doc, data.draw)
+        path.write_text(json.dumps(new if mutation is _replace_document else doc))
         with pytest.raises(MalformedInputError, match=str(path)):
             read_trajectories(path, record)
         return
