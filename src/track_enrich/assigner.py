@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .forecaster import Forecast, ForecastModel, ForecastState, GridSeries, resample_to_grid
 from .geometry import (
@@ -110,30 +109,14 @@ def _seed_keeper(
 
 @dataclass
 class TrackedTeams:
-    """Constructed trajectories for one half: 10 outfield per team plus keepers,
-    and the ball grid their forecasts ran on."""
+    """Constructed trajectories for one half: 10 outfield per team plus keepers."""
 
     outfield: dict[str, list[Trajectory]]
     keepers: dict[str, Trajectory]
-    ball: GridSeries
-
-    def all_outfield(self) -> list[Trajectory]:
-        return [t for team in (HOME, AWAY) for t in self.outfield[team]]
 
     def in_order(self) -> list[Trajectory]:
         """Every trajectory: home outfield, home keeper, away outfield, away keeper."""
         return [t for team in (HOME, AWAY) for t in (*self.outfield[team], self.keepers[team])]
-
-    @classmethod
-    def from_order(cls, trajectories: Sequence[Trajectory], ball: GridSeries) -> TrackedTeams:
-        """The inverse of ``in_order``."""
-        n = N_OUTFIELD + 1
-        teams = {HOME: trajectories[:n], AWAY: trajectories[n : 2 * n]}
-        return cls(
-            outfield={team: list(ts[:N_OUTFIELD]) for team, ts in teams.items()},
-            keepers={team: ts[N_OUTFIELD] for team, ts in teams.items()},
-            ball=ball,
-        )
 
 
 def ball_grid(record: DiscreteMatchRecord, grid_step: float) -> GridSeries:
@@ -178,4 +161,4 @@ def build_trajectories(record: DiscreteMatchRecord, model: ForecastModel) -> Tra
             if seen_keeper:
                 keepers[team].append(frame.time, seen_keeper[0])
 
-    return TrackedTeams(outfield=outfield, keepers=keepers, ball=ball)
+    return TrackedTeams(outfield=outfield, keepers=keepers)

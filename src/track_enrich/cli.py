@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -129,11 +130,13 @@ def _load_records(cfg: PipelineConfig):
             axis_disagreement_m=cfg.axis_disagreement_m,
         )
         return records, errors
-    records = []
-    for half_id in (1, 2):
-        path = _discrete_path(cfg, half_id)
-        if path.exists():
-            records.append(ingest.read_discrete(path))
+    # one file per period, as simulate-broadcast names them, in period order
+    periods = sorted(
+        int(m[1])
+        for p in Path(cfg.output_dir).glob("discrete_half*.json")
+        if (m := re.fullmatch(r"discrete_half(0|[1-9][0-9]*)\.json", p.name))
+    )
+    records = [ingest.read_discrete(_discrete_path(cfg, n)) for n in periods]
     if not records:
         raise ConfigError(
             f"no discrete input: neither frames_360_json nor {Path(cfg.output_dir)}/"
@@ -157,11 +160,12 @@ def cmd_enrich(cfg: PipelineConfig) -> int:
         print(f"{len(errors)} frames excluded -> {out_dir / 'axis_errors.json'}")
     for record in records:
         started = time.perf_counter()
-        paths = pipeline.build_paths(record, model, alpha=cfg.alpha)
+        trajectories = pipeline.build_trajectories(record, model).in_order()
         # written before the frames exist, so the two never share the peak
         ingest.write_trajectories(
-            paths.tracked.in_order(), model_sha256, _trajectories_path(cfg, record.half_id)
+            trajectories, model_sha256, _trajectories_path(cfg, record.half_id)
         )
+        paths = pipeline.build_paths(record, model, trajectories, alpha=cfg.alpha)
         frames = pipeline.enrich_frames(paths, period=cfg.enrich_period_s)
         elapsed = time.perf_counter() - started
         out_path = out_dir / f"enriched_half{record.half_id}.json"
@@ -211,7 +215,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
             raise ConfigError(
                 f"{path} was assigned with another model than {cfg.model_path} (run enrich again)"
             )
-        paths = pipeline.build_paths(record, model, alpha=cfg.alpha, trajectories=trajectories)
+        paths = pipeline.build_paths(record, model, trajectories, alpha=cfg.alpha)
         result = evaluator.evaluate_half(record, paths, truth)
         if not results and len(result.frame_errors) >= 100:
             for pct, fe in evaluator.percentile_frames(result.frame_errors):

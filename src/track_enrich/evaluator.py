@@ -116,8 +116,6 @@ def match_and_score(
 
 @dataclass(frozen=True, slots=True)
 class PredictionRow:
-    half_id: int
-    time: float
     phase: str
     provenance: str
     error_m: float
@@ -158,7 +156,7 @@ def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf)
     rows: list[PredictionRow] = []
     skipped: list[float] = []
 
-    outfield_paths = [*paths.outfield[HOME], *paths.outfield[AWAY]]
+    outfield_paths = [p for p in paths.paths if not p.trajectory.tag.is_goalkeeper]
 
     def score_at(t: float, phase: str, prev_time: float | None) -> FrameError:
         snapshot, ages = snapshot_at(paths, t)
@@ -172,8 +170,6 @@ def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf)
         for (provenance, age), path, err in zip(outfield, outfield_paths, fe.errors, strict=True):
             rows.append(
                 PredictionRow(
-                    half_id=record.half_id,
-                    time=t,
                     phase=phase,
                     provenance=provenance,
                     error_m=err,

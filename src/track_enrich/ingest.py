@@ -1,5 +1,5 @@
 """Readers and writers for tracking CSVs, event data, 360-style frame JSON,
-the enriched output format and the assigned trajectories.
+discrete halves and the assigned trajectories, and the enriched output's writer.
 
 Tracking data is one wide CSV per team (Metrica layout; see the README for
 the full contract).  The reader takes the ``Period`` column, the first
@@ -42,7 +42,6 @@ from .geometry import (
     PITCH_LENGTH_M,
     PITCH_WIDTH_M,
     EnrichedFrame,
-    EnrichedPlayer,
     MalformedInputError,
     ObservationFrame,
     PitchPoint,
@@ -724,9 +723,12 @@ def _tag(d: dict) -> PlayerTag:
 
 
 def load_json(path: str | Path):
-    """The JSON document in ``path``; invalid JSON raises MalformedInputError."""
+    """The JSON document in ``path``; a directory or invalid JSON raises
+    MalformedInputError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf8"))
+    except IsADirectoryError:
+        raise MalformedInputError(f"{path} is a directory, not a JSON file") from None
     except ValueError as e:
         raise MalformedInputError(f"{path} is not valid JSON: {e}") from None
 
@@ -770,22 +772,6 @@ def write_enriched(frames: Sequence[EnrichedFrame], path: str | Path) -> None:
         for fr in frames
     ]
     Path(path).write_text(_json_array(lines) + "\n", encoding="utf8")
-
-
-def _enriched_frame(time: float, ball: PitchPoint, players: list[dict]) -> EnrichedFrame:
-    return EnrichedFrame(
-        time=time,
-        ball=ball,
-        players=tuple(
-            EnrichedPlayer(_tag(p), _point(p), "observed" if _flag(p, "visible") else "estimated")
-            for p in players
-        ),
-    )
-
-
-def read_enriched(path: str | Path) -> list[EnrichedFrame]:
-    """Read an enriched file; a malformed one raises MalformedInputError."""
-    return _read_frames(path, load_json(path), _enriched_frame)
 
 
 def write_discrete(record: DiscreteMatchRecord, path: str | Path) -> None:

@@ -8,29 +8,21 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
-from .assigner import TrackedTeams, ball_grid, build_trajectories
+# enrich runs the assigner through this module, where perfbench/tracing.py wraps it
+from .assigner import ball_grid, build_trajectories  # noqa: F401
 from .forecaster import ForecastModel
-from .geometry import (
-    AWAY,
-    HOME,
-    EnrichedFrame,
-    EnrichedPlayer,
-    PitchPoint,
-    Trajectory,
-    lerp,
-)
+from .geometry import EnrichedFrame, EnrichedPlayer, PitchPoint, Trajectory, lerp
 from .ingest import DiscreteMatchRecord
 from .interpolator import ContinuousPath, VelocityField, compute_velocity_field, position_at
 
 
 @dataclass
 class PathSet:
-    """Continuous paths for a whole half plus the shared velocity field, and
-    the record they were built from."""
+    """Continuous paths for a whole half, in the assigner's order
+    (``TrackedTeams.in_order``), plus the shared velocity field, and the
+    record they were built from."""
 
-    tracked: TrackedTeams
-    outfield: dict[str, list[ContinuousPath]]
-    keepers: dict[str, ContinuousPath]
+    paths: list[ContinuousPath]
     field: VelocityField
     record: DiscreteMatchRecord
 
@@ -51,31 +43,17 @@ class PathSet:
 def build_paths(
     record: DiscreteMatchRecord,
     model: ForecastModel,
+    trajectories: Sequence[Trajectory],
     *,
-    alpha: float = 0.5,
-    trajectories: Sequence[Trajectory] | None = None,
+    alpha: float,
 ) -> PathSet:
-    """Wrap a half's trajectories as continuous paths: ``trajectories`` in the
-    assigner's order (``TrackedTeams.in_order``) when given, else those the
-    assigner builds from ``record``."""
-    if trajectories is None:
-        tracked = build_trajectories(record, model)
-    else:
-        tracked = TrackedTeams.from_order(trajectories, ball_grid(record, model.grid_step))
-    field = compute_velocity_field(tracked.all_outfield(), alpha, model.grid_step)
-    outfield = {
-        team: [ContinuousPath(t, model, tracked.ball) for t in tracked.outfield[team]]
-        for team in (HOME, AWAY)
-    }
-    keepers = {
-        team: ContinuousPath(tracked.keepers[team], model, tracked.ball)
-        for team in (HOME, AWAY)
-    }
+    """Wrap a half's trajectories, in the assigner's order, as continuous paths;
+    the outfield ones make the velocity field."""
+    ball = ball_grid(record, model.grid_step)
+    outfield = [t for t in trajectories if not t.tag.is_goalkeeper]
     return PathSet(
-        tracked=tracked,
-        outfield=outfield,
-        keepers=keepers,
-        field=field,
+        paths=[ContinuousPath(t, model, ball) for t in trajectories],
+        field=compute_velocity_field(outfield, alpha, model.grid_step),
         record=record,
     )
 
@@ -106,19 +84,18 @@ def snapshot_at(paths: PathSet, t: float) -> tuple[EnrichedFrame, list[float]]:
     """
     players: list[EnrichedPlayer] = []
     ages: list[float] = []
-    for team in (HOME, AWAY):
-        for path in [*paths.outfield[team], paths.keepers[team]]:
-            traj = path.trajectory
-            observed = traj.observed_at(t)
-            pos = position_at(path, paths.field, t)
-            players.append(
-                EnrichedPlayer(
-                    tag=traj.tag,
-                    position=pos,
-                    provenance="observed" if observed else "estimated",
-                )
+    for path in paths.paths:
+        traj = path.trajectory
+        observed = traj.observed_at(t)
+        pos = position_at(path, paths.field, t)
+        players.append(
+            EnrichedPlayer(
+                tag=traj.tag,
+                position=pos,
+                provenance="observed" if observed else "estimated",
             )
-            ages.append(seconds_to_nearest_observation(traj, t))
+        )
+        ages.append(seconds_to_nearest_observation(traj, t))
     frame = EnrichedFrame(time=t, ball=paths.ball_at(t), players=tuple(players))
     return frame, ages
 

@@ -1,7 +1,9 @@
-"""Reference computations the tests compare the package against.
+"""Reference computations the tests compare the package against, and the
+reader of the enriched output the tests check.
 
 They are built from the package's own pieces (forecast states, the velocity
-field's nodes, the 360 reader's flip) but are not used by the pipeline.
+field's nodes, the 360 reader's flip, the JSON readers' field checks) but are
+not used by the pipeline.
 """
 
 from bisect import bisect_right
@@ -9,8 +11,8 @@ from bisect import bisect_right
 import numpy as np
 
 from track_enrich.forecaster import Forecast, ForecastModel, GridSeries, backward_state, forward_state
-from track_enrich.geometry import PitchPoint, Trajectory, clamp_to_pitch
-from track_enrich.ingest import _flip
+from track_enrich.geometry import EnrichedFrame, EnrichedPlayer, PitchPoint, Trajectory, clamp_to_pitch
+from track_enrich.ingest import _flag, _flip, _point, _read_frames, _tag, load_json
 from track_enrich.interpolator import VelocityField
 from track_enrich.lsap import linear_sum_assignment
 
@@ -112,3 +114,20 @@ def match_team(est: list[PitchPoint], truth: list[PitchPoint]) -> list[float]:
 def flip_point(p: PitchPoint) -> PitchPoint:
     """Rotate a position half a turn about the pitch centre, as the 360 reader does."""
     return PitchPoint(*_flip(p.x, p.y))
+
+
+def _enriched_frame(time: float, ball: PitchPoint, players: list[dict]) -> EnrichedFrame:
+    return EnrichedFrame(
+        time=time,
+        ball=ball,
+        players=tuple(
+            EnrichedPlayer(_tag(p), _point(p), "observed" if _flag(p, "visible") else "estimated")
+            for p in players
+        ),
+    )
+
+
+def read_enriched(path) -> list[EnrichedFrame]:
+    """Read a file ``ingest.write_enriched`` wrote; a malformed one raises
+    MalformedInputError."""
+    return _read_frames(path, load_json(path), _enriched_frame)

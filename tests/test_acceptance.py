@@ -127,7 +127,7 @@ def match1_report(match1_halves, match1_records):
     assert 0.1 < model.resid_std < 3.0, f"implausible resid_std {model.resid_std}"
     results = []
     for half, record in zip(match1_halves, match1_records):
-        paths = build_paths(record, model, alpha=0.5)
+        paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
         results.append(evaluate_half(record, paths, half))
     elapsed = time.perf_counter() - started
     return build_report(results), elapsed
@@ -176,7 +176,8 @@ def test_report_has_the_keys_criteria_2_and_3_read(model):
     """Criteria 2 and 3 skip without the data; a renamed key must still fail."""
     half = synth_half(seconds=60.0, fps=5, seed=55)
     record = degrade(half, DegradeConfig(1.0, 30.0, 3))
-    report = build_report([evaluate_half(record, build_paths(record, model, alpha=0.5), half)])
+    paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
+    report = build_report([evaluate_half(record, paths, half)])
     for _, key, _ in CRITERION_2_BOUNDS:
         assert isinstance(report[key], float), key
     assert report["curve"]
@@ -423,11 +424,12 @@ def test_criterion_4_total_runtime(clock):
 def test_criterion_5_oracle_identity(model):
     half = synth_half(seconds=300.0, fps=5, seed=90, half_id=1, calm=True)
     record = degrade(half, DegradeConfig(1.0, 1e9, 30))
-    paths = build_paths(record, model, alpha=0.5)
+    paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
     result = evaluate_half(record, paths, half)
     in_rows = [r for r in result.rows if r.phase == IN_PHASE]
     max_err = max(r.error_m for r in in_rows)
-    switches = count_identity_switches(half, paths.tracked.all_outfield())
+    outfield = [p.trajectory for p in paths.paths if not p.trajectory.tag.is_goalkeeper]
+    switches = count_identity_switches(half, outfield)
     ok = max_err == 0.0 and switches == 0
     report_line(
         "criterion-5 oracle identity",

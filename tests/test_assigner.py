@@ -188,7 +188,7 @@ class TestBuildTrajectories:
     def test_full_visibility_keeps_identities(self, model, calm_half):
         record = degrade(calm_half, DegradeConfig(1.0, 1e9, 3))
         tracked = build_trajectories(record, model)
-        switches = count_identity_switches(calm_half, tracked.all_outfield())
+        switches = count_identity_switches(calm_half, [*tracked.outfield[HOME], *tracked.outfield[AWAY]])
         assert switches == 0
 
     def test_keeper_stream_appends_sightings(self, model):

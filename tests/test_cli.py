@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from oracles import read_enriched
 from synth import synth_half, write_metrica_csvs
 
 from track_enrich.broadcast import DegradeConfig, degrade
 from track_enrich.cli import main
 from track_enrich.forecaster import ForecastModel, save_model
 from track_enrich.geometry import MalformedInputError
-from track_enrich.ingest import read_360_frames, read_enriched, write_discrete
+from track_enrich.ingest import read_360_frames, write_discrete
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +407,57 @@ def test_enrich_model_path_directory_exits_2(tmp_path, tiny_enrich):
     run = _enrich_copy(tmp_path, tiny_enrich, config={"model_path": str(tmp_path / "out")})
     assert run.returncode == 2
     assert f"model_path: no such file: {tmp_path / 'out'}" in run.stderr
+
+
+def test_discrete_half_that_is_a_directory_exits_2(tmp_path, tiny_enrich):
+    shutil.copytree(tiny_enrich, tmp_path, dirs_exist_ok=True)
+    discrete = tmp_path / "out" / "discrete_half1.json"
+    discrete.unlink()
+    discrete.mkdir()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model_path": str(tmp_path / "model.json"), "output_dir": str(tmp_path / "out")}))
+    run = _cli("enrich", "--config", cfg)
+    assert run.returncode == 2
+    assert f"{discrete} is a directory" in run.stderr
+    assert not (tmp_path / "out" / "enriched_half1.json").exists()
+
+
+def test_every_period_is_enriched_and_evaluated(tmp_path, tiny_enrich, capsys):
+    """Extra time: simulate-broadcast writes one discrete file per period, and
+    enrich and evaluate read each of them, in period order."""
+    halves = [synth_half(seconds=60.0, fps=5, seed=80 + n, half_id=n) for n in (1, 2, 3)]
+    write_metrica_csvs(halves, tmp_path / "home.csv", tmp_path / "away.csv")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "model_path": str(tiny_enrich / "model.json"),
+                "output_dir": str(tmp_path / "out"),
+                "test_home_csv": str(tmp_path / "home.csv"),
+                "test_away_csv": str(tmp_path / "away.csv"),
+                "trim_frames": 2,
+            }
+        )
+    )
+    assert main(["simulate-broadcast", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    # names that are no canonical period number are not inputs
+    shutil.copy(out / "discrete_half1.json", out / "discrete_half01.json")
+    shutil.copy(out / "discrete_half1.json", out / "discrete_half+1.json")
+    capsys.readouterr()
+    assert main(["enrich", "--config", str(cfg)]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "half 1",
+        "half 2",
+        "half 3",
+    ]
+    for n in (1, 2, 3):
+        assert (out / f"enriched_half{n}.json").is_file()
+        assert (out / f"trajectories_half{n}.json").is_file()
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert sorted(report["per_half"]) == ["1", "2", "3"]
+    assert report["n_frames"] == 3 * 57
 
 
 def test_non_utf8_config_exits_2(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import match_team
 from synth import synth_half
 
+from track_enrich.assigner import build_trajectories
 from track_enrich.broadcast import DegradeConfig, degrade
 from track_enrich.evaluator import (
     FrameError,
@@ -192,7 +193,7 @@ class TestSvg:
 def scored(model):
     half = synth_half(seconds=120.0, fps=5, seed=33)
     record = degrade(half, DegradeConfig(1.0, 1e9, 3))  # everyone visible
-    paths = build_paths(record, model, alpha=0.5)
+    paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
     result = evaluate_half(record, paths, half)
     return half, record, result
 
@@ -201,7 +202,7 @@ def scored(model):
 def occluded(model):
     half = synth_half(seconds=150.0, fps=5, seed=44)
     record = degrade(half, DegradeConfig(1.0, 30.0, 3))
-    paths = build_paths(record, model, alpha=0.5)
+    paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
     return record, paths, evaluate_half(record, paths, half)
 
 
@@ -277,15 +278,19 @@ class TestEvaluateHalf:
 
     def test_rows_align_with_outfield_paths(self, occluded):
         record, paths, result = occluded
-        trajs = [path.trajectory for team in (HOME, AWAY) for path in paths.outfield[team]]
+        trajs = [p.trajectory for p in paths.paths if not p.trajectory.tag.is_goalkeeper]
+        assert [t.tag.team for t in trajs] == [HOME] * 10 + [AWAY] * 10
+        # each frame time, then the midpoint to the next frame
+        times = [fr.time for fr in record.frames]
+        query_times = [q for a, b in zip(times, times[1:]) for q in (a, a + 0.5 * (b - a))]
+        query_times.append(times[-1])
         # no query time is skipped, so the rows come in blocks of 20 per time
-        assert len(result.rows) == 20 * (2 * len(record.frames) - 1)
+        assert len(result.rows) == 20 * len(query_times)
         prev = None
-        for k in range(0, len(result.rows), 20):
-            block = result.rows[k : k + 20]
-            t = block[0].time
+        for k, t in enumerate(query_times):
+            block = result.rows[20 * k : 20 * k + 20]
             for row, traj in zip(block, trajs):
-                assert row.time == t
+                assert row.phase == (IN_PHASE if k % 2 == 0 else OUT_OF_PHASE)
                 assert (row.provenance == "observed") == traj.observed_at(t)
                 assert row.seconds_to_obs == seconds_to_nearest_observation(traj, t)
                 # an out-of-phase row follows the in-phase row of the frame before
@@ -338,7 +343,7 @@ def test_pin_by_position_equals_the_linear_scan(data, n):
     )
 )
 def test_curve_equals_four_separate_percentiles(errors):
-    rows = [PredictionRow(1, 0.0, IN_PHASE, "estimated", e, age, False, False) for e, age in errors]
+    rows = [PredictionRow(IN_PHASE, "estimated", e, age, False, False) for e, age in errors]
     for bucket in _curve(rows):
         vals = np.asarray([e for e, age in errors if round(age * 2.0) / 2.0 == bucket["bucket_s"]])
         for key, q in (("p12_5_m", 12.5), ("p87_5_m", 87.5), ("p2_5_m", 2.5), ("p97_5_m", 97.5)):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import flip_point
+from oracles import flip_point, read_enriched
 from synth import synth_half, write_metrica_csvs
 
 from track_enrich.assigner import build_trajectories
@@ -33,7 +33,6 @@ from track_enrich.ingest import (
     attach_events,
     read_360_frames,
     read_discrete,
-    read_enriched,
     read_tracking_csv,
     read_trajectories,
     write_axis_errors,

@@ -4,8 +4,11 @@ import pytest
 
 from synth import synth_half
 
+from track_enrich.assigner import build_trajectories
 from track_enrich.broadcast import DegradeConfig, degrade
+from track_enrich.evaluator import evaluate_half
 from track_enrich.geometry import AWAY, HOME, PitchPoint, PlayerTag, Trajectory
+from track_enrich.ingest import read_trajectories, write_trajectories
 from track_enrich.pipeline import (
     build_paths,
     enrich_frames,
@@ -18,7 +21,8 @@ from track_enrich.pipeline import (
 def degraded(model):
     half = synth_half(seconds=120.0, fps=5, seed=55)
     record = degrade(half, DegradeConfig(1.0, 30.0, 5))
-    return half, record, build_paths(record, model, alpha=0.5)
+    trajectories = build_trajectories(record, model).in_order()
+    return half, record, build_paths(record, model, trajectories, alpha=0.5)
 
 
 class TestSnapshotAt:
@@ -113,3 +117,18 @@ class TestEnrichFrames:
         want = math.floor(t1 / 2.0) - math.ceil(t0 / 2.0) + 1
         assert len(frames) == want
         assert all(f.time % 2.0 == 0.0 for f in frames)
+
+
+def test_paths_from_the_trajectories_file_equal_the_assigners(degraded, model, tmp_path):
+    """enrich builds a half's paths from the assigner's list and evaluate from
+    the file enrich wrote of it: both give the same frames and scores."""
+    half, record, built = degraded
+    path = tmp_path / "trajectories_half1.json"
+    write_trajectories([p.trajectory for p in built.paths], "model-sha256", path)
+    sha256, trajectories = read_trajectories(path, record)
+    assert sha256 == "model-sha256"
+    read = build_paths(record, model, trajectories, alpha=0.5)
+    assert enrich_frames(read) == enrich_frames(built)
+    got, want = evaluate_half(record, read, half), evaluate_half(record, built, half)
+    assert got.rows and got.rows == want.rows
+    assert got.frame_errors == want.frame_errors
