@@ -137,6 +137,11 @@ def _load_records(cfg: PipelineConfig):
         if (m := re.fullmatch(r"discrete_half(0|[1-9][0-9]*)\.json", p.name))
     )
     records = [ingest.read_discrete(_discrete_path(cfg, n)) for n in periods]
+    for n, record in zip(periods, records):  # one half's outputs must not overwrite another's
+        if record.half_id != n:
+            raise MalformedInputError(
+                f"{_discrete_path(cfg, n)}: half_id {record.half_id}, not {n} as in its name"
+            )
     if not records:
         raise ConfigError(
             f"no discrete input: neither frames_360_json nor {Path(cfg.output_dir)}/"

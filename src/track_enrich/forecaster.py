@@ -91,11 +91,6 @@ class GridSeries:
             rows.append([disp[j] if 0 <= j < len(disp) else 0.0 for j in range(i, i - n, -1)])
         return rows
 
-    @cached_property
-    def reversed(self) -> GridSeries:
-        """The series time-reversed about t=0 (displacements change sign)."""
-        return GridSeries(-self.end_k, self.step, self.values[::-1])
-
 
 def resample_to_grid(
     times: Sequence[float], points: Sequence[PitchPoint], grid_step: float = 1.0
@@ -287,7 +282,8 @@ class ForecastState:
         prev = self._grid_pos
         ks, dx, dy = [], [], []
         for k in range(k_next, k_hi + 1):
-            value = lerp(self.pos_last, self.t_last, point, t, k * step)
+            at_sighting = abs(t - k * step) <= _TOL  # taken exactly, as resample_to_grid does
+            value = point if at_sighting else lerp(self.pos_last, self.t_last, point, t, k * step)
             if prev is not None:
                 ks.append(k)
                 dx.append(value.x - prev.x)
@@ -373,15 +369,6 @@ def forward_state(model: ForecastModel, traj: Trajectory, ball: GridSeries) -> F
     state = ForecastState(model, ball)
     for t, p in zip(traj.times, traj.points):
         state.append(t, p)
-    return state
-
-
-def backward_state(model: ForecastModel, traj: Trajectory, ball: GridSeries) -> ForecastState:
-    """A state over the time-reversed trajectory: ``forecast_at(-t)`` forecasts
-    ``t`` at or before the first sighting."""
-    state = ForecastState(model, ball.reversed)
-    for t, p in zip(reversed(traj.times), reversed(traj.points)):
-        state.append(-t, p)
     return state
 
 

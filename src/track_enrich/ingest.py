@@ -27,6 +27,7 @@ import csv
 import json
 import logging
 import math
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -865,7 +866,13 @@ def write_trajectories(
 
 def _numbers(d: dict, key: str) -> list:
     values = d.get(key)
-    if not (isinstance(values, list) and all(map(is_finite_number, values))):
+    # all(map(is_finite_number, values)) in C calls, for a half's ~117k numbers:
+    # max >= abs(v) is exact for an int, and false for NaN and the infinities
+    if not (
+        isinstance(values, list)
+        and {*map(type, values)} <= {int, float}
+        and all(map(sys.float_info.max.__ge__, map(abs, values)))
+    ):
         raise MalformedInputError(f"{key} must be an array of finite numbers")
     return values
 
@@ -895,10 +902,10 @@ def read_trajectories(
     A malformed file raises MalformedInputError naming the file and the
     trajectory: it must hold 10 outfield trajectories and a keeper per team
     in the assigner's order, each with finite numbers and increasing times.
-    So does a file that does not fit ``record``: every point must sit at a
-    frame time, a seed only at the first frame, and at each frame each team's
-    outfield and keeper points must equal, as multisets, the frame's visible
-    ones.
+    So does a file that does not fit ``record``: every trajectory must start
+    at the first frame, with its seed or its first sighting, every point must
+    sit at a frame time, and at each frame each team's outfield and keeper
+    points must equal, as multisets, the frame's visible ones.
     """
     doc = load_json(path)
     if not (
@@ -937,9 +944,9 @@ def _check_assignment(
                 raise MalformedInputError(
                     f"{path}: trajectory {k}: a point at t={t!r}, which is no frame time"
                 )
-        if traj.seeded and traj.times[0] != first:
+        if traj.times[0] != first:
             raise MalformedInputError(
-                f"{path}: trajectory {k}: a seed at t={traj.times[0]!r}, not at the first frame"
+                f"{path}: trajectory {k}: starts at t={traj.times[0]!r}, not at the first frame"
             )
         tag, skip = traj.tag, int(traj.seeded)
         held.update(

@@ -4,8 +4,9 @@ Between two consecutive recorded points the path is the straight line plus a
 correction driven by the crowd: the average displacement of all outfield
 players observed over each grid interval defines a piecewise-linear velocity
 ``u``, and the path follows the weighted integral of ``u`` where it deviates
-from its own straight-line average.  Outside the recorded span the path
-defers to the forecaster's mean.
+from its own straight-line average.  Past the last recorded point the path
+defers to the forecaster's mean.  Every trajectory starts at its record's first
+frame, so before its first point the path holds that point.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .forecaster import (
-    ForecastModel,
-    ForecastState,
-    GridSeries,
-    backward_state,
-    forward_state,
-)
+from .forecaster import ForecastModel, ForecastState, GridSeries, forward_state
 from .geometry import PitchPoint, Trajectory, clamp_to_pitch
 
 _TOL = 1e-9
@@ -127,7 +122,7 @@ def compute_velocity_field(
 class ContinuousPath:
     """A trajectory with everything needed to evaluate it at any time.
 
-    The forecast states past either end of the span, and the velocity field's
+    The forecast state past the end of the span, and the velocity field's
     antiderivative at each recorded time, are built on the first query that
     needs them and then reused, so the trajectory must be complete before
     that query.
@@ -156,27 +151,23 @@ class ContinuousPath:
     def ahead(self) -> ForecastState:
         return forward_state(self.model, self.trajectory, self.ball)
 
-    @cached_property
-    def behind(self) -> ForecastState:
-        return backward_state(self.model, self.trajectory, self.ball)
-
 
 def position_at(path: ContinuousPath, field_: VelocityField, t: float) -> PitchPoint:
     """Evaluate the continuous path at ``t``.
 
     Recorded times reproduce their points exactly; gaps between recorded
-    points follow the velocity-corrected interpolation; times outside the
-    recorded span fall back to the forecast mean (backwards before the first
-    sighting).  The result is clamped to the pitch.
+    points follow the velocity-corrected interpolation; times past the last
+    recorded point fall back to the forecast mean, and a time before the first
+    holds that point.  The result is clamped to the pitch.
     """
     times, points = path.trajectory.times, path.trajectory.points
     if not times:
         raise ValueError("cannot evaluate an empty trajectory")
     i = bisect_right(times, t) - 1  # the last recorded time at or before t
-    if i >= 0 and times[i] == t:
-        return points[i]
     if i < 0:
-        return path.behind.forecast_at(-t).mean
+        return clamp_to_pitch(points[0].x, points[0].y)
+    if times[i] == t:
+        return points[i]
     if i == len(times) - 1:
         return path.ahead.forecast_at(t).mean
     # w(s, t) = alpha * (F(t) - F(s)), with F the exact integral of u

@@ -10,13 +10,11 @@ from bisect import bisect_right
 
 import numpy as np
 
-from track_enrich.forecaster import Forecast, ForecastModel, GridSeries, backward_state, forward_state
+from track_enrich.forecaster import Forecast, ForecastModel, GridSeries, forward_state
 from track_enrich.geometry import EnrichedFrame, EnrichedPlayer, PitchPoint, Trajectory, clamp_to_pitch
 from track_enrich.ingest import _flag, _flip, _point, _read_frames, _tag, load_json
 from track_enrich.interpolator import VelocityField
 from track_enrich.lsap import linear_sum_assignment
-
-_TOL = 1e-9
 
 
 def ar_min_root_modulus(ar) -> float:
@@ -34,13 +32,6 @@ def ar_is_stationary(ar) -> bool:
 def forecast(model: ForecastModel, traj: Trajectory, ball: GridSeries, t: float) -> Forecast:
     """Forecast the player's position at ``t``, at or after the last sighting."""
     return forward_state(model, traj, ball).forecast_at(t)
-
-
-def backward_forecast(model: ForecastModel, traj: Trajectory, ball: GridSeries, t: float) -> Forecast:
-    """Forecast at ``t``, at or before the first sighting, by time reversal."""
-    if traj.times and t > traj.times[0] + _TOL:
-        raise ValueError(f"backward forecast time {t} is after first sighting {traj.times[0]}")
-    return backward_state(model, traj, ball).forecast_at(-t)
 
 
 def velocity_at(field: VelocityField, t: float) -> tuple[float, float]:

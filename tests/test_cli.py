@@ -422,6 +422,18 @@ def test_discrete_half_that_is_a_directory_exits_2(tmp_path, tiny_enrich):
     assert not (tmp_path / "out" / "enriched_half1.json").exists()
 
 
+def test_discrete_half_whose_half_id_is_not_its_name_exits_2(tmp_path, tiny_enrich):
+    shutil.copytree(tiny_enrich, tmp_path, dirs_exist_ok=True)
+    copy = tmp_path / "out" / "discrete_half3.json"
+    shutil.copy(tmp_path / "out" / "discrete_half1.json", copy)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model_path": str(tmp_path / "model.json"), "output_dir": str(tmp_path / "out")}))
+    run = _cli("enrich", "--config", cfg)
+    assert run.returncode == 2
+    assert f"{copy}: half_id 1, not 3 as in its name" in run.stderr
+    assert not (tmp_path / "out" / "enriched_half1.json").exists()
+
+
 def test_every_period_is_enriched_and_evaluated(tmp_path, tiny_enrich, capsys):
     """Extra time: simulate-broadcast writes one discrete file per period, and
     enrich and evaluate read each of them, in period order."""
@@ -593,11 +605,11 @@ def _record_from_another_radius(root):
     write_discrete(degrade(half, DegradeConfig(1.0, 15.0, 0)), root / "out" / "discrete_half1.json")
 
 
-def _edit_trajectories(edit):
+def _edit_trajectories(edit, seeded=False):
     def apply(root):
         path = root / "out" / "trajectories_half1.json"
         doc = json.loads(path.read_text())
-        edit(next(t for t in doc["trajectories"] if not t["seeded"] and len(t["times"]) >= 2))
+        edit(next(t for t in doc["trajectories"] if t["seeded"] == seeded and len(t["times"]) >= 2))
         path.write_text(json.dumps(doc))
 
     return apply
@@ -611,6 +623,13 @@ def _point_between_frames(traj):
     traj["times"][-1] += 0.5
 
 
+def _drop_the_seed(traj):
+    # the held points are unchanged, so only the start at the first frame can tell
+    for key in ("times", "x", "y"):
+        del traj[key][0]
+    traj["seeded"] = False
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -618,9 +637,17 @@ def _point_between_frames(traj):
         (_record_from_another_radius, "the trajectories do not hold the frame's visible positions"),
         (_edit_trajectories(_move_a_point), "the trajectories do not hold the frame's visible positions"),
         (_edit_trajectories(_point_between_frames), ", which is no frame time"),
+        (_edit_trajectories(_drop_the_seed, seeded=True), ", not at the first frame"),
         (lambda root: (root / "out" / "trajectories_half1.json").unlink(), "(run enrich first)"),
     ],
-    ids=["model-from-another-fit", "record-from-another-radius", "point-moved-1e-9", "point-between-frames", "no-file"],
+    ids=[
+        "model-from-another-fit",
+        "record-from-another-radius",
+        "point-moved-1e-9",
+        "point-between-frames",
+        "seed-dropped",
+        "no-file",
+    ],
 )
 def test_evaluate_on_stale_or_missing_trajectories_exits_2(tmp_path, tiny_enriched, tiny_truth, edit, message):
     run = _run_on_truth(tmp_path, tiny_enriched, tiny_truth, "evaluate", edit=edit)

@@ -22,7 +22,7 @@ from track_enrich.forecaster import (
 )
 from track_enrich.geometry import MalformedInputError, PitchPoint, PlayerTag, Trajectory
 
-from oracles import backward_forecast, forecast
+from oracles import forecast
 
 
 def make_traj(points, tag=None):
@@ -96,10 +96,15 @@ class TestForecastBasics:
         # Zero displacement coefficients == a pure random walk in levels
         # (levels AR coefficient one): the mean never moves.
         model = simple_model(ar=(0.0, 0.0), ma=(0.0,), exog=(0.0, 0.0), intercept=0.0)
-        traj = make_traj([(0, 30, 20), (1, 32, 22), (2, 34, 24)])
-        for horizon in (1.0, 2.0, 5.0, 17.0):
-            fc = forecast(model, traj, flat_ball(), 2.0 + horizon)
-            assert fc.mean == PitchPoint(34.0, 24.0)
+        # in the second, a + 1.0 * (b - a) is not b: the grid node at a sighting is the sighting
+        for points in (
+            [(0, 30, 20), (1, 32, 22), (2, 34, 24)],
+            [(1, 75.086436, 5.242309), (2, 1.580159, 66.997527)],
+        ):
+            t_last, x, y = points[-1]
+            for horizon in (1.0, 2.0, 5.0, 17.0):
+                fc = forecast(model, make_traj(points), flat_ball(), t_last + horizon)
+                assert fc.mean == PitchPoint(x, y)
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
@@ -276,44 +281,6 @@ class TestSharedRecursion:
         ball = GridSeries(3, 1.0, [PitchPoint(1.0, 2.0), PitchPoint(4.0, 1.0), PitchPoint(6.0, 5.0)])
         assert ball.lagged_displacements([5, 6], 0, 4) == [[2.0, 3.0, 0.0, 0.0], [0.0, 2.0, 3.0, 0.0]]
         assert ball.lagged_displacements([3], 1, 2) == [[0.0, 0.0]]
-        assert ball.reversed.lagged_displacements([-3], 0, 2) == [[-3.0, -2.0]]
-
-
-class TestBackward:
-    def test_one_step_back_symmetry(self):
-        model = simple_model()
-        traj = make_traj([(5, 44, 33), (6, 45, 34)])
-        fc = backward_forecast(model, traj, flat_ball(), 4.0)
-        assert fc.mean == PitchPoint(44.0, 33.0)
-        assert fc.std == model.one_step_std
-
-    def test_zero_coefficients_hold_first_position(self):
-        model = simple_model(ar=(0.0, 0.0), ma=(0.0,), exog=(0.0, 0.0), intercept=0.0)
-        traj = make_traj([(10, 70, 50), (11, 72, 52), (12, 74, 54)])
-        fc = backward_forecast(model, traj, flat_ball(), 3.0)
-        assert fc.mean == PitchPoint(70.0, 50.0)
-
-    def test_matches_forward_on_reversed_data(self):
-        model = simple_model()
-        rng = np.random.default_rng(9)
-        pts = [(float(t), float(rng.uniform(20, 100)), float(rng.uniform(10, 70))) for t in range(4, 9)]
-        ball_vals = [PitchPoint(float(rng.uniform(30, 90)), float(rng.uniform(20, 60))) for _ in range(30)]
-        ball = GridSeries(-8, 1.0, ball_vals)
-        traj = make_traj(pts)
-        # manual reversal about t=0
-        rev = make_traj([(-t, x, y) for t, x, y in reversed(pts)])
-        rev_ball = ball.reversed
-        for t_query in (1.0, 0.0, -2.0, 1.5):
-            back = backward_forecast(model, traj, ball, t_query)
-            fwd = forecast(model, rev, rev_ball, -t_query)
-            assert abs(back.mean.x - fwd.mean.x) < 1e-12
-            assert abs(back.mean.y - fwd.mean.y) < 1e-12
-            assert abs(back.std - fwd.std) < 1e-12
-
-    def test_after_first_sighting_rejected(self):
-        traj = make_traj([(5, 44, 33), (6, 45, 34)])
-        with pytest.raises(ValueError):
-            backward_forecast(simple_model(), traj, flat_ball(), 5.5)
 
 
 class TestIncrementalState:

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from track_enrich.geometry import (
     PitchPoint,
     PlayerTag,
     Trajectory,
+    is_finite_number,
 )
 from track_enrich.ingest import (
     TRAJECTORY_TAGS,
@@ -40,6 +42,7 @@ from track_enrich.ingest import (
     write_enriched,
     write_trajectories,
     _fmt,
+    _numbers,
 )
 
 HOME_CSV = """,,,Home,,Home,,,
@@ -920,6 +923,13 @@ def _shorten_one_array(doc, draw):
     traj[draw(st.sampled_from(["times", "x", "y"]))].pop()
 
 
+def _drop_the_first_point(doc, draw):
+    traj = draw(st.sampled_from([t for t in doc["trajectories"] if len(t["times"]) >= 2]))
+    for key in ("times", "x", "y"):
+        del traj[key][0]
+    traj["seeded"] = False
+
+
 _HOSTILE = [
     _replace_document,
     _replace_model_sha256,
@@ -931,6 +941,7 @@ _HOSTILE = [
     _move_a_time_off_its_frame,
     _break_the_time_order,
     _shorten_one_array,
+    _drop_the_first_point,
 ]
 
 
@@ -952,6 +963,29 @@ def test_trajectories_round_trip_and_every_hostile_edit_raises_naming_the_file(
     sha256, got = read_trajectories(path, record)
     assert sha256 == "ab" * 32
     assert got == trajectories
+
+
+_MAX_INT = int(sys.float_info.max)  # ints just past it round to it as floats
+_NUMBER_LIKE = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.integers(-(2**1100), 2**1100),
+    st.sampled_from([_MAX_INT, _MAX_INT + 1, -_MAX_INT - 1, 2**1024, math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.floats(), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.integers()) | st.lists(_NUMBER_LIKE))
+def test_numbers_accepts_a_list_exactly_when_each_is_a_finite_number(values):
+    if all(map(is_finite_number, values)):
+        assert _numbers({"x": values}, "x") is values
+    else:
+        with pytest.raises(MalformedInputError, match="x must be an array of finite numbers"):
+            _numbers({"x": values}, "x")
 
 
 def test_trajectories_file_is_byte_deterministic_and_holds_floats_exactly(tmp_path, assigned):
