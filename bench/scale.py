@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 bench/scale.py [--out BENCH_1.json]
+    python3 bench/scale.py [--out PATH]
 
 The first run writes one synthetic match (two 45-minute halves at 25 fps,
 ``tests/synth.py``'s ``synth_half`` with seeds 21 and 22, written with
@@ -15,7 +15,8 @@ and peak anonymous resident set (``RssAnon``, polled) recorded.  One more
 process times ``read_tracking_csv`` on the match and, under tracemalloc,
 measures the bytes a read allocates at its peak and the bytes a read match
 keeps.  The results, the report's two error figures and the machine's
-description go to the output JSON.
+description go to the output JSON: ``--out``, or else the first
+``BENCH_<n>.json`` at the root of the checkout that does not exist yet.
 
 The real Metrica match is 2 x 45 min at 25 fps too, so the probe shows what
 a command costs at the size the paper works with, which the benchmark's
@@ -100,6 +101,15 @@ def make_match() -> dict:
     }
 
 
+def next_free_bench(root: Path) -> Path:
+    """The first ``BENCH_<n>.json`` in ``root`` that does not exist, so a run
+    never overwrites a recorded one."""
+    n = 1
+    while (root / f"BENCH_{n}.json").exists():
+        n += 1
+    return root / f"BENCH_{n}.json"
+
+
 def run_command(argv: list[str], log: Path) -> dict:
     """Run one process to its end: wall seconds and peak anonymous RSS in MB."""
     peak_kb = 0
@@ -117,8 +127,9 @@ def run_command(argv: list[str], log: Path) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_1.json"))
+    parser.add_argument("--out", type=Path, help="result file (default: the first free BENCH_<n>.json)")
     args = parser.parse_args(argv)
+    out = args.out or next_free_bench(ROOT)
 
     cfg = make_match()
     work = CACHE / f"work-{os.getpid()}"
@@ -154,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         "err_in_phase_offcam_m": report["mean_offcam_in_phase_m"],
         "err_out_of_phase_m": report["mean_all_out_of_phase_m"],
     }
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+    out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result["read_tracking_csv"]))
     shutil.rmtree(work)  # a failed run keeps its logs there
     return 0

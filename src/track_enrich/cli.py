@@ -79,10 +79,17 @@ def _trajectories_path(cfg: PipelineConfig, half_id: int) -> Path:
     return Path(cfg.output_dir) / f"trajectories_half{half_id}.json"
 
 
-def _model_sha256(cfg: PipelineConfig) -> str:
-    import hashlib  # OpenSSL costs each command that loads it half a megabyte
-
-    return hashlib.sha256(Path(cfg.model_path).read_bytes()).hexdigest()
+def sha256_hex(data: bytes) -> str:
+    """``hashlib.sha256(data).hexdigest()`` from CPython's built-in SHA-256:
+    ``hashlib`` loads OpenSSL, half a megabyte for each command."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
 
 def cmd_simulate_broadcast(cfg: PipelineConfig) -> int:
@@ -156,7 +163,7 @@ def cmd_enrich(cfg: PipelineConfig) -> int:
     cfg.require_paths("model_path")
     cfg.require_output("output_dir")
     model = forecaster.load_model(cfg.model_path)
-    model_sha256 = _model_sha256(cfg)
+    model_sha256 = sha256_hex(Path(cfg.model_path).read_bytes())
     records, errors = _load_records(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -191,7 +198,7 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
     cfg.require_paths("model_path", "test_home_csv", "test_away_csv")
     cfg.require_output("output_dir")
     model = forecaster.load_model(cfg.model_path)
-    model_sha256 = _model_sha256(cfg)
+    model_sha256 = sha256_hex(Path(cfg.model_path).read_bytes())
     truth_halves = {
         h.half_id: h
         for h in ingest.read_tracking_csv(cfg.test_home_csv, cfg.test_away_csv)

@@ -3,10 +3,10 @@ error-vs-occlusion curve, percentile example frames, and pitch drawings.
 
 Estimates are compared to truth per team with a minimum-total-distance
 bijection, solved by the package's own ``lsap.linear_sum_assignment``
-(goalkeepers are drawn in the figures but excluded from all error
-statistics).  Queries run both in phase (at sampled-frame times, where
-observed players score exactly zero) and out of phase (halfway between
-frames).
+(goalkeepers are drawn in the figures but never scored).  Queries run both in
+phase (at sampled-frame times, where observed players score exactly zero) and
+out of phase (halfway between frames).  A half's scores are kept as columns:
+one float error, one float age and one byte of flags per prediction.
 """
 
 from __future__ import annotations
@@ -14,45 +14,42 @@ from __future__ import annotations
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .broadcast import ground_truth_at
-from .geometry import (
-    AWAY,
-    HOME,
-    EnrichedFrame,
-    MalformedInputError,
-    ObservationFrame,
-    PitchPoint,
-    nearest_time_index,
-)
+from .geometry import AWAY, HOME, EnrichedFrame, MalformedInputError, PitchPoint, nearest_time_index
 from .ingest import DiscreteMatchRecord, Event, MatchHalf
+from .interpolator import ContinuousPath, VelocityField
 from .lsap import linear_sum_assignment
-from .pipeline import PathSet, snapshot_at
+from .pipeline import PathSet, path_at
 
 logger = logging.getLogger(__name__)
 
-IN_PHASE = "in_phase"
-OUT_OF_PHASE = "out_of_phase"
+Point = tuple[float, float]
+
+# The bits of a prediction's flags.
+IN_PHASE = 1  # at a frame time, not halfway to the next frame
+ESTIMATED = 2  # no observation at the query time
+PREV_OBSERVED = 4  # out of phase, and observed at the frame before
+AT_EVENT = 8  # in phase, at the frame nearest to an event
 
 
 class TruthMismatchError(ValueError):
     """Estimated and true team sizes disagree at a query time."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameError:
     time: float
-    phase: str
-    errors: tuple[float, ...]  # one per outfielder, in the snapshot's order
-    total_squared_error: float
+    total_squared_error: float  # over the outfield paths, summed in their order
 
 
-def _match_team(est: list[PitchPoint], truth: list[PitchPoint]) -> list[float]:
+def _match_team(est: Sequence[Point], truth: Sequence[Point]) -> list[float]:
     """Errors of a minimum-total-distance bijection, aligned with ``est``.
 
     Exact coincidences are pinned first (each estimate, in order, takes the
@@ -63,12 +60,12 @@ def _match_team(est: list[PitchPoint], truth: list[PitchPoint]) -> list[float]:
     errors = [0.0] * len(est)
     # unused truth indices by position, in order; equal floats (0.0 and -0.0
     # too) hash alike, so a lookup finds exactly the truths equal to ``pos``
-    free: dict[tuple[float, float], list[int]] = {}
+    free: dict[Point, list[int]] = {}
     for j, p in enumerate(truth):
-        free.setdefault((p.x, p.y), []).append(j)
+        free.setdefault(p, []).append(j)
     remaining: list[int] = []
     for c, pos in enumerate(est):
-        hits = free.get((pos.x, pos.y))
+        hits = free.get(pos)
         if hits:
             del hits[0]
         else:
@@ -77,58 +74,45 @@ def _match_team(est: list[PitchPoint], truth: list[PitchPoint]) -> list[float]:
         unused = sorted(j for hits in free.values() for j in hits)
         # truth rows x estimate columns: the solver breaks ties by
         # orientation, so the orientation is part of the output
-        cost = [[truth[j].distance_to(est[c]) for c in remaining] for j in unused]
+        cols = [est[c] for c in remaining]
+        rows = [truth[j] for j in unused]
+        cost = [[math.hypot(tx - ex, ty - ey) for ex, ey in cols] for tx, ty in rows]
         for r, c in zip(*linear_sum_assignment(cost)):
             errors[remaining[c]] = cost[r][c]
     return errors
 
 
 def match_and_score(
-    snapshot: EnrichedFrame, truth_frame: ObservationFrame, phase: str
-) -> FrameError:
-    """Score a snapshot's outfielders against the true ones, team by team.
+    teams: Mapping[str, tuple[Sequence[Point], Sequence[Point]]]
+) -> dict[str, list[float]]:
+    """Match each team's estimated outfielders to its true ones.
 
-    ``truth_frame`` is the native frame at the snapshot's time; goalkeepers
-    on either side are ignored.  Raises TruthMismatchError when a team's
-    estimated and true outfielder counts differ.
+    ``teams`` maps a team to its estimates and its truth, as ``(x, y)``
+    floats; the result maps it to the errors, aligned with the estimates.
+    Raises TruthMismatchError when a team's two counts differ.
     """
-    outfield = [p for p in snapshot.players if not p.tag.is_goalkeeper]
-    errors = [0.0] * len(outfield)
-    for team in (HOME, AWAY):
-        idx = [i for i, p in enumerate(outfield) if p.tag.team == team]
-        truth = truth_frame.visible_for(team)
-        if len(idx) != len(truth):
+    for team, (est, truth) in teams.items():
+        if len(est) != len(truth):
             raise TruthMismatchError(
-                f"team {team}: {len(idx)} estimates vs {len(truth)} true positions"
+                f"team {team}: {len(est)} estimates vs {len(truth)} true positions"
             )
-        for i, err in zip(idx, _match_team([outfield[i].position for i in idx], truth)):
-            errors[i] = err
-    total = 0.0
-    for e in errors:  # left to right: sum() compensates float sums from Python 3.12
-        total += e**2
-    return FrameError(
-        time=snapshot.time, phase=phase, errors=tuple(errors), total_squared_error=total
-    )
+    return {team: _match_team(est, truth) for team, (est, truth) in teams.items()}
 
 
 # --- half evaluation ---------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PredictionRow:
-    phase: str
-    provenance: str
-    error_m: float
-    seconds_to_obs: float
-    prev_frame_observed: bool
-    at_event_frame: bool
-
-
 @dataclass
 class HalfResult:
+    """One half's scores.  A prediction is one outfield path at one scored
+    query time, in query-time then path order; its error, occlusion age and
+    flags sit at the same index of ``errors``, ``ages`` and ``flags``."""
+
     half_id: int
     frame_errors: list[FrameError]  # in-phase, time order
-    rows: list[PredictionRow]
+    errors: array  # metres
+    ages: array  # seconds to the nearest observation; inf if never observed
+    flags: bytearray  # IN_PHASE, ESTIMATED, PREV_OBSERVED and AT_EVENT bits
     n_frames: int
 
 
@@ -142,6 +126,15 @@ def event_frame_times(events: Sequence[Event], frame_times: Sequence[float]) -> 
     return {frame_times[nearest_time_index(frame_times, ev.time)] for ev in events}
 
 
+def snapshot_at(
+    outfield: Sequence[ContinuousPath], field_: VelocityField, t: float
+) -> list[tuple[PitchPoint, bool, float]]:
+    """The scoring snapshot at ``t``: ``pipeline.path_at`` of each outfield
+    path, in order.  Unlike ``pipeline.snapshot_at`` it builds no frame; one
+    call per query time, which ``perfbench/tracing.py`` counts."""
+    return [path_at(path, field_, t) for path in outfield]
+
+
 def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf) -> HalfResult:
     """Score every in-phase and out-of-phase query time of one half.
 
@@ -151,48 +144,51 @@ def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf)
     """
     frame_times = [fr.time for fr in record.frames]
     ev_frames = event_frame_times(truth.events, frame_times)
-
-    frame_errors: list[FrameError] = []
-    rows: list[PredictionRow] = []
+    outfield = [p for p in paths.paths if not p.trajectory.tag.is_goalkeeper]
+    teams = {
+        team: [i for i, p in enumerate(outfield) if p.trajectory.tag.team == team]
+        for team in (HOME, AWAY)
+    }
+    result = HalfResult(record.half_id, [], array("d"), array("d"), bytearray(), len(frame_times))
     skipped: list[float] = []
 
-    outfield_paths = [p for p in paths.paths if not p.trajectory.tag.is_goalkeeper]
-
-    def score_at(t: float, phase: str, prev_time: float | None) -> FrameError:
-        snapshot, ages = snapshot_at(paths, t)
-        fe = match_and_score(snapshot, ground_truth_at(truth, t), phase)
-        at_event = phase == IN_PHASE and t in ev_frames
-        outfield = [
-            (p.provenance, age)
-            for p, age in zip(snapshot.players, ages)
-            if not p.tag.is_goalkeeper
-        ]
-        for (provenance, age), path, err in zip(outfield, outfield_paths, fe.errors, strict=True):
-            rows.append(
-                PredictionRow(
-                    phase=phase,
-                    provenance=provenance,
-                    error_m=err,
-                    seconds_to_obs=age,
-                    prev_frame_observed=(
-                        prev_time is not None and path.trajectory.observed_at(prev_time)
-                    ),
-                    at_event_frame=at_event,
-                )
-            )
-        return fe
-
-    for i, t in enumerate(frame_times):
+    def score(t: float, states: list[tuple[PitchPoint, bool, float]], flags: list[int]):
+        """Match the scoring snapshot at ``t`` to the truth and append its
+        predictions, with ``flags`` and ESTIMATED where unobserved: the errors
+        in path order, or None when ``t`` is skipped."""
+        est = [(pos.x, pos.y) for pos, _, _ in states]
+        frame = ground_truth_at(truth, t)
+        pairs = {
+            team: ([est[i] for i in idx], [(p.x, p.y) for p in frame.visible_for(team)])
+            for team, idx in teams.items()
+        }
         try:
-            frame_errors.append(score_at(t, IN_PHASE, None))
+            matched = match_and_score(pairs)
         except TruthMismatchError:
             skipped.append(t)
+            return None
+        errors = [0.0] * len(states)
+        for team, idx in teams.items():
+            for i, err in zip(idx, matched[team]):
+                errors[i] = err
+        result.errors.extend(errors)
+        result.ages.extend(age for _, _, age in states)
+        result.flags.extend(f if obs else f | ESTIMATED for (_, obs, _), f in zip(states, flags))
+        return errors
+
+    for i, t in enumerate(frame_times):
+        states = snapshot_at(outfield, paths.field, t)
+        errors = score(t, states, [IN_PHASE | (AT_EVENT if t in ev_frames else 0)] * len(states))
+        if errors is not None:
+            total = 0.0
+            for e in errors:  # left to right: sum() compensates float sums from Python 3.12
+                total += e**2
+            result.frame_errors.append(FrameError(t, total))
         if i + 1 < len(frame_times):
             mid = t + 0.5 * (frame_times[i + 1] - t)
-            try:
-                score_at(mid, OUT_OF_PHASE, t)
-            except TruthMismatchError:
-                skipped.append(mid)
+            # the previous frame's observed flags, kept even when it was skipped
+            prev = [PREV_OBSERVED if observed else 0 for _, observed, _ in states]
+            score(mid, snapshot_at(outfield, paths.field, mid), prev)
 
     if skipped:
         logger.warning(
@@ -205,50 +201,43 @@ def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf)
                 f"half {record.half_id}: {len(skipped)} query times lacked a full "
                 "set of true outfielders; inputs look inconsistent"
             )
-    return HalfResult(
-        half_id=record.half_id,
-        frame_errors=frame_errors,
-        rows=rows,
-        n_frames=len(frame_times),
-    )
+    return result
 
 
 # --- aggregation -------------------------------------------------------------
 
 
-def _mean(values: list[float]) -> float:
-    return float(np.mean(values)) if values else math.nan
+def _mean(values: np.ndarray) -> float:
+    return float(np.mean(values)) if len(values) else math.nan
 
 
-def _headline(rows: list[PredictionRow]) -> dict[str, float]:
-    in_all = [r.error_m for r in rows if r.phase == IN_PHASE]
-    in_off = [r.error_m for r in rows if r.phase == IN_PHASE and r.provenance == "estimated"]
-    out_all = [r.error_m for r in rows if r.phase == OUT_OF_PHASE]
-    prev = [r.error_m for r in rows if r.phase == OUT_OF_PHASE and r.prev_frame_observed]
-    ev_off = [
-        r.error_m
-        for r in rows
-        if r.phase == IN_PHASE and r.provenance == "estimated" and r.at_event_frame
-    ]
+def _headline(errors: array, flags: bytearray) -> dict[str, float]:
+    err = np.frombuffer(errors)
+    bits = np.frombuffer(flags, np.uint8)
+
+    def where(on: int, off: int = 0) -> np.ndarray:
+        """The errors, in order, whose flags have every bit of ``on`` and none of ``off``."""
+        return err[(bits & (on | off)) == on]
+
+    in_off = where(IN_PHASE | ESTIMATED)
     return {
-        "mean_all_in_phase_m": _mean(in_all),
+        "mean_all_in_phase_m": _mean(where(IN_PHASE)),
         "mean_offcam_in_phase_m": _mean(in_off),
-        "median_offcam_in_phase_m": float(np.median(in_off)) if in_off else math.nan,
-        "mean_all_out_of_phase_m": _mean(out_all),
-        "mean_prev_frame_observed_m": _mean(prev),
-        "mean_offcam_event_frames_m": _mean(ev_off),
+        "median_offcam_in_phase_m": float(np.median(in_off)) if len(in_off) else math.nan,
+        "mean_all_out_of_phase_m": _mean(where(0, off=IN_PHASE)),
+        "mean_prev_frame_observed_m": _mean(where(PREV_OBSERVED)),  # set out of phase only
+        "mean_offcam_event_frames_m": _mean(where(IN_PHASE | ESTIMATED | AT_EVENT)),
         "n_predictions": float(len(in_off)),
     }
 
 
-def _curve(rows: list[PredictionRow]) -> list[dict]:
+def _curve(errors: array, ages: array) -> list[dict]:
     """Error statistics per half-second bucket of occlusion age."""
     buckets: dict[float, list[float]] = {}
-    for r in rows:
-        if not math.isfinite(r.seconds_to_obs):
+    for age, err in zip(ages, errors):
+        if not math.isfinite(age):
             continue  # trajectory never observed; no occlusion age to bucket
-        key = round(r.seconds_to_obs * 2.0) / 2.0
-        buckets.setdefault(key, []).append(r.error_m)
+        buckets.setdefault(round(age * 2.0) / 2.0, []).append(err)
     curve = []
     for key in sorted(buckets):
         vals = np.asarray(buckets[key])
@@ -271,14 +260,18 @@ def build_report(results: Sequence[HalfResult]) -> dict:
     """The ``report.json`` document: the pooled headline errors, the frame and
     off-camera prediction counts, each half's headline figures under its id,
     and the error-vs-occlusion curve."""
-    rows = [r for res in results for r in res.rows]
-    pooled = _headline(rows)
+    errors, ages, flags = array("d"), array("d"), bytearray()
+    for res in results:
+        errors += res.errors
+        ages += res.ages
+        flags += res.flags
+    pooled = _headline(errors, flags)
     return {
         **pooled,
         "n_frames": sum(res.n_frames for res in results),
         "n_predictions": int(pooled["n_predictions"]),
-        "per_half": {str(res.half_id): _headline(res.rows) for res in results},
-        "curve": _curve(rows),
+        "per_half": {str(res.half_id): _headline(res.errors, res.flags) for res in results},
+        "curve": _curve(errors, ages),
     }
 
 
@@ -383,16 +376,15 @@ def render_pitch_svg(frame: EnrichedFrame, annotations: Sequence[str] | None = N
         fill = _TEAM_FILL[player.tag.team]
         edge = _TEAM_EDGE[player.tag.team]
         dash = ' stroke-dasharray="0.9,0.5"' if player.provenance == "estimated" else ""
-        shape = "rect" if player.tag.is_goalkeeper else "circle"
-        if shape == "circle":
-            lines.append(
-                f'<circle cx="{_f(pos.x)}" cy="{_f(pos.y)}" r="1.80" '
-                f'fill="{fill}" stroke="{edge}" stroke-width="0.30"{dash}/>'
-            )
-        else:
+        if player.tag.is_goalkeeper:
             lines.append(
                 f'<rect x="{_f(pos.x - 1.6)}" y="{_f(pos.y - 1.6)}" width="3.20" '
                 f'height="3.20" fill="{fill}" stroke="{edge}" stroke-width="0.30"{dash}/>'
+            )
+        else:
+            lines.append(
+                f'<circle cx="{_f(pos.x)}" cy="{_f(pos.y)}" r="1.80" '
+                f'fill="{fill}" stroke="{edge}" stroke-width="0.30"{dash}/>'
             )
         if annotations is not None and annotations[i]:
             lines.append(

@@ -75,6 +75,14 @@ def seconds_to_nearest_observation(traj: Trajectory, t: float) -> float:
     return best
 
 
+def path_at(path: ContinuousPath, field: VelocityField, t: float) -> tuple[PitchPoint, bool, float]:
+    """``path``'s position at ``t``, whether a real observation sits at ``t``,
+    and the seconds from ``t`` to the nearest one."""
+    traj = path.trajectory
+    observed, age = traj.observed_at(t), seconds_to_nearest_observation(traj, t)
+    return position_at(path, field, t), observed, age
+
+
 def snapshot_at(paths: PathSet, t: float) -> tuple[EnrichedFrame, list[float]]:
     """Full 22-player snapshot at ``t`` plus each player's occlusion age.
 
@@ -85,17 +93,10 @@ def snapshot_at(paths: PathSet, t: float) -> tuple[EnrichedFrame, list[float]]:
     players: list[EnrichedPlayer] = []
     ages: list[float] = []
     for path in paths.paths:
-        traj = path.trajectory
-        observed = traj.observed_at(t)
-        pos = position_at(path, paths.field, t)
-        players.append(
-            EnrichedPlayer(
-                tag=traj.tag,
-                position=pos,
-                provenance="observed" if observed else "estimated",
-            )
-        )
-        ages.append(seconds_to_nearest_observation(traj, t))
+        pos, observed, age = path_at(path, paths.field, t)
+        provenance = "observed" if observed else "estimated"
+        players.append(EnrichedPlayer(tag=path.trajectory.tag, position=pos, provenance=provenance))
+        ages.append(age)
     frame = EnrichedFrame(time=t, ball=paths.ball_at(t), players=tuple(players))
     return frame, ages
 

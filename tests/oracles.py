@@ -7,14 +7,27 @@ not used by the pipeline.
 """
 
 from bisect import bisect_right
+from typing import NamedTuple
 
 import numpy as np
 
+from track_enrich.broadcast import ground_truth_at
+from track_enrich.evaluator import event_frame_times
 from track_enrich.forecaster import Forecast, ForecastModel, GridSeries, forward_state
-from track_enrich.geometry import EnrichedFrame, EnrichedPlayer, PitchPoint, Trajectory, clamp_to_pitch
+from track_enrich.geometry import (
+    AWAY,
+    HOME,
+    EnrichedFrame,
+    EnrichedPlayer,
+    MalformedInputError,
+    PitchPoint,
+    Trajectory,
+    clamp_to_pitch,
+)
 from track_enrich.ingest import _flag, _flip, _point, _read_frames, _tag, load_json
 from track_enrich.interpolator import VelocityField
 from track_enrich.lsap import linear_sum_assignment
+from track_enrich.pipeline import snapshot_at
 
 
 def ar_min_root_modulus(ar) -> float:
@@ -100,6 +113,70 @@ def match_team(est: list[PitchPoint], truth: list[PitchPoint]) -> list[float]:
         for r, c in zip(*linear_sum_assignment(cost)):
             errors[remaining[c]] = cost[r][c]
     return errors
+
+
+class PredictionRow(NamedTuple):
+    """One scored outfield path at one query time."""
+
+    phase: str  # "in_phase" or "out_of_phase"
+    provenance: str
+    error_m: float
+    seconds_to_obs: float
+    prev_frame_observed: bool
+    at_event_frame: bool
+
+
+def score_half(record, paths, truth) -> tuple[list[tuple[float, float]], list[PredictionRow]]:
+    """``evaluator.evaluate_half`` by objects: a 22-player ``snapshot_at`` per
+    query time, its outfielders matched team by team with ``match_team``
+    against the truth's ``ObservationFrame``, and one row per prediction.
+
+    Returns the in-phase (time, total squared error) pairs and the rows.  A
+    query time whose truth lacks a team's outfielders is skipped; more than
+    1% of them skipped raises the evaluator's MalformedInputError.
+    """
+    frame_times = [fr.time for fr in record.frames]
+    events = event_frame_times(truth.events, frame_times)
+    frames: list[tuple[float, float]] = []
+    rows: list[PredictionRow] = []
+    skipped = 0
+
+    def score(t, phase, prev_time):
+        snapshot, ages = snapshot_at(paths, t)
+        truth_frame = ground_truth_at(truth, t)
+        scored = [(p, age) for p, age in zip(snapshot.players, ages) if not p.tag.is_goalkeeper]
+        errors = [0.0] * len(scored)
+        for team in (HOME, AWAY):
+            idx = [i for i, (p, _) in enumerate(scored) if p.tag.team == team]
+            true = truth_frame.visible_for(team)
+            if len(idx) != len(true):
+                return None
+            for i, err in zip(idx, match_team([scored[i][0].position for i in idx], true)):
+                errors[i] = err
+        outfield = [p for p in paths.paths if not p.trajectory.tag.is_goalkeeper]
+        for (player, age), path, err in zip(scored, outfield, errors, strict=True):
+            prev_observed = prev_time is not None and path.trajectory.observed_at(prev_time)
+            at_event = phase == "in_phase" and t in events
+            rows.append(PredictionRow(phase, player.provenance, err, age, prev_observed, at_event))
+        total = 0.0
+        for e in errors:
+            total += e**2
+        return total
+
+    for i, t in enumerate(frame_times):
+        total = score(t, "in_phase", None)
+        if total is None:
+            skipped += 1
+        else:
+            frames.append((t, total))
+        if i + 1 < len(frame_times):
+            skipped += score(t + 0.5 * (frame_times[i + 1] - t), "out_of_phase", t) is None
+    if skipped > 0.01 * (2 * len(frame_times)):
+        raise MalformedInputError(
+            f"half {record.half_id}: {skipped} query times lacked a full "
+            "set of true outfielders; inputs look inconsistent"
+        )
+    return frames, rows
 
 
 def flip_point(p: PitchPoint) -> PitchPoint:

@@ -426,8 +426,8 @@ def test_criterion_5_oracle_identity(model):
     record = degrade(half, DegradeConfig(1.0, 1e9, 30))
     paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
     result = evaluate_half(record, paths, half)
-    in_rows = [r for r in result.rows if r.phase == IN_PHASE]
-    max_err = max(r.error_m for r in in_rows)
+    in_rows = [e for e, f in zip(result.errors, result.flags) if f & IN_PHASE]
+    max_err = max(in_rows)
     outfield = [p.trajectory for p in paths.paths if not p.trajectory.tag.is_goalkeeper]
     switches = count_identity_switches(half, outfield)
     ok = max_err == 0.0 and switches == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -7,12 +8,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import read_enriched
 from synth import synth_half, write_metrica_csvs
 
 from track_enrich.broadcast import DegradeConfig, degrade
-from track_enrich.cli import main
+from track_enrich.cli import main, sha256_hex
 from track_enrich.forecaster import ForecastModel, save_model
 from track_enrich.geometry import MalformedInputError
 from track_enrich.ingest import read_360_frames, write_discrete
@@ -296,6 +299,33 @@ def test_enrich_loads_no_numpy(tmp_path, tiny_enrich, source):
     )
     out = subprocess.run(
         [sys.executable, "-c", code, str(cfg)],
+        env=_src_env(), capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.split()[-2:] == ["0", "False"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=300))
+def test_sha256_hex_equals_hashlib(data):
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["enrich", "evaluate"])
+def test_enrich_and_evaluate_load_no_openssl(tmp_path, tiny_enriched, tiny_truth, command):
+    """The model's sha256 comes from CPython's built-in module: ``hashlib``
+    would load OpenSSL (``_hashlib``), half a megabyte for each command."""
+    shutil.copytree(tiny_enriched, tmp_path, dirs_exist_ok=True)
+    cfg = {"model_path": str(tmp_path / "model.json"), "output_dir": str(tmp_path / "out")}
+    for team, rows in tiny_truth.items():
+        (tmp_path / f"{team}.csv").write_text("\n".join(rows) + "\n")
+        cfg[f"test_{team}_csv"] = str(tmp_path / f"{team}.csv")
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    code = (
+        "import sys; from track_enrich.cli import main; "
+        "status = main([sys.argv[1], '--config', sys.argv[2]]); print(status, '_hashlib' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, command, str(tmp_path / "c.json")],
         env=_src_env(), capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.split()[-2:] == ["0", "False"]

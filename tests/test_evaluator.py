@@ -1,21 +1,26 @@
+import dataclasses
+import gc
 import itertools
 import math
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import match_team
+from oracles import PredictionRow, match_team, score_half
 from synth import synth_half
 
 from track_enrich.assigner import build_trajectories
 from track_enrich.broadcast import DegradeConfig, degrade
 from track_enrich.evaluator import (
-    FrameError,
-    PredictionRow,
+    AT_EVENT,
+    ESTIMATED,
     IN_PHASE,
-    OUT_OF_PHASE,
+    PREV_OBSERVED,
+    FrameError,
     TruthMismatchError,
     _curve,
     _match_team,
@@ -34,7 +39,7 @@ from track_enrich.geometry import (
     HOME,
     EnrichedFrame,
     EnrichedPlayer,
-    ObservationFrame,
+    MalformedInputError,
     PitchPoint,
     PlayerTag,
 )
@@ -67,28 +72,30 @@ def spread_points(n, x0=20.0, y0=10.0, dx=3.0, dy=6.0):
     return [(x0 + dx * i, y0 + (dy * i) % 60) for i in range(n)]
 
 
-def truth_frame(home_pts, away_pts, time=30.0):
-    visible = [(PlayerTag(team=HOME), PitchPoint(*p)) for p in home_pts] + [
-        (PlayerTag(team=AWAY), PitchPoint(*p)) for p in away_pts
-    ]
-    return ObservationFrame(time=time, ball=PitchPoint(60, 40), visible=tuple(visible))
+def teams(home_est, away_est, home_truth, away_truth):
+    """``match_and_score``'s input: each team's estimates and truth as floats."""
+    return {HOME: (home_est, home_truth), AWAY: (away_est, away_truth)}
+
+
+def squared_total(errors):
+    return sum(e**2 for team in (HOME, AWAY) for e in errors[team])
 
 
 class TestMatchAndScore:
     def test_identity_scores_zero(self):
         home, away = spread_points(10), spread_points(10, x0=80.0)
-        fe = match_and_score(snapshot(home, away), truth_frame(home, away), IN_PHASE)
-        assert fe.errors == (0.0,) * 20
-        assert fe.total_squared_error == 0.0
+        errors = match_and_score(teams(home, away, home, away))
+        assert errors[HOME] + errors[AWAY] == [0.0] * 20
+        assert squared_total(errors) == 0.0
 
     def test_swapped_pair_unswapped(self):
         home = spread_points(10)
         away = spread_points(10, x0=80.0)
         swapped = list(home)
         swapped[0], swapped[1] = swapped[1], swapped[0]
-        fe = match_and_score(snapshot(swapped, away), truth_frame(home, away), IN_PHASE)
+        errors = match_and_score(teams(swapped, away, home, away))
         # matching reassigns the swap; every error is zero again
-        assert fe.total_squared_error == 0.0
+        assert squared_total(errors) == 0.0
 
     def test_small_matchups_equal_brute_force(self):
         rng = np.random.default_rng(1)
@@ -98,10 +105,8 @@ class TestMatchAndScore:
                 tru = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 80))) for _ in range(n)]
                 home_fill = spread_points(10 - n, x0=100.0, y0=70.0)
                 away = spread_points(10, x0=80.0)
-                fe = match_and_score(
-                    snapshot(est + home_fill, away), truth_frame(tru + home_fill, away), IN_PHASE
-                )
-                total = sum(fe.errors[:10])  # the home outfielders come first
+                errors = match_and_score(teams(est + home_fill, away, tru + home_fill, away))
+                total = sum(errors[HOME])
                 best = min(
                     sum(
                         math.dist(est[j], tru[perm[j]])
@@ -116,8 +121,7 @@ class TestMatchAndScore:
         est = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 80))) for _ in range(10)]
         tru = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 80))) for _ in range(10)]
         away = spread_points(10, x0=80.0)
-        fe = match_and_score(snapshot(est, away), truth_frame(tru, away), IN_PHASE)
-        total = sum(fe.errors[:10])
+        total = sum(match_and_score(teams(est, away, tru, away))[HOME])
         for _ in range(20_000):
             perm = rng.permutation(10)
             sampled = sum(math.dist(est[j], tru[perm[j]]) for j in range(10))
@@ -125,9 +129,8 @@ class TestMatchAndScore:
 
     def test_size_mismatch_fatal(self):
         away = spread_points(10, x0=80.0)
-        frame = snapshot(spread_points(10), away)
         with pytest.raises(TruthMismatchError, match="estimates vs"):
-            match_and_score(frame, truth_frame([(1, 1)] * 9, away), IN_PHASE)
+            match_and_score(teams(spread_points(10), away, [(1, 1)] * 9, away))
 
     def test_team_relabel_invariance(self):
         rng = np.random.default_rng(3)
@@ -135,13 +138,13 @@ class TestMatchAndScore:
         away = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 80))) for _ in range(10)]
         th = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 80))) for _ in range(10)]
         ta = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 80))) for _ in range(10)]
-        fe1 = match_and_score(snapshot(home, away), truth_frame(th, ta), IN_PHASE)
-        fe2 = match_and_score(snapshot(away, home), truth_frame(ta, th), IN_PHASE)
-        assert sorted(fe1.errors) == pytest.approx(sorted(fe2.errors))
+        e1 = match_and_score(teams(home, away, th, ta))
+        e2 = match_and_score(teams(away, home, ta, th))
+        assert sorted(e1[HOME] + e1[AWAY]) == pytest.approx(sorted(e2[HOME] + e2[AWAY]))
 
 
 def fe_with_total(t, total):
-    return FrameError(time=t, phase=IN_PHASE, errors=(), total_squared_error=total)
+    return FrameError(time=t, total_squared_error=total)
 
 
 class TestPercentileFrames:
@@ -199,10 +202,16 @@ def scored(model):
 
 
 @pytest.fixture(scope="module")
-def occluded(model):
+def occluded_inputs(model):
     half = synth_half(seconds=150.0, fps=5, seed=44)
     record = degrade(half, DegradeConfig(1.0, 30.0, 3))
     paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
+    return half, record, paths
+
+
+@pytest.fixture(scope="module")
+def occluded(occluded_inputs):
+    half, record, paths = occluded_inputs
     return record, paths, evaluate_half(record, paths, half)
 
 
@@ -210,17 +219,17 @@ class TestEvaluateHalf:
 
     def test_full_visibility_all_in_phase_errors_zero(self, scored):
         _, record, result = scored
-        in_rows = [r for r in result.rows if r.phase == IN_PHASE]
-        assert in_rows
-        assert all(r.error_m == 0.0 for r in in_rows)
-        assert all(r.provenance == "observed" for r in in_rows)
+        in_phase = [(e, f) for e, f in zip(result.errors, result.flags) if f & IN_PHASE]
+        assert in_phase
+        assert all(e == 0.0 for e, _ in in_phase)
+        assert all(not f & ESTIMATED for _, f in in_phase)
 
     def test_out_of_phase_rows_small_errors(self, scored):
         _, record, result = scored
-        out_rows = [r for r in result.rows if r.phase == OUT_OF_PHASE]
-        assert len(out_rows) == (len(record.frames) - 1) * 20
-        assert all(r.prev_frame_observed for r in out_rows)
-        assert np.mean([r.error_m for r in out_rows]) < 1.5
+        out_phase = [(e, f) for e, f in zip(result.errors, result.flags) if not f & IN_PHASE]
+        assert len(out_phase) == (len(record.frames) - 1) * 20
+        assert all(f & PREV_OBSERVED for _, f in out_phase)
+        assert np.mean([e for e, _ in out_phase]) < 1.5
 
     def test_report_fields(self, scored):
         half, record, result = scored
@@ -284,21 +293,20 @@ class TestEvaluateHalf:
         times = [fr.time for fr in record.frames]
         query_times = [q for a, b in zip(times, times[1:]) for q in (a, a + 0.5 * (b - a))]
         query_times.append(times[-1])
-        # no query time is skipped, so the rows come in blocks of 20 per time
-        assert len(result.rows) == 20 * len(query_times)
+        # no query time is skipped, so the predictions come in blocks of 20 per time
+        assert len(result.errors) == len(result.ages) == len(result.flags) == 20 * len(query_times)
         prev = None
         for k, t in enumerate(query_times):
-            block = result.rows[20 * k : 20 * k + 20]
-            for row, traj in zip(block, trajs):
-                assert row.phase == (IN_PHASE if k % 2 == 0 else OUT_OF_PHASE)
-                assert (row.provenance == "observed") == traj.observed_at(t)
-                assert row.seconds_to_obs == seconds_to_nearest_observation(traj, t)
-                # an out-of-phase row follows the in-phase row of the frame before
-                assert row.prev_frame_observed == (
-                    row.phase == OUT_OF_PHASE and traj.observed_at(prev)
-                )
+            for j, traj in enumerate(trajs):
+                age, flags = result.ages[20 * k + j], result.flags[20 * k + j]
+                in_phase = k % 2 == 0
+                assert bool(flags & IN_PHASE) == in_phase
+                assert (not flags & ESTIMATED) == traj.observed_at(t)
+                assert age == seconds_to_nearest_observation(traj, t)
+                # an out-of-phase prediction follows the in-phase one of the frame before
+                assert bool(flags & PREV_OBSERVED) == (not in_phase and traj.observed_at(prev))
             prev = t
-        assert {r.provenance for r in result.rows} == {"observed", "estimated"}
+        assert {f & ESTIMATED for f in result.flags} == {0, ESTIMATED}
 
 
 class TestDegradedEvaluation:
@@ -311,8 +319,12 @@ class TestDegradedEvaluation:
         assert not math.isnan(report["mean_prev_frame_observed_m"])
         assert report["mean_prev_frame_observed_m"] < 2.0
         # off-camera players at in-phase frames have nonzero ages
-        est_rows = [r for r in result.rows if r.provenance == "estimated" and r.phase == IN_PHASE]
-        assert est_rows and all(r.seconds_to_obs > 0 for r in est_rows)
+        est_ages = [
+            age
+            for age, f in zip(result.ages, result.flags)
+            if f & (IN_PHASE | ESTIMATED) == IN_PHASE | ESTIMATED
+        ]
+        assert est_ages and all(age > 0 for age in est_ages)
 
 
 def test_event_frame_times_nearest_with_ties_to_the_earlier_frame():
@@ -333,7 +345,8 @@ def test_pin_by_position_equals_the_linear_scan(data, n):
     point = st.builds(PitchPoint, _coordinate, _coordinate)
     truth = data.draw(st.lists(point, min_size=n, max_size=n))
     est = data.draw(st.lists(st.sampled_from(truth) | point, min_size=n, max_size=n) if n else st.just([]))
-    assert _match_team(est, truth) == match_team(est, truth)
+    floats = [(p.x, p.y) for p in est], [(p.x, p.y) for p in truth]
+    assert _match_team(*floats) == match_team(est, truth)
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,8 +356,80 @@ def test_pin_by_position_equals_the_linear_scan(data, n):
     )
 )
 def test_curve_equals_four_separate_percentiles(errors):
-    rows = [PredictionRow(IN_PHASE, "estimated", e, age, False, False) for e, age in errors]
-    for bucket in _curve(rows):
+    columns = array("d", [e for e, _ in errors]), array("d", [age for _, age in errors])
+    for bucket in _curve(*columns):
         vals = np.asarray([e for e, age in errors if round(age * 2.0) / 2.0 == bucket["bucket_s"]])
         for key, q in (("p12_5_m", 12.5), ("p87_5_m", 87.5), ("p2_5_m", 2.5), ("p97_5_m", 97.5)):
             assert bucket[key] == float(np.percentile(vals, q))
+
+
+def as_rows(result):
+    """A result's columns as the object scorer's rows."""
+    return [
+        PredictionRow(
+            "in_phase" if f & IN_PHASE else "out_of_phase",
+            "estimated" if f & ESTIMATED else "observed",
+            e,
+            age,
+            bool(f & PREV_OBSERVED),
+            bool(f & AT_EVENT),
+        )
+        for e, age, f in zip(result.errors, result.ages, result.flags)
+    ]
+
+
+def without_a_home_outfielder(half, times):
+    """``half`` with one home outfielder missing from the native frame at each
+    of ``times``, as in a substitution overlap."""
+    frames = []
+    for fr in half.frames:
+        if any(abs(fr.time - t) < 0.05 for t in times):
+            visible = list(fr.visible)
+            del visible[next(i for i, (tag, _) in enumerate(visible) if tag == PlayerTag(HOME))]
+            fr = dataclasses.replace(fr, visible=tuple(visible))
+        frames.append(fr)
+    return dataclasses.replace(half, frames=frames)
+
+
+@pytest.mark.parametrize("case", ["occluded", "skipped", "malformed"])
+def test_columns_equal_the_object_scorer(occluded_inputs, case):
+    half, record, paths = occluded_inputs
+    times = [fr.time for fr in record.frames]
+    if case == "skipped":
+        # frame 10 is skipped, its midpoint to frame 11 is not (it reuses the
+        # skipped frame's observed flags); the native frame nearest to the
+        # midpoint after frame 20 is 0.1 s before it
+        half = without_a_home_outfielder(half, [times[10], times[20] + 0.4])
+    elif case == "malformed":
+        half = without_a_home_outfielder(half, times[10:15])  # 5 of 2 x 145 - 1 query times
+        with pytest.raises(MalformedInputError, match="5 query times lacked") as want:
+            score_half(record, paths, half)
+        with pytest.raises(MalformedInputError) as got:
+            evaluate_half(record, paths, half)
+        assert str(got.value) == str(want.value)
+        return
+    frames, rows = score_half(record, paths, half)
+    result = evaluate_half(record, paths, half)
+    assert [(fe.time, fe.total_squared_error) for fe in result.frame_errors] == frames
+    assert as_rows(result) == rows
+    skipped = 2 * len(times) - 1 - len(rows) // 20
+    assert skipped == {"occluded": 0, "skipped": 2}[case]
+    assert {r.phase for r in rows} == {"in_phase", "out_of_phase"}
+    assert {r.provenance for r in rows} == {"observed", "estimated"}
+    assert any(r.prev_frame_observed for r in rows) and any(r.at_event_frame for r in rows)
+
+
+def test_a_scored_prediction_keeps_at_most_48_bytes(occluded_inputs):
+    half, record, paths = occluded_inputs
+    evaluate_half(record, paths, half)  # the paths build their lazy state on a first run
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = evaluate_half(record, paths, half)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.errors) == 20 * (2 * len(record.frames) - 1)
+    assert kept <= 48 * len(result.errors), kept / len(result.errors)
