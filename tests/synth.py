@@ -9,6 +9,8 @@ unambiguous for the identity-retention checks.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from track_enrich.geometry import AWAY, HOME, ObservationFrame, PitchPoint, PlayerTag, Trajectory
@@ -147,6 +149,37 @@ def count_identity_switches(half: MatchHalf, trajectories) -> int:
                 switches += 1
             prev = owner
     return switches
+
+
+# --- 360 feed -----------------------------------------------------------------
+
+
+def write_360_feed(tmp_path, n=40):
+    """A small 360 feed in ``tmp_path``: n linked frames one second apart plus
+    one orphan.  Returns the frames and events JSON paths."""
+    events = [
+        {"id": f"e{i}", "timestamp": float(i + 1), "team": "home" if i % 2 == 0 else "away",
+         "location": [55.0 + i, 40.0], "period": 1}
+        for i in range(n)
+    ]
+    frames = []
+    for i in range(n):
+        loc = [55.0 + i, 40.0]
+        if events[i]["team"] == "away":
+            loc = [120.0 - loc[0], 80.0 - loc[1]]
+        entries = [{"location": loc, "teammate": True, "actor": True, "keeper": False}]
+        for j in range(3):
+            entries.append(
+                {"location": [30.0 + 7 * j, 20.0 + 9 * j], "teammate": j % 2 == 0,
+                 "actor": False, "keeper": False}
+            )
+        frames.append({"event_uuid": f"e{i}", "freeze_frame": entries})
+    frames.append({"event_uuid": "orphan-id", "freeze_frame": frames[0]["freeze_frame"]})
+    fp = tmp_path / "frames.json"
+    ep = tmp_path / "events.json"
+    fp.write_text(json.dumps(frames))
+    ep.write_text(json.dumps(events))
+    return fp, ep
 
 
 # --- CSV fabrication (Metrica-style wide files) -------------------------------

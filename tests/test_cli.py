@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import read_enriched
-from synth import synth_half, write_metrica_csvs
+from synth import synth_half, write_360_feed, write_metrica_csvs
 
 from track_enrich.broadcast import DegradeConfig, degrade
 from track_enrich.cli import main, sha256_hex
@@ -184,33 +184,6 @@ def test_evaluate_with_bad_events_csv_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
-def _write_360_feed(tmp_path, n=40):
-    """A small 360 feed: n linked frames one second apart plus one orphan."""
-    events = [
-        {"id": f"e{i}", "timestamp": float(i + 1), "team": "home" if i % 2 == 0 else "away",
-         "location": [55.0 + i, 40.0], "period": 1}
-        for i in range(n)
-    ]
-    frames = []
-    for i in range(n):
-        loc = [55.0 + i, 40.0]
-        if events[i]["team"] == "away":
-            loc = [120.0 - loc[0], 80.0 - loc[1]]
-        entries = [{"location": loc, "teammate": True, "actor": True, "keeper": False}]
-        for j in range(3):
-            entries.append(
-                {"location": [30.0 + 7 * j, 20.0 + 9 * j], "teammate": j % 2 == 0,
-                 "actor": False, "keeper": False}
-            )
-        frames.append({"event_uuid": f"e{i}", "freeze_frame": entries})
-    frames.append({"event_uuid": "orphan-id", "freeze_frame": frames[0]["freeze_frame"]})
-    fp = tmp_path / "frames.json"
-    ep = tmp_path / "events.json"
-    fp.write_text(json.dumps(frames))
-    ep.write_text(json.dumps(events))
-    return fp, ep
-
-
 def _enrich_360_config(tmp_path, model_path, fp, ep):
     cfg = tmp_path / "c.json"
     cfg.write_text(
@@ -228,7 +201,7 @@ def _enrich_360_config(tmp_path, model_path, fp, ep):
 
 def test_enrich_360_with_orphan_frame(tmp_path, workspace, capsys):
     root, _ = workspace
-    fp, ep = _write_360_feed(tmp_path)
+    fp, ep = write_360_feed(tmp_path)
     cfg = _enrich_360_config(tmp_path, root / "model.json", fp, ep)
     assert main(["enrich", "--config", str(cfg)]) == 0
     errors = json.loads((tmp_path / "out360" / "axis_errors.json").read_text())
@@ -239,7 +212,7 @@ def test_enrich_360_with_orphan_frame(tmp_path, workspace, capsys):
 
 
 def test_enrich_360_millisecond_timestamps_rejected(tmp_path, capsys):
-    fp, ep = _write_360_feed(tmp_path)
+    fp, ep = write_360_feed(tmp_path)
     events = json.loads(ep.read_text())
     for ev in events:
         ev["timestamp"] = int(ev["timestamp"] * 1000)
@@ -287,7 +260,7 @@ def test_cli_import_loads_only_the_modules_every_command_needs():
 @pytest.mark.parametrize("source", ["simulated", "360"])
 def test_enrich_loads_no_numpy(tmp_path, tiny_enrich, source):
     if source == "360":
-        cfg = _enrich_360_config(tmp_path, tiny_enrich / "model.json", *_write_360_feed(tmp_path))
+        cfg = _enrich_360_config(tmp_path, tiny_enrich / "model.json", *write_360_feed(tmp_path))
     else:
         shutil.copytree(tiny_enrich, tmp_path, dirs_exist_ok=True)
         cfg = tmp_path / "c.json"

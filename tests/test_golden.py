@@ -1,4 +1,5 @@
-"""Golden outputs: a small synthetic match through all four commands, pinned by sha256.
+"""Golden outputs: a small synthetic match through all four commands, and a
+small 360 feed through ``enrich``, pinned by sha256.
 
 The pipeline is deterministic, so every output file must reproduce byte for
 byte.  A change that alters any of these hashes changes what the program
@@ -10,7 +11,7 @@ import json
 
 import pytest
 
-from synth import synth_half, write_metrica_csvs
+from synth import synth_half, write_360_feed, write_metrica_csvs
 
 from track_enrich.cli import main
 
@@ -28,6 +29,13 @@ GOLDEN_SHA256 = {
     "percentile_95.svg": "b0b55c7fa7afa6bacf10f239bfdf923d29d4aa63b1556aa952fe0c2c6585e0dd",
     "trajectories_half1.json": "dd7c6fd6a31cf3486ec2a2f668b648417a61e147fba8c3bcdf8244f3e8c88a7b",
     "trajectories_half2.json": "2b4b084b14cf45fc8215a3c84f6217ba137258dc36b8db97d2ca0c68b44bfda0",
+}
+
+# enrich on tests/synth.py's 360 feed, with the model above
+GOLDEN_360_SHA256 = {
+    "axis_errors.json": "ebd455778cdddb939cc56b8d7182383833824e3709d7639a99e8c816c63e20b9",
+    "enriched_half1.json": "d375a33df53d1d1d03a1d075e05f66f905cee57362b91f8d9779123789c526da",
+    "trajectories_half1.json": "c8d46814f3c240c9ec53854f24b0b1e9adbcc515c4d8f4a9c1248dee1d6be98e",
 }
 
 
@@ -63,3 +71,28 @@ def test_outputs_match_golden_hashes(outputs):
         for name in GOLDEN_SHA256
     }
     assert got == GOLDEN_SHA256
+
+
+@pytest.fixture(scope="module")
+def outputs_360(outputs, tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden360")
+    frames, events = write_360_feed(root)
+    cfg = {
+        "model_path": str(outputs / "model.json"),
+        "output_dir": str(root / "out"),
+        "frames_360_json": str(frames),
+        "events_360_json": str(events),
+    }
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["enrich", "--config", str(cfg_path)]) == 0
+    return root / "out"
+
+
+def test_360_outputs_match_golden_hashes(outputs_360):
+    assert sorted(p.name for p in outputs_360.iterdir()) == sorted(GOLDEN_360_SHA256)
+    got = {
+        name: hashlib.sha256((outputs_360 / name).read_bytes()).hexdigest()
+        for name in GOLDEN_360_SHA256
+    }
+    assert got == GOLDEN_360_SHA256
