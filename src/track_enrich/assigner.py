@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .forecaster import Forecast, ForecastModel, ForecastState, GridSeries, resample_to_grid
 from .geometry import (
@@ -41,13 +42,17 @@ _KEEPER_DEPTH_M = 5.0
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def log_likelihood(fc: Forecast, pos: PitchPoint) -> float:
-    """Log of the isotropic bivariate normal density at ``pos``, floored."""
-    var = fc.std * fc.std
-    dx = pos.x - fc.mean.x
-    dy = pos.y - fc.mean.y
-    ll = -(_LOG_2PI + 2.0 * math.log(fc.std)) - (dx * dx + dy * dy) / (2.0 * var)
-    return max(ll, LOG_DENSITY_FLOOR)
+def log_likelihoods(fc: Forecast, positions: Sequence[PitchPoint]) -> list[float]:
+    """Log of the isotropic bivariate normal density at each of ``positions``, floored."""
+    norm = _LOG_2PI + 2.0 * math.log(fc.std)
+    two_var = 2.0 * (fc.std * fc.std)
+    mx, my = fc.mean.x, fc.mean.y
+    out = []
+    for pos in positions:
+        dx = pos.x - mx
+        dy = pos.y - my
+        out.append(max(-norm - (dx * dx + dy * dy) / two_var, LOG_DENSITY_FLOOR))
+    return out
 
 
 def _seed_slots(visible_ys: list[float], n_needed: int) -> list[float]:
@@ -109,14 +114,22 @@ def _seed_keeper(
 
 @dataclass
 class TrackedTeams:
-    """Constructed trajectories for one half: 10 outfield per team plus keepers."""
+    """Constructed trajectories for one half: 10 outfield per team plus keepers,
+    and the forecast state each outfield trajectory was assigned with, as its
+    last point left it."""
 
     outfield: dict[str, list[Trajectory]]
     keepers: dict[str, Trajectory]
+    states: dict[str, list[ForecastState]]
 
     def in_order(self) -> list[Trajectory]:
         """Every trajectory: home outfield, home keeper, away outfield, away keeper."""
         return [t for team in (HOME, AWAY) for t in (*self.outfield[team], self.keepers[team])]
+
+    def states_in_order(self) -> list[ForecastState | None]:
+        """The outfield trajectories' states in ``in_order``'s order, None for
+        the keepers, which assignment does not forecast."""
+        return [s for team in (HOME, AWAY) for s in (*self.states[team], None)]
 
 
 def ball_grid(record: DiscreteMatchRecord, grid_step: float) -> GridSeries:
@@ -153,7 +166,7 @@ def build_trajectories(record: DiscreteMatchRecord, model: ForecastModel) -> Tra
                 # positions per team and the floored log-densities keep every
                 # cost finite
                 forecasts = [st.forecast_at(frame.time) for st in states[team]]
-                cost = [[-log_likelihood(fc, pos) for pos in positions] for fc in forecasts]
+                cost = [[-ll for ll in log_likelihoods(fc, positions)] for fc in forecasts]
                 for i, j in zip(*linear_sum_assignment(cost)):
                     outfield[team][i].append(frame.time, positions[j])
                     states[team][i].append(frame.time, positions[j])
@@ -161,4 +174,4 @@ def build_trajectories(record: DiscreteMatchRecord, model: ForecastModel) -> Tra
             if seen_keeper:
                 keepers[team].append(frame.time, seen_keeper[0])
 
-    return TrackedTeams(outfield=outfield, keepers=keepers)
+    return TrackedTeams(outfield=outfield, keepers=keepers, states=states)

@@ -165,6 +165,14 @@ def cmd_enrich(cfg: PipelineConfig) -> int:
     model = forecaster.load_model(cfg.model_path)
     model_sha256 = sha256_hex(Path(cfg.model_path).read_bytes())
     records, errors = _load_records(cfg)
+    for record in records:  # checked before any output is written
+        if not pipeline.grid_times(record, cfg.enrich_period_s):
+            source = cfg.frames_360_json or _discrete_path(cfg, record.half_id)
+            raise MalformedInputError(
+                f"{source}: half {record.half_id}: no multiple of enrich_period_s "
+                f"{cfg.enrich_period_s:g} s between its first and last frame times "
+                f"({record.frames[0].time:g} and {record.frames[-1].time:g} s), so no frame to enrich"
+            )
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.frames_360_json:
@@ -172,12 +180,15 @@ def cmd_enrich(cfg: PipelineConfig) -> int:
         print(f"{len(errors)} frames excluded -> {out_dir / 'axis_errors.json'}")
     for record in records:
         started = time.perf_counter()
-        trajectories = pipeline.build_trajectories(record, model).in_order()
+        tracked = pipeline.build_trajectories(record, model)
+        trajectories = tracked.in_order()
         # written before the frames exist, so the two never share the peak
         ingest.write_trajectories(
             trajectories, model_sha256, _trajectories_path(cfg, record.half_id)
         )
-        paths = pipeline.build_paths(record, model, trajectories, alpha=cfg.alpha)
+        paths = pipeline.build_paths(
+            record, model, trajectories, alpha=cfg.alpha, states=tracked.states_in_order()
+        )
         frames = pipeline.enrich_frames(paths, period=cfg.enrich_period_s)
         elapsed = time.perf_counter() - started
         out_path = out_dir / f"enriched_half{record.half_id}.json"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -65,6 +65,9 @@ class GridSeries:
     start_k: int
     step: float
     values: list[PitchPoint]
+    _lag_rows: dict[tuple[int, int], list[list[float]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.values)
@@ -79,17 +82,28 @@ class GridSeries:
         pairs = list(zip(self.values, self.values[1:]))
         return [b.x - a.x for a, b in pairs], [b.y - a.y for a, b in pairs]
 
-    def lagged_displacements(self, ks: Iterable[int], axis: int, n: int) -> list[list[float]]:
-        """Per node k, the displacements over the n intervals ending at k, k - 1, ...
+    def lagged_displacements(self, ks: range, axis: int, n: int) -> list[list[float]]:
+        """Per node k of the contiguous range ``ks``, the displacements over the
+        n intervals ending at k, k - 1, ...
 
-        Intervals outside the series have zero displacement.
+        Intervals outside the series have zero displacement.  The rows are
+        built once per axis and ``n`` and shared by every caller, which must
+        not change them.
         """
-        disp = self.displacements[axis]
-        rows = []
-        for k in ks:
-            i = k - self.start_k - 1
-            rows.append([disp[j] if 0 <= j < len(disp) else 0.0 for j in range(i, i - n, -1)])
-        return rows
+        rows = self._lag_rows.get((axis, n))
+        if rows is None:
+            disp = self.displacements[axis]
+            # row r is node start_k + r; before row 0 and from row len(disp) + n on, rows are zero
+            rows = [
+                [disp[j] if 0 <= j < len(disp) else 0.0 for j in range(i, i - n, -1)]
+                for i in range(-1, len(disp) + n - 1)
+            ]
+            self._lag_rows[(axis, n)] = rows
+        lo, hi = ks.start - self.start_k, ks.stop - self.start_k
+        if 0 <= lo and hi <= len(rows):
+            return rows[lo:hi]
+        zero = [0.0] * n
+        return [rows[r] if 0 <= r < len(rows) else zero for r in range(lo, hi)]
 
 
 def resample_to_grid(
@@ -246,6 +260,11 @@ class ForecastState:
     recursion past the last grid node and keep the unrolled steps until the
     next append, so a state queried at many times beyond its trajectory
     unrolls each step once.
+
+    The assigner keeps one state per outfield trajectory; after its last
+    append that state is the trajectory's forward state, which ``enrich``
+    hands to the trajectory's path.  Paths of keepers, and of trajectories
+    read from a file, replay their points into a new one (``forward_state``).
     """
 
     def __init__(self, model: ForecastModel, ball: GridSeries):
@@ -280,16 +299,16 @@ class ForecastState:
         else:
             k_next = math.ceil(self.t_last / step - _TOL)
         prev = self._grid_pos
-        ks, dx, dy = [], [], []
+        dx, dy = [], []
         for k in range(k_next, k_hi + 1):
             at_sighting = abs(t - k * step) <= _TOL  # taken exactly, as resample_to_grid does
             value = point if at_sighting else lerp(self.pos_last, self.t_last, point, t, k * step)
             if prev is not None:
-                ks.append(k)
                 dx.append(value.x - prev.x)
                 dy.append(value.y - prev.y)
             self._grid_k, self._grid_pos = k, value
             prev = value
+        ks = range(k_hi + 1 - len(dx), k_hi + 1)  # the nodes that end a new displacement
         for axis, d in enumerate((dx, dy)):
             g = self.ball.lagged_displacements(ks, axis, len(self.model.exog))
             armax_recursion(self._coefs, *self._lags[axis], g, d)
@@ -365,7 +384,8 @@ class ForecastState:
 
 
 def forward_state(model: ForecastModel, traj: Trajectory, ball: GridSeries) -> ForecastState:
-    """A state over the whole trajectory, for forecasts at or after its last sighting."""
+    """A state over the whole trajectory, for forecasts at or after its last
+    sighting: the points appended in order, as the assigner appends them."""
     state = ForecastState(model, ball)
     for t, p in zip(traj.times, traj.points):
         state.append(t, p)

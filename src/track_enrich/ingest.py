@@ -658,26 +658,16 @@ def _fmt(v: float) -> str:
     if v != v or math.isinf(v):
         raise ValueError(f"cannot serialize non-finite number {v}")
     s = f"{v:.6f}"
-    whole, frac = s.split(".")
-    frac = frac.rstrip("0")
-    if len(frac) < 2:
-        frac = frac.ljust(2, "0")
-    if whole in ("-0", "-"):  # avoid negative zero
-        if not frac.strip("0"):
-            whole = "0"
-    return f"{whole}.{frac}"
+    s = s[:-4] + s[-4:].rstrip("0")  # the first two decimals stay
+    return "0.00" if s == "-0.00" else s  # avoid negative zero
 
 
 def _player_json(tag: PlayerTag, pos: PitchPoint, visible: bool | None) -> str:
-    parts = [
-        f'"team": "{tag.team}"',
-        f'"keeper": {"true" if tag.is_goalkeeper else "false"}',
-        f'"x": {_fmt(pos.x)}',
-        f'"y": {_fmt(pos.y)}',
-    ]
-    if visible is not None:
-        parts.append(f'"visible": {"true" if visible else "false"}')
-    return "{" + ", ".join(parts) + "}"
+    vis = "" if visible is None else f', "visible": {"true" if visible else "false"}'
+    return (
+        f'{{"team": "{tag.team}", "keeper": {"true" if tag.is_goalkeeper else "false"}, '
+        f'"x": {_fmt(pos.x)}, "y": {_fmt(pos.y)}{vis}}}'
+    )
 
 
 def _frame_json(

@@ -5,8 +5,12 @@ correction driven by the crowd: the average displacement of all outfield
 players observed over each grid interval defines a piecewise-linear velocity
 ``u``, and the path follows the weighted integral of ``u`` where it deviates
 from its own straight-line average.  Past the last recorded point the path
-defers to the forecaster's mean.  Every trajectory starts at its record's first
-frame, so before its first point the path holds that point.
+defers to the forecaster's mean, from a forward state over the whole
+trajectory: for an outfield trajectory in ``enrich``, the state the assigner
+forecast it with; for a keeper, or a trajectory read from a file, one replayed
+from its points (``forecaster.forward_state``) on the first query past its end.
+Every trajectory starts at its record's first frame, so before its first point
+the path holds that point.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 from .forecaster import ForecastModel, ForecastState, GridSeries, forward_state
@@ -122,15 +125,17 @@ def compute_velocity_field(
 class ContinuousPath:
     """A trajectory with everything needed to evaluate it at any time.
 
-    The forecast state past the end of the span, and the velocity field's
-    antiderivative at each recorded time, are built on the first query that
-    needs them and then reused, so the trajectory must be complete before
-    that query.
+    ``state`` is the forward state past the end of the span: the assigner's
+    own state for the trajectory when it is handed over, else replayed from
+    the points on the first query that needs it.  The velocity field's
+    antiderivative at each recorded time is likewise built on first use.
+    Either way the trajectory must be complete before that query.
     """
 
     trajectory: Trajectory
     model: ForecastModel
     ball: GridSeries
+    state: ForecastState | None = field(default=None, repr=False, compare=False)
     _knots: tuple[VelocityField, array, array] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -147,23 +152,31 @@ class ContinuousPath:
             self._knots = (field_, fx, fy)
         return self._knots[1], self._knots[2]
 
-    @cached_property
+    @property
     def ahead(self) -> ForecastState:
-        return forward_state(self.model, self.trajectory, self.ball)
+        if self.state is None:
+            self.state = forward_state(self.model, self.trajectory, self.ball)
+        return self.state
 
 
-def position_at(path: ContinuousPath, field_: VelocityField, t: float) -> PitchPoint:
-    """Evaluate the continuous path at ``t``.
+def _position(
+    path: ContinuousPath,
+    field_: VelocityField,
+    i: int,
+    t: float,
+    ft: tuple[float, float] | None,
+) -> PitchPoint:
+    """Evaluate the continuous path at ``t``, where ``i`` indexes the last
+    recorded time at or before ``t`` (-1 before the first).
 
     Recorded times reproduce their points exactly; gaps between recorded
     points follow the velocity-corrected interpolation; times past the last
     recorded point fall back to the forecast mean, and a time before the first
-    holds that point.  The result is clamped to the pitch.
+    holds that point.  The result is clamped to the pitch.  ``ft`` is
+    ``field_._antiderivative(t)``, or None to integrate the field here when a
+    gap needs it.
     """
     times, points = path.trajectory.times, path.trajectory.points
-    if not times:
-        raise ValueError("cannot evaluate an empty trajectory")
-    i = bisect_right(times, t) - 1  # the last recorded time at or before t
     if i < 0:
         return clamp_to_pitch(points[0].x, points[0].y)
     if times[i] == t:
@@ -175,7 +188,7 @@ def position_at(path: ContinuousPath, field_: VelocityField, t: float) -> PitchP
     p1, p2 = points[i], points[i + 1]
     fx, fy = path.knot_integrals(field_)
     f1x, f1y, f2x, f2y = fx[i], fy[i], fx[i + 1], fy[i + 1]
-    ftx, fty = field_._antiderivative(t)
+    ftx, fty = field_._antiderivative(t) if ft is None else ft
     alpha = field_.alpha
     w1x, w1y = alpha * (ftx - f1x), alpha * (fty - f1y)
     w12x, w12y = alpha * (f2x - f1x), alpha * (f2y - f1y)
@@ -184,3 +197,36 @@ def position_at(path: ContinuousPath, field_: VelocityField, t: float) -> PitchP
         p1.x + w1x + f * (p2.x - p1.x - w12x),
         p1.y + w1y + f * (p2.y - p1.y - w12y),
     )
+
+
+def sweep(
+    path: ContinuousPath,
+    field_: VelocityField,
+    times: Sequence[float],
+    integrals: Sequence[tuple[float, float]],
+) -> list[tuple[int, PitchPoint]]:
+    """Per each of the increasing ``times``, the index of the last recorded
+    time at or before it (-1 before the first) and ``_position`` there.
+
+    One cursor into the recorded times advances by bisecting from where it
+    last stood.  ``integrals[j]`` is ``field_._antiderivative(times[j])``, so
+    paths swept over one set of times share the field's integrals.
+    """
+    rec_times = path.trajectory.times
+    if not rec_times:
+        raise ValueError("cannot evaluate an empty trajectory")
+    out = []
+    i = -1
+    for t, ft in zip(times, integrals):
+        i = bisect_right(rec_times, t, i + 1) - 1
+        out.append((i, _position(path, field_, i, t, ft)))
+    return out
+
+
+def position_at(path: ContinuousPath, field_: VelocityField, t: float) -> PitchPoint:
+    """The continuous path at ``t``: ``_position`` at the last recorded time
+    at or before it."""
+    times = path.trajectory.times
+    if not times:
+        raise ValueError("cannot evaluate an empty trajectory")
+    return _position(path, field_, bisect_right(times, t) - 1, t, None)

@@ -10,10 +10,16 @@ from typing import Sequence
 
 # enrich runs the assigner through this module, where perfbench/tracing.py wraps it
 from .assigner import ball_grid, build_trajectories  # noqa: F401
-from .forecaster import ForecastModel
+from .forecaster import ForecastModel, ForecastState
 from .geometry import EnrichedFrame, EnrichedPlayer, PitchPoint, Trajectory, lerp
 from .ingest import DiscreteMatchRecord
-from .interpolator import ContinuousPath, VelocityField, compute_velocity_field, position_at
+from .interpolator import (
+    ContinuousPath,
+    VelocityField,
+    compute_velocity_field,
+    position_at,
+    sweep,
+)
 
 
 @dataclass
@@ -46,40 +52,49 @@ def build_paths(
     trajectories: Sequence[Trajectory],
     *,
     alpha: float,
+    states: Sequence[ForecastState | None] | None = None,
 ) -> PathSet:
     """Wrap a half's trajectories, in the assigner's order, as continuous paths;
-    the outfield ones make the velocity field."""
+    the outfield ones make the velocity field.  ``states``, parallel to
+    ``trajectories``, are the forward states the assigner leaves
+    (``TrackedTeams.states_in_order``); a path without one replays its own."""
     ball = ball_grid(record, model.grid_step)
     outfield = [t for t in trajectories if not t.tag.is_goalkeeper]
+    states = states if states is not None else [None] * len(trajectories)
     return PathSet(
-        paths=[ContinuousPath(t, model, ball) for t in trajectories],
+        paths=[ContinuousPath(t, model, ball, st) for t, st in zip(trajectories, states)],
         field=compute_velocity_field(outfield, alpha, model.grid_step),
         record=record,
     )
 
 
-def seconds_to_nearest_observation(traj: Trajectory, t: float) -> float:
-    """Time from ``t`` to the closest real observation, forwards or backwards.
+def _observed_and_age(traj: Trajectory, i: int, t: float) -> tuple[bool, float]:
+    """Whether a real observation sits at ``t``, and the time from ``t`` to the
+    closest one, forwards or backwards; ``i`` is the index of the last
+    recorded time at or before ``t`` (-1 before the first).
 
     Invented kickoff seeds do not count; a trajectory that never received an
-    observation yields infinity.
+    observation is infinitely far from one.
     """
     times = traj.times
     lo = 1 if traj.seeded else 0
-    i = bisect_right(times, t, lo)
-    best = math.inf
-    if i > lo:
-        best = t - times[i - 1]
-    if i < len(times):
-        best = min(best, times[i] - t)
-    return best
+    age = t - times[i] if i >= lo else math.inf
+    after = max(i + 1, lo)
+    if after < len(times):
+        age = min(age, times[after] - t)
+    return i >= lo and times[i] == t, age
+
+
+def seconds_to_nearest_observation(traj: Trajectory, t: float) -> float:
+    """Time from ``t`` to the closest real observation (``_observed_and_age``)."""
+    return _observed_and_age(traj, bisect_right(traj.times, t) - 1, t)[1]
 
 
 def path_at(path: ContinuousPath, field: VelocityField, t: float) -> tuple[PitchPoint, bool, float]:
     """``path``'s position at ``t``, whether a real observation sits at ``t``,
     and the seconds from ``t`` to the nearest one."""
     traj = path.trajectory
-    observed, age = traj.observed_at(t), seconds_to_nearest_observation(traj, t)
+    observed, age = _observed_and_age(traj, bisect_right(traj.times, t) - 1, t)
     return position_at(path, field, t), observed, age
 
 
@@ -101,11 +116,32 @@ def snapshot_at(paths: PathSet, t: float) -> tuple[EnrichedFrame, list[float]]:
     return frame, ages
 
 
+def grid_times(record: DiscreteMatchRecord, period: float) -> list[float]:
+    """The enrich grid: every multiple of ``period`` within the record's span."""
+    t0, t1 = record.frames[0].time, record.frames[-1].time
+    k0 = math.ceil(t0 / period - 1e-9)
+    k1 = math.floor(t1 / period + 1e-9)
+    return [k * period for k in range(k0, k1 + 1)]
+
+
 def enrich_frames(
     paths: PathSet, *, period: float = 1.0
 ) -> list[EnrichedFrame]:
-    """Snapshots on a fixed grid spanning the record (used by the enrich step)."""
-    t0, t1 = paths.record.frames[0].time, paths.record.frames[-1].time
-    k0 = math.ceil(t0 / period - 1e-9)
-    k1 = math.floor(t1 / period + 1e-9)
-    return [snapshot_at(paths, k * period)[0] for k in range(k0, k1 + 1)]
+    """Snapshots on the enrich grid (``grid_times``), as ``snapshot_at`` takes
+    them.  Each path is swept over the grid once, and the field is integrated
+    once per grid time for every path."""
+    times = grid_times(paths.record, period)
+    field_ = paths.field
+    integrals = [field_._antiderivative(t) for t in times]
+    columns = []
+    for path in paths.paths:
+        traj = path.trajectory
+        column = []
+        for t, (i, pos) in zip(times, sweep(path, field_, times, integrals)):
+            observed = _observed_and_age(traj, i, t)[0]
+            column.append(EnrichedPlayer(traj.tag, pos, "observed" if observed else "estimated"))
+        columns.append(column)
+    return [
+        EnrichedFrame(time=t, ball=paths.ball_at(t), players=players)
+        for t, players in zip(times, zip(*columns))
+    ]

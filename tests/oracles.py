@@ -6,6 +6,7 @@ field's nodes, the 360 reader's flip, the JSON readers' field checks) but are
 not used by the pipeline.
 """
 
+import math
 from bisect import bisect_right
 from typing import NamedTuple
 
@@ -199,3 +200,30 @@ def read_enriched(path) -> list[EnrichedFrame]:
     """Read a file ``ingest.write_enriched`` wrote; a malformed one raises
     MalformedInputError."""
     return _read_frames(path, load_json(path), _enriched_frame)
+
+
+def fixed_decimal(v: float) -> str:
+    """The enriched and discrete files' number format, as the writer built it
+    from parts: six decimals, trailing zeros cut down to two, no negative zero."""
+    if v != v or math.isinf(v):
+        raise ValueError(f"cannot serialize non-finite number {v}")
+    whole, frac = f"{v:.6f}".split(".")
+    frac = frac.rstrip("0")
+    if len(frac) < 2:
+        frac = frac.ljust(2, "0")
+    if whole in ("-0", "-") and not frac.strip("0"):
+        whole = "0"
+    return f"{whole}.{frac}"
+
+
+def player_json(team: str, keeper: bool, x: float, y: float, visible: bool | None) -> str:
+    """One player object of an enriched or discrete frame, joined from parts."""
+    parts = [
+        f'"team": "{team}"',
+        f'"keeper": {"true" if keeper else "false"}',
+        f'"x": {fixed_decimal(x)}',
+        f'"y": {fixed_decimal(y)}',
+    ]
+    if visible is not None:
+        parts.append(f'"visible": {"true" if visible else "false"}')
+    return "{" + ", ".join(parts) + "}"

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synth import count_identity_switches, synth_half
 
-from track_enrich.assigner import build_trajectories, initialize, log_likelihood
+from track_enrich.assigner import ball_grid, build_trajectories, initialize, log_likelihoods
 from track_enrich.broadcast import DegradeConfig, degrade
-from track_enrich.forecaster import Forecast
+from track_enrich.forecaster import Forecast, forward_state
 from track_enrich.geometry import AWAY, HOME, ObservationFrame, PitchPoint, PlayerTag
 from track_enrich.lsap import linear_sum_assignment
 
@@ -17,22 +19,36 @@ class TestLogLikelihood:
     def test_at_mean_std_two(self):
         fc = Forecast(mean=PitchPoint(50, 40), std=2.0)
         # closed-form density at the mean: -log(2 pi sigma^2) = -log(8 pi)
-        assert abs(log_likelihood(fc, PitchPoint(50, 40)) - (-math.log(8 * math.pi))) < 1e-12
+        assert abs(log_likelihoods(fc, [PitchPoint(50, 40)])[0] - (-math.log(8 * math.pi))) < 1e-12
 
     def test_unit_density_at_mean(self):
         fc = Forecast(mean=PitchPoint(50, 40), std=1.0 / math.sqrt(2 * math.pi))
-        assert abs(log_likelihood(fc, PitchPoint(50, 40))) < 1e-12
+        assert abs(log_likelihoods(fc, [PitchPoint(50, 40)])[0]) < 1e-12
 
     def test_three_sigma_drop(self):
         std = 1.7
         fc = Forecast(mean=PitchPoint(50, 40), std=std)
-        at_mean = log_likelihood(fc, PitchPoint(50, 40))
-        away = log_likelihood(fc, PitchPoint(50 + 3 * std, 40))
+        at_mean, away = log_likelihoods(fc, [PitchPoint(50, 40), PitchPoint(50 + 3 * std, 40)])
         assert abs((at_mean - away) - 4.5) < 1e-12
 
     def test_floor(self):
         fc = Forecast(mean=PitchPoint(0, 0), std=0.1)
-        assert log_likelihood(fc, PitchPoint(120, 80)) == -50.0
+        assert log_likelihoods(fc, [PitchPoint(120, 80)])[0] == -50.0
+
+    def test_row_equals_the_per_entry_density(self):
+        """The row computes log(std) and 2 var once, in the per-entry
+        expression's order, so every entry keeps its bits."""
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            fc = Forecast(PitchPoint(*rng.uniform(0, 100, 2).tolist()), float(rng.uniform(1e-9, 9)))
+            positions = [PitchPoint(*rng.uniform(0, 100, 2).tolist()) for _ in range(10)]
+            want = []
+            for pos in positions:
+                var = fc.std * fc.std
+                dx, dy = pos.x - fc.mean.x, pos.y - fc.mean.y
+                ll = -(math.log(2.0 * math.pi) + 2.0 * math.log(fc.std)) - (dx * dx + dy * dy) / (2.0 * var)
+                want.append(max(ll, -50.0))
+            assert log_likelihoods(fc, positions) == want
 
 
 def brute_force_min(cost: np.ndarray) -> float:
@@ -199,3 +215,33 @@ class TestBuildTrajectories:
             keeper = tracked.keepers[team]
             assert keeper.tag.is_goalkeeper
             assert len(keeper) == len(record.frames)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    radius=st.sampled_from([10.0, 15.0, 25.0]),
+    offsets=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=6),
+)
+def test_assigner_states_forecast_as_a_replay_does(model, seed, radius, offsets):
+    """enrich takes each outfield path's forward state from the assigner: that
+    state, already queried at every later frame, forecasts exactly as one
+    replayed from the trajectory's points, at and between grid nodes past the
+    last sighting."""
+    half = synth_half(seconds=30.0, fps=5, seed=seed)
+    record = degrade(half, DegradeConfig(1.0, radius, 2))
+    tracked = build_trajectories(record, model)
+    ball = ball_grid(record, model.grid_step)
+    states = tracked.states_in_order()
+    assert [s is None for s in states] == [t.tag.is_goalkeeper for t in tracked.in_order()]
+    for traj, state in zip(tracked.in_order(), states):
+        if state is None:
+            continue
+        replay = forward_state(model, traj, ball)
+        t_last = traj.times[-1]
+        node = math.floor(t_last)
+        queries = [t_last] + [node + k + 0.5 * h for k in range(1, 14) for h in (0, 1)]
+        queries += [t_last + dt for dt in offsets]
+        for t in sorted(queries):
+            got, want = state.forecast_at(t), replay.forecast_at(t)
+            assert got.mean == want.mean and got.std == want.std, t

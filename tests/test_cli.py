@@ -437,6 +437,25 @@ def test_discrete_half_whose_half_id_is_not_its_name_exits_2(tmp_path, tiny_enri
     assert not (tmp_path / "out" / "enriched_half1.json").exists()
 
 
+@pytest.mark.parametrize(
+    "times", [[0.5], [2.2, 2.5, 2.8]], ids=["one-frame-at-0.5", "frames-between-grid-times"]
+)
+def test_half_with_no_enrich_grid_time_exits_2_before_writing(tmp_path, tiny_enrich, times):
+    """A half whose frames hold no multiple of enrich_period_s has no frame to
+    enrich: enrich names the file and the half and writes nothing."""
+
+    def edit(doc):
+        doc["frames"] = doc["frames"][: len(times)]
+        for frame, t in zip(doc["frames"], times):
+            frame["time_s"] = t
+
+    run = _enrich_copy(tmp_path, tiny_enrich, edit_discrete=edit)
+    assert run.returncode == 2
+    discrete = tmp_path / "out" / "discrete_half1.json"
+    assert f"{discrete}: half 1: no multiple of enrich_period_s 1 s" in run.stderr
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["discrete_half1.json"]
+
+
 def test_every_period_is_enriched_and_evaluated(tmp_path, tiny_enrich, capsys):
     """Extra time: simulate-broadcast writes one discrete file per period, and
     enrich and evaluate read each of them, in period order."""

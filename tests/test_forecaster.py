@@ -279,8 +279,32 @@ class TestSharedRecursion:
 
     def test_ball_displacements_zero_outside_series(self):
         ball = GridSeries(3, 1.0, [PitchPoint(1.0, 2.0), PitchPoint(4.0, 1.0), PitchPoint(6.0, 5.0)])
-        assert ball.lagged_displacements([5, 6], 0, 4) == [[2.0, 3.0, 0.0, 0.0], [0.0, 2.0, 3.0, 0.0]]
-        assert ball.lagged_displacements([3], 1, 2) == [[0.0, 0.0]]
+        assert ball.lagged_displacements(range(5, 7), 0, 4) == [[2.0, 3.0, 0.0, 0.0], [0.0, 2.0, 3.0, 0.0]]
+        assert ball.lagged_displacements(range(3, 4), 1, 2) == [[0.0, 0.0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_values=st.integers(0, 8),
+        start_k=st.integers(-5, 5),
+        n=st.integers(0, 4),
+        first=st.integers(-15, 15),
+        length=st.integers(0, 20),
+    )
+    def test_lag_row_slices_equal_the_per_node_rows(self, n_values, start_k, n, first, length):
+        """Ranges inside the series, and ranges crossing either end of it, take
+        the rows the per-node definition gives: zeros outside the series."""
+        rng = np.random.default_rng(n_values * 1000 + length)
+        ball = GridSeries(
+            start_k, 1.0, [PitchPoint(*rng.uniform(0, 80, 2).tolist()) for _ in range(n_values)]
+        )
+        ks = range(first, first + length)
+        for axis in (0, 1):
+            disp = ball.displacements[axis]
+            want = []
+            for k in ks:
+                i = k - start_k - 1
+                want.append([disp[j] if 0 <= j < len(disp) else 0.0 for j in range(i, i - n, -1)])
+            assert ball.lagged_displacements(ks, axis, n) == want
 
 
 class TestIncrementalState:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import flip_point, read_enriched
+from oracles import fixed_decimal, flip_point, player_json, read_enriched
 from synth import synth_half, write_metrica_csvs
 
 from track_enrich.assigner import build_trajectories
@@ -43,6 +43,7 @@ from track_enrich.ingest import (
     write_trajectories,
     _fmt,
     _numbers,
+    _player_json,
 )
 
 HOME_CSV = """,,,Home,,Home,,,
@@ -824,6 +825,34 @@ class TestNumberFormat:
             v = float(rng.uniform(0, 120))
             once = _fmt(v)
             assert _fmt(float(once)) == once
+
+    @pytest.mark.parametrize("v", [-0.0, 0.0, -4e-7, -5e-7, 5e-7, 0.125, -0.125, 1e20, -1e20, 7.0])
+    def test_named_values_keep_their_strings(self, v):
+        assert _fmt(v) == fixed_decimal(v)
+        assert _fmt(-0.0) == _fmt(-4e-7) == "0.00"
+
+    @settings(max_examples=500)
+    @given(
+        v=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(-1e-5, 1e-5),
+            st.floats(-200.0, 200.0),
+        )
+    )
+    def test_random_values_keep_their_strings(self, v):
+        assert _fmt(v) == fixed_decimal(v)
+
+    @settings(max_examples=200)
+    @given(
+        team=st.sampled_from(["home", "away"]),
+        keeper=st.booleans(),
+        x=st.floats(-1e3, 1e3),
+        y=st.floats(-1e-6, 1e-6),
+        visible=st.sampled_from([None, True, False]),
+    )
+    def test_player_objects_keep_their_strings(self, team, keeper, x, y, visible):
+        tag = PlayerTag(team=team, is_goalkeeper=keeper)
+        assert _player_json(tag, PitchPoint(x, y), visible) == player_json(team, keeper, x, y, visible)
 
 
 # --- trajectories files ---------------------------------------------------------

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from track_enrich.interpolator import (
     VelocityField,
     compute_velocity_field,
     position_at,
+    sweep,
 )
 
 from oracles import (
@@ -303,6 +306,34 @@ def test_gap_positions_equal_the_weighted_velocity_oracle_exactly(case):
     path, field, queries = case
     for t in queries:
         assert position_at(path, field, t) == position_in_gap(path.trajectory, field, t)
+
+
+@st.composite
+def _swept_paths(draw):
+    """A path of 1-8 recorded points with a field, and increasing query times
+    (some repeated) at its points, in its gaps, before it and after it."""
+    n = draw(st.integers(1, 8))
+    times = [draw(st.floats(-5.0, 5.0))]
+    for gap in draw(st.lists(st.floats(0.1, 6.0), min_size=n - 1, max_size=n - 1)):
+        times.append(times[-1] + gap)
+    coord = st.floats(-5.0, 125.0)
+    pts = [(t, draw(coord), draw(coord)) for t in times]
+    vs = draw(st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), max_size=40))
+    field = field_from(vs, alpha=draw(st.floats(0.0, 1.0)), start_k=draw(st.integers(-10, 20)))
+    others = draw(st.lists(st.floats(times[0] - 4.0, times[-1] + 9.0), max_size=12))
+    hits = draw(st.lists(st.sampled_from(times), max_size=6))
+    return path_of(pts), field, sorted(others + hits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_swept_paths())
+def test_a_sweep_equals_one_query_per_time(case):
+    """One cursor over increasing times, with the field's integrals handed in,
+    gives what a query per time gives."""
+    path, field, queries = case
+    got = sweep(path, field, queries, [field._antiderivative(t) for t in queries])
+    assert [pos for _, pos in got] == [position_at(path, field, t) for t in queries]
+    assert [i for i, _ in got] == [bisect_right(path.trajectory.times, t) - 1 for t in queries]
 
 
 def test_one_path_follows_the_field_it_is_asked_with():

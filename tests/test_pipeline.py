@@ -1,6 +1,9 @@
 import math
+from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synth import synth_half
 
@@ -9,9 +12,13 @@ from track_enrich.broadcast import DegradeConfig, degrade
 from track_enrich.evaluator import evaluate_half
 from track_enrich.geometry import AWAY, HOME, PitchPoint, PlayerTag, Trajectory
 from track_enrich.ingest import read_trajectories, write_trajectories
+from track_enrich.interpolator import sweep
 from track_enrich.pipeline import (
+    _observed_and_age,
     build_paths,
     enrich_frames,
+    grid_times,
+    path_at,
     seconds_to_nearest_observation,
     snapshot_at,
 )
@@ -101,6 +108,28 @@ class TestSecondsToNearest:
         assert math.isinf(seconds_to_nearest_observation(traj, 9.0))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    gaps=st.lists(st.floats(0.1, 5.0), min_size=0, max_size=6),
+    start=st.floats(-5.0, 5.0),
+    seeded=st.booleans(),
+    pick=st.one_of(st.floats(-12.0, 40.0), st.integers(0, 6)),
+)
+def test_observed_flag_and_age_equal_a_scan(gaps, start, seeded, pick):
+    times = [start]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    traj = Trajectory(tag=PlayerTag(HOME), seeded=seeded)
+    for t in times:
+        traj.append(t, PitchPoint(10.0, 10.0))
+    t = times[min(pick, len(times) - 1)] if isinstance(pick, int) else pick
+    real = times[1:] if seeded else times
+    want = (t in real, min((abs(t - s) for s in real), default=math.inf))
+    assert _observed_and_age(traj, bisect_right(times, t) - 1, t) == want
+    assert traj.observed_at(t) == want[0]
+    assert seconds_to_nearest_observation(traj, t) == want[1]
+
+
 class TestEnrichFrames:
     def test_grid_and_contract(self, degraded):
         _, record, paths = degraded
@@ -117,6 +146,28 @@ class TestEnrichFrames:
         want = math.floor(t1 / 2.0) - math.ceil(t0 / 2.0) + 1
         assert len(frames) == want
         assert all(f.time % 2.0 == 0.0 for f in frames)
+
+
+    def test_frames_equal_one_snapshot_per_grid_time(self, degraded):
+        _, record, paths = degraded
+        for period in (1.0, 0.5, 2.5):
+            times = grid_times(record, period)
+            assert enrich_frames(paths, period=period) == [snapshot_at(paths, t)[0] for t in times]
+
+    def test_sweep_equals_path_at(self, degraded):
+        """Positions, observed flags and ages from the sweep's cursor equal the
+        per-time queries at recorded times, in gaps, before the first point and
+        after the last."""
+        _, record, paths = degraded
+        t0, t1 = record.frames[0].time, record.frames[-1].time
+        frame_times = [fr.time for fr in record.frames]
+        times = sorted({t0 - 2.0, t0 - 0.25, *frame_times, *(t + 0.3 for t in frame_times), t1 + 4.5})
+        integrals = [paths.field._antiderivative(t) for t in times]
+        for path in paths.paths:
+            got = []
+            for t, (i, pos) in zip(times, sweep(path, paths.field, times, integrals)):
+                got.append((pos, *_observed_and_age(path.trajectory, i, t)))
+            assert got == [path_at(path, paths.field, t) for t in times]
 
 
 def test_paths_from_the_trajectories_file_equal_the_assigners(degraded, model, tmp_path):
