@@ -1,5 +1,6 @@
 """Golden outputs: a small synthetic match through all four commands, and a
-small 360 feed through ``enrich``, pinned by sha256.
+small 360 feed through ``enrich``, pinned by sha256, with the CSVs the match
+is written to.
 
 The pipeline is deterministic, so every output file must reproduce byte for
 byte.  A change that alters any of these hashes changes what the program
@@ -29,6 +30,16 @@ GOLDEN_SHA256 = {
     "percentile_95.svg": "b0b55c7fa7afa6bacf10f239bfdf923d29d4aa63b1556aa952fe0c2c6585e0dd",
     "trajectories_half1.json": "dd7c6fd6a31cf3486ec2a2f668b648417a61e147fba8c3bcdf8244f3e8c88a7b",
     "trajectories_half2.json": "2b4b084b14cf45fc8215a3c84f6217ba137258dc36b8db97d2ca0c68b44bfda0",
+}
+
+# tests/synth.py's write_metrica_csvs for the match above; the benchmark caches
+# its inputs by name, and no output above reads the events' Start X/Start Y
+GOLDEN_CSV_SHA256 = {
+    "train_home.csv": "1728bc80fe4bf61cb8d864637cce034b0c5de9f514de3f761b649cca256c9722",
+    "train_away.csv": "a40c18b4e1b0133870a56bf3004898fd7bfd30507af3912c75f02e373b126726",
+    "test_home.csv": "cc21acae6efa73779597e2a388aebca70ba7b57db08d67d434d84de66fb0e603",
+    "test_away.csv": "ca8b0e13a3135bbcb89aeb3c4f46625038e03d34758b0128a63d9deff9e047a4",
+    "events.csv": "c2318414ea2592c53acf35a4a60995a5fc90118a2452c5dc308567aa9be60065",
 }
 
 # enrich on tests/synth.py's 360 feed, with the model above
@@ -71,6 +82,14 @@ def test_outputs_match_golden_hashes(outputs):
         for name in GOLDEN_SHA256
     }
     assert got == GOLDEN_SHA256
+
+
+def test_input_csvs_match_golden_hashes(outputs):
+    got = {
+        name: hashlib.sha256((outputs.parent / name).read_bytes()).hexdigest()
+        for name in GOLDEN_CSV_SHA256
+    }
+    assert got == GOLDEN_CSV_SHA256
 
 
 @pytest.fixture(scope="module")
