@@ -16,6 +16,7 @@ from .geometry import MalformedInputError, ObservationFrame, nearest_time_index
 from .ingest import SOURCE_SIMULATED, DiscreteMatchRecord, MatchHalf
 
 _TOL = 1e-9
+OUTFIELD_TOTAL = 20  # both teams' outfielders
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class DegradeStats:
     n_predictions: int  # hidden outfielder slots summed over frames
 
 
-def degrade_stats(record: DiscreteMatchRecord, outfield_total: int = 20) -> DegradeStats:
+def degrade_stats(record: DiscreteMatchRecord) -> DegradeStats:
     n_frames = len(record.frames)
     visible = [
         sum(1 for tag, _ in fr.visible if not tag.is_goalkeeper) for fr in record.frames
@@ -98,5 +99,5 @@ def degrade_stats(record: DiscreteMatchRecord, outfield_total: int = 20) -> Degr
     return DegradeStats(
         n_frames=n_frames,
         mean_visible_outfield=total_visible / n_frames if n_frames else 0.0,
-        n_predictions=outfield_total * n_frames - total_visible,
+        n_predictions=OUTFIELD_TOTAL * n_frames - total_visible,
     )

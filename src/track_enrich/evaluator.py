@@ -38,6 +38,8 @@ ESTIMATED = 2  # no observation at the query time
 PREV_OBSERVED = 4  # out of phase, and observed at the frame before
 AT_EVENT = 8  # in phase, at the frame nearest to an event
 
+EXAMPLE_PERCENTILES = (25, 50, 75, 95)  # of total squared frame error, drawn by evaluate
+
 
 class TruthMismatchError(ValueError):
     """Estimated and true team sizes disagree at a query time."""
@@ -119,10 +121,8 @@ class HalfResult:
 def event_frame_times(events: Sequence[Event], frame_times: Sequence[float]) -> set[float]:
     """The deduplicated in-phase frame times nearest to each event.
 
-    ``frame_times`` must be sorted; ties go to the earlier frame.
+    ``frame_times`` must be sorted and non-empty; ties go to the earlier frame.
     """
-    if not frame_times:
-        return set()
     return {frame_times[nearest_time_index(frame_times, ev.time)] for ev in events}
 
 
@@ -275,17 +275,15 @@ def build_report(results: Sequence[HalfResult]) -> dict:
     }
 
 
-def percentile_frames(
-    frame_errors: Sequence[FrameError], percentiles: Sequence[float] = (25, 50, 75, 95)
-) -> list[tuple[float, FrameError]]:
-    """For each percentile of total squared frame error, the first (in time)
-    frame whose error is closest to that percentile value."""
+def percentile_frames(frame_errors: Sequence[FrameError]) -> list[tuple[float, FrameError]]:
+    """For each of ``EXAMPLE_PERCENTILES`` of total squared frame error, the
+    first (in time) frame whose error is closest to that percentile value."""
     if len(frame_errors) < 100:
         raise ValueError(f"need at least 100 frames, got {len(frame_errors)}")
     ordered = sorted(frame_errors, key=lambda fe: fe.time)
     values = np.asarray([fe.total_squared_error for fe in ordered])
     out = []
-    for pct in percentiles:
+    for pct in EXAMPLE_PERCENTILES:
         target = float(np.percentile(values, pct))
         best = min(ordered, key=lambda fe: (abs(fe.total_squared_error - target), fe.time))
         out.append((pct, best))

@@ -62,9 +62,7 @@ def nearest_time_index(times: Sequence[float], t: float) -> int:
 
 
 def lerp(a: PitchPoint, ta: float, b: PitchPoint, tb: float, t: float) -> PitchPoint:
-    """The point on the line from ``a`` at time ``ta`` to ``b`` at ``tb`` at time ``t``."""
-    if tb == ta:
-        return a
+    """The point at time ``t`` on the line from ``a`` at ``ta`` to ``b`` at ``tb != ta``."""
     f = (t - ta) / (tb - ta)
     return PitchPoint(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
 
@@ -74,21 +72,6 @@ def clamp_to_pitch(x: float, y: float) -> PitchPoint:
         min(max(x, 0.0), PITCH_LENGTH_M),
         min(max(y, 0.0), PITCH_WIDTH_M),
     )
-
-
-def scale_percent_coords(px: float, py: float, *, source: str = "") -> PitchPoint:
-    """Scale unit-square coordinates to metres, clamping slight overshoot.
-
-    Components outside [-0.05, 1.05] (or NaN) raise MalformedInputError naming
-    ``source`` so bad frames can be traced back to their file/row.
-    """
-    for name, v in (("x", px), ("y", py)):
-        if not (-PERCENT_TOLERANCE <= v <= 1.0 + PERCENT_TOLERANCE):
-            where = f" in {source}" if source else ""
-            raise MalformedInputError(
-                f"percentage coordinate {name}={v!r}{where} outside [-0.05, 1.05]"
-            )
-    return clamp_to_pitch(px * PITCH_LENGTH_M, py * PITCH_WIDTH_M)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,11 +120,10 @@ class ObservationFrame:
 class Trajectory:
     """Ordered (position, time) points believed to belong to one player.
 
-    ``times`` strictly increase and ``points`` runs parallel to them; a point
-    is looked up by bisecting ``times`` for an exact match.  ``seeded`` marks
-    a trajectory whose first point is an invented kickoff seed rather than an
-    observation; such a point anchors interpolation but never counts as a
-    sighting.
+    ``times`` strictly increase and ``points`` runs parallel to them.
+    ``seeded`` marks a trajectory whose first point is an invented kickoff
+    seed rather than an observation; such a point anchors interpolation but
+    never counts as a sighting.
     """
 
     tag: PlayerTag
@@ -159,16 +141,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def point_at(self, t: float) -> PitchPoint | None:
-        """Recorded point at exactly time ``t``, if any."""
-        i = bisect_left(self.times, t)
-        return self.points[i] if i < len(self.times) and self.times[i] == t else None
-
-    def observed_at(self, t: float) -> bool:
-        """True when a real observation (not an invented seed) exists at ``t``."""
-        i = bisect_left(self.times, t)
-        return i < len(self.times) and self.times[i] == t and not (self.seeded and i == 0)
 
 
 @dataclass(frozen=True, slots=True)

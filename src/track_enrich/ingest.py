@@ -51,7 +51,6 @@ from .geometry import (
     is_finite_number,
     nearest_time_index,
     other_team,
-    scale_percent_coords,
 )
 
 if TYPE_CHECKING:
@@ -81,7 +80,8 @@ SOURCE_BROADCAST_360 = "broadcast-360"
 
 @dataclass(frozen=True)
 class Event:
-    """One entry of the on-ball event log."""
+    """One entry of the on-ball event log.  The events CSV reader
+    (``attach_events``) reads no location, so it leaves ``ball`` None."""
 
     time: float
     kind: str
@@ -175,9 +175,7 @@ class FrameView(Sequence[ObservationFrame]):
     def __len__(self) -> int:
         return len(self.table.times)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> ObservationFrame:
         tab = self.table
         (ball, *row), on = tab.cells[i].tolist(), tab.used[i, 1:].tolist()
         visible = ((tag, PitchPoint(x, y)) for (x, y), tag in compress(zip(row, tab.tags), on))
@@ -196,9 +194,6 @@ class TrackView(Mapping[str, Trajectory]):
 
     def __iter__(self):
         return iter(self._column)
-
-    def __contains__(self, key) -> bool:
-        return key in self._column
 
     def __getitem__(self, key: str) -> Trajectory:
         j, tab = self._column[key], self.table
@@ -406,24 +401,17 @@ def _infer_keepers_and_sides(
 # --- event CSV ---------------------------------------------------------------
 
 
-def _float_or_nan(cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
-
-
 def attach_events(halves: list[MatchHalf], events_path: str | Path) -> None:
     """Attach the event CSV's events to their halves, on each half's time axis.
 
     Events share the tracking files' raw clock, so each half's tracking
     offset applies; events falling outside the half's frame span are dropped.
-    A file without a ``Start Time [s]`` column, a team other than Home or
-    Away, and a period or start time that is not a finite number raise
-    MalformedInputError naming the file and the CSV row; a file that is not
-    UTF-8 text raises it naming the file.
+    The location columns are not read.  A file without a ``Start Time [s]``
+    column, a team other than Home or Away, and a period or start time that
+    is not a finite number raise MalformedInputError naming the file and the
+    CSV row; a file that is not UTF-8 text raises it naming the file.
     """
-    raw: dict[int, list[tuple[float, str, dict]]] = {}
+    raw: dict[int, list[Event]] = {}
     with Path(events_path).open(newline="", encoding="utf8") as fh:
         reader = csv.DictReader(_utf8_lines(fh, events_path))
         if "start time [s]" not in [(k or "").strip().lower() for k in reader.fieldnames or ()]:
@@ -444,23 +432,17 @@ def attach_events(halves: list[MatchHalf], events_path: str | Path) -> None:
                     f"{where}: period {norm.get('period')!r} or start time "
                     f"{norm['start time [s]']!r} is not a finite number"
                 )
-            raw.setdefault(period, []).append((t, team, norm))
+            kind = norm.get("type", "").lower() or "unknown"
+            raw.setdefault(period, []).append(Event(t, kind, team))
     for half in halves:
         rows = raw.get(half.half_id, [])
         if not rows or not half.frames:
             continue
         events = []
-        for t, team, norm in sorted(rows, key=lambda r: r[0]):
-            t -= half.time_offset
-            if not (0.0 <= t <= half.times[-1]):
-                continue
-            x, y = (_float_or_nan(norm.get(f"start {c}", "")) for c in "xy")
-            try:  # a blank, NaN or out-of-range location leaves the ball unknown
-                ball = scale_percent_coords(x, y, source="events")
-            except MalformedInputError:
-                ball = None
-            kind = norm.get("type", "").lower() or "unknown"
-            events.append(Event(t, kind, team, ball))
+        for ev in sorted(rows, key=lambda ev: ev.time):
+            t = ev.time - half.time_offset
+            if 0.0 <= t <= half.times[-1]:
+                events.append(Event(t, ev.kind, ev.attacking_team))
         half.events = events
 
 

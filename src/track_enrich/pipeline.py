@@ -85,11 +85,6 @@ def _observed_and_age(traj: Trajectory, i: int, t: float) -> tuple[bool, float]:
     return i >= lo and times[i] == t, age
 
 
-def seconds_to_nearest_observation(traj: Trajectory, t: float) -> float:
-    """Time from ``t`` to the closest real observation (``_observed_and_age``)."""
-    return _observed_and_age(traj, bisect_right(traj.times, t) - 1, t)[1]
-
-
 def path_at(path: ContinuousPath, field: VelocityField, t: float) -> tuple[PitchPoint, bool, float]:
     """``path``'s position at ``t``, whether a real observation sits at ``t``,
     and the seconds from ``t`` to the nearest one."""

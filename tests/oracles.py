@@ -7,7 +7,7 @@ not used by the pipeline.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +29,12 @@ from track_enrich.ingest import _flag, _flip, _point, _read_frames, _tag, load_j
 from track_enrich.interpolator import VelocityField
 from track_enrich.lsap import linear_sum_assignment
 from track_enrich.pipeline import snapshot_at
+
+
+def observed_at(traj: Trajectory, t: float) -> bool:
+    """True when a real observation (not an invented seed) of ``traj`` is at ``t``."""
+    i = bisect_left(traj.times, t)
+    return i < len(traj.times) and traj.times[i] == t and not (traj.seeded and i == 0)
 
 
 def ar_min_root_modulus(ar) -> float:
@@ -156,7 +162,7 @@ def score_half(record, paths, truth) -> tuple[list[tuple[float, float]], list[Pr
                 errors[i] = err
         outfield = [p for p in paths.paths if not p.trajectory.tag.is_goalkeeper]
         for (player, age), path, err in zip(scored, outfield, errors, strict=True):
-            prev_observed = prev_time is not None and path.trajectory.observed_at(prev_time)
+            prev_observed = prev_time is not None and observed_at(path.trajectory, prev_time)
             at_event = phase == "in_phase" and t in events
             rows.append(PredictionRow(phase, player.provenance, err, age, prev_observed, at_event))
         total = 0.0

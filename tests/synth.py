@@ -10,6 +10,7 @@ unambiguous for the identity-retention checks.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 
 import numpy as np
 
@@ -126,6 +127,12 @@ def synth_half(
     )
 
 
+def point_at(traj: Trajectory, t: float) -> PitchPoint | None:
+    """``traj``'s recorded point at exactly time ``t``, if any."""
+    i = bisect_left(traj.times, t)
+    return traj.points[i] if i < len(traj.times) and traj.times[i] == t else None
+
+
 def identity_map(half: MatchHalf) -> dict[tuple[float, float, float], str]:
     """Exact (time, x, y) -> player key lookup for the identity oracle."""
     out = {}
@@ -210,7 +217,7 @@ def write_metrica_csvs(
                 cells = [str(half.half_id), str(frame_no), f"{fr.time:.2f}"]
                 for key in keys:
                     traj = half.player_tracks.get(key)
-                    p = traj.point_at(fr.time) if traj else None
+                    p = point_at(traj, fr.time) if traj else None
                     if p is None:
                         cells.extend(["NaN", "NaN"])
                     else:

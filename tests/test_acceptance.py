@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synth import count_identity_switches, synth_half
+from synth import count_identity_switches, point_at, synth_half
 
 from oracles import flip_point, forecast, velocity_correction
 from test_forecaster import flat_ball, make_traj, simple_model, unrolled_oracle
@@ -356,10 +356,8 @@ def test_criterion_4g_assignment_injectivity(clock, model):
         tracked = build_trajectories(record, model)
         for team in (HOME, AWAY):
             for frame in record.frames[1:]:
-                holders = [t for t in tracked.outfield[team] if t.point_at(frame.time) is not None]
-                positions = {
-                    (t.point_at(frame.time).x, t.point_at(frame.time).y) for t in holders
-                }
+                holders = [p for t in tracked.outfield[team] if (p := point_at(t, frame.time)) is not None]
+                positions = {(p.x, p.y) for p in holders}
                 visible = {(p.x, p.y) for p in frame.visible_for(team)}
                 if len(holders) != len(frame.visible_for(team)) or positions != visible:
                     ok = False

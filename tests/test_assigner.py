@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synth import count_identity_switches, synth_half
+from synth import count_identity_switches, point_at, synth_half
 
 from track_enrich.assigner import ball_grid, build_trajectories, initialize, log_likelihoods
 from track_enrich.broadcast import DegradeConfig, degrade
@@ -178,9 +178,9 @@ class TestBuildTrajectories:
             for team in (HOME, AWAY):
                 want = {(p.x, p.y) for p in frame.visible_for(team)}
                 got = [
-                    (tr.point_at(frame.time).x, tr.point_at(frame.time).y)
+                    (p.x, p.y)
                     for tr in tracked.outfield[team]
-                    if tr.point_at(frame.time) is not None
+                    if (p := point_at(tr, frame.time)) is not None
                 ]
                 if frame.time == record.frames[0].time:
                     # seeds may add invented defensive-line points
@@ -197,7 +197,7 @@ class TestBuildTrajectories:
             for team in (HOME, AWAY):
                 for frame in record.frames[1:]:
                     holders = [
-                        tr for tr in tracked.outfield[team] if tr.point_at(frame.time) is not None
+                        tr for tr in tracked.outfield[team] if point_at(tr, frame.time) is not None
                     ]
                     assert len(holders) == len(frame.visible_for(team))
 

@@ -98,10 +98,10 @@ class TestFrameCounts:
         ]
         frames = [full_frame(0.2 * (i + 1), (60.0, 40.0), positions) for i in range(100)]
         record = degrade(half_from_frames(frames), DegradeConfig(1.0, 30.0, 2))
-        stats = degrade_stats(record, outfield_total=3)
+        stats = degrade_stats(record)
         assert stats.n_frames == len(record.frames)
         assert stats.mean_visible_outfield == 2.0
-        assert stats.n_predictions == stats.n_frames  # one hidden outfielder each
+        assert stats.n_predictions == 18 * stats.n_frames  # 18 of 20 outfielders hidden each
 
 
 class TestGroundTruthAt:

