@@ -10,11 +10,12 @@ are dropped and counted, and a row with more than ten outfielders of a team
 keeps the ten first seen (ties by column name).  Each period becomes a half
 rebased to start one native period after zero.  Unparseable cells, home and
 away times that differ or do not increase, a period whose times span more
-than MAX_HALF_SPAN_S, and kept coordinates outside [-0.05, 1.05] raise
-MalformedInputError naming the file and the CSV row (exit code 2 on the
-command line); a file that is not UTF-8 text raises it naming the file.  A
-read half keeps its positions in arrays and builds an ObservationFrame or a
-Trajectory only when one is looked up (FrameView, TrackView).
+than MAX_HALF_SPAN_S or that has no row with a ball, and kept coordinates
+outside [-0.05, 1.05] raise MalformedInputError naming the file and the CSV
+row or rows (exit code 2 on the command line); a file that is not UTF-8 text
+raises it naming the file.  A read half keeps its positions in arrays and
+builds an ObservationFrame or a Trajectory only when one is looked up
+(FrameView, TrackView).
 
 All numeric output is serialized in fixed decimal with at least two
 fractional digits (six digits of precision), so files are byte-deterministic
@@ -332,9 +333,12 @@ def _match_half(period: int, home: _TeamTable, away: _TeamTable) -> MatchHalf:
 
     has_ball = ~np.isnan(ball).any(axis=1)
     kept = np.flatnonzero(has_ball)
+    if not len(kept):
+        rows = f"rows {home.rows[sel][0]}-{home.rows[sel][-1]}"
+        raise MalformedInputError(f"{home.path} {rows}: period {period} has no row with a ball")
     dropped = n - len(kept)
     if dropped:
-        level = logging.WARNING if len(kept) and dropped > 0.05 * n else logging.INFO
+        level = logging.WARNING if dropped > 0.05 * n else logging.INFO
         logger.log(level, "period %d: dropped %d of %d rows without a ball", period, dropped, n)
     cells = np.empty((len(kept), 1 + len(xy), 2))
     for j, column in enumerate([ball, *xy]):

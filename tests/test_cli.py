@@ -559,7 +559,7 @@ def _blank_first_player(row: str) -> str:
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda rows: rows[:3] + [_blank_ball(r) for r in rows[3:]], "half 1: cannot degrade an empty half"),
+        (lambda rows: rows[:3] + [_blank_ball(r) for r in rows[3:]], "period 1 has no row with a ball"),
         (lambda rows: rows[:4], "half 1: half too short"),
         (lambda rows: rows[:40], "half 1: half too short"),
     ],
@@ -607,6 +607,18 @@ def test_train_on_too_little_data_or_too_many_lags_exits_2(tmp_path, tiny_enrich
     run = _run_on_truth(tmp_path, tiny_enrich, lines, "train", config)
     assert run.returncode == 2
     assert message in run.stderr
+
+
+def test_train_on_a_period_without_a_ball_exits_2(tmp_path, tiny_enrich, tiny_truth):
+    """A second period whose rows all lack the ball, in both files."""
+    lines = {
+        team: rows + [_blank_ball("2" + r[r.index(","):]) for r in rows[3:]]
+        for team, rows in tiny_truth.items()
+    }
+    n = len(tiny_truth["home"])
+    run = _run_on_truth(tmp_path, tiny_enrich, lines, "train")
+    assert run.returncode == 2
+    assert f"home.csv rows {n + 1}-{2 * n - 3}: period 2 has no row with a ball" in run.stderr
 
 
 def test_evaluate_on_enrich_output_runs(tmp_path, tiny_enriched, tiny_truth):

@@ -173,6 +173,12 @@ ROW5_AWAY = "1,2,0.08,0.71000,0.50000,0.91000,0.40000,0.52000,0.50000"
         pytest.param(
             ROW5_HOME, ROW5_AWAY.replace("0.91000", "1.20000"), r"x=1\.2 in .*a\.csv row 5", id="away-out-of-range"
         ),
+        pytest.param(
+            ROW5_HOME + "\n2,3,0.12,0.5,0.5,0.3,0.4,NaN,NaN\n2,4,0.16,0.5,0.5,0.3,0.4,NaN,NaN",
+            ROW5_AWAY + "\n2,3,0.12,0.7,0.5,0.9,0.4,,\n2,4,0.16,0.7,0.5,0.9,0.4,,",
+            r"h\.csv rows 6-7: period 2 has no row with a ball",
+            id="period-without-a-ball",
+        ),
         # "\udcff" is written as the byte 0xff
         pytest.param(ROW5_HOME + "\udcff", ROW5_AWAY, r"h\.csv is not UTF-8 text", id="not-utf8"),
     ],
@@ -257,6 +263,11 @@ def test_read_half_frames_match_its_tracks_and_index_as_a_list(tmp_path, csvs):
     hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
     hp.write_text(csvs[HOME])
     ap.write_text(csvs[AWAY])
+    balls = [line.split(",")[-2].strip() for text in csvs.values() for line in text.splitlines()[3:]]
+    if all(cell in ("", "NaN", "nan") for cell in balls):  # no row has a ball in either file
+        with pytest.raises(MalformedInputError, match=r"h\.csv rows 4-\d+: period 1 has no row with a ball"):
+            read_tracking_csv(hp, ap)
+        return
     for half in read_tracking_csv(hp, ap):
         frames = list(half.frames)
         assert half.times == [fr.time for fr in frames]
