@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import forecaster, ingest
@@ -136,6 +137,12 @@ def _load_records(cfg: PipelineConfig):
             cfg.events_360_json,
             axis_disagreement_m=cfg.axis_disagreement_m,
         )
+        if not records:
+            reasons = sorted(Counter(e.reason for e in errors).items())
+            raise MalformedInputError(
+                f"{cfg.frames_360_json}: no usable frame: {len(errors)} frames excluded "
+                f"({', '.join(f'{r}: {n}' for r, n in reasons)})"
+            )
         return records, errors
     # one file per period, as simulate-broadcast names them, in period order
     periods = sorted(

@@ -621,6 +621,20 @@ def test_train_on_a_period_without_a_ball_exits_2(tmp_path, tiny_enrich, tiny_tr
     assert f"home.csv rows {n + 1}-{2 * n - 3}: period 2 has no row with a ball" in run.stderr
 
 
+@pytest.mark.parametrize("command", ["enrich", "evaluate"])
+def test_360_feed_without_a_usable_frame_exits_2_before_writing(tmp_path, tiny_enrich, tiny_truth, command):
+    """Both frames name an event id the event file lacks."""
+    fp, ep = tmp_path / "frames.json", tmp_path / "events.json"
+    entry = {"location": [60.0, 40.0], "teammate": True, "actor": True, "keeper": False}
+    fp.write_text(json.dumps([{"event_uuid": f"missing-{i}", "freeze_frame": [entry]} for i in (1, 2)]))
+    ep.write_text(json.dumps([{"id": "e0", "timestamp": 1.0, "team": "home", "location": [60.0, 40.0]}]))
+    config = {"frames_360_json": str(fp), "events_360_json": str(ep)}
+    run = _run_on_truth(tmp_path, tiny_enrich, tiny_truth, command, config)
+    assert run.returncode == 2
+    assert f"{fp}: no usable frame: 2 frames excluded (orphan frame: 2)" in run.stderr
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["discrete_half1.json"]
+
+
 def test_evaluate_on_enrich_output_runs(tmp_path, tiny_enriched, tiny_truth):
     run = _run_on_truth(tmp_path, tiny_enriched, tiny_truth, "evaluate", {"alpha": 0.2})
     assert run.returncode == 0, run.stderr
