@@ -401,11 +401,17 @@ TrainingHalf = tuple[Iterable[Trajectory], GridSeries]
 def _segments(
     halves: Sequence[TrainingHalf], grid_step: float, n_exog: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-trajectory, per-axis (displacements, exog-lag matrix) training segments."""
+    """Per-trajectory, per-axis (displacements, exog-lag matrix) training segments.
+    An exog matrix holds ``ball.lagged_displacements``' rows as a view of the ball's
+    zero-padded displacements; each trajectory must lie within its ball's grid."""
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view as windows
 
     out = []
     for trajs, ball in halves:
+        # per axis, window j: the ball's displacements ending at node ball.start_k + j, j - 1, ...
+        pad = np.zeros(n_exog)
+        lags = [windows(np.concatenate([pad, d]), n_exog)[:, ::-1] for d in ball.displacements]
         for traj in trajs:
             if len(traj) < 2:
                 continue
@@ -413,10 +419,11 @@ def _segments(
             if len(grid) < 3:
                 continue
             # displacement i spans the grid interval ending at start_k + 1 + i
-            ks = range(grid.start_k + 1, grid.end_k + 1)
+            lo, hi = grid.start_k + 1 - ball.start_k, grid.end_k + 1 - ball.start_k
+            if lo < 0 or hi > len(lags[0]):
+                raise ValueError("a training trajectory leaves its half's ball grid")
             for axis in (0, 1):
-                g = np.array(ball.lagged_displacements(ks, axis, n_exog)).reshape(len(ks), n_exog)
-                out.append((np.array(grid.displacements[axis]), g))
+                out.append((np.array(grid.displacements[axis]), lags[axis][lo:hi]))
     return out
 
 

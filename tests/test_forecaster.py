@@ -384,6 +384,40 @@ class TestFit:
         assert model.intercept > 0.0
         assert len(calls) == 1  # the retries reuse the training segments
 
+    def test_fit_leaves_no_lag_rows_on_the_ball_grids(self, training_half):
+        trajs = [t for t in training_half.player_tracks.values() if not t.tag.is_goalkeeper]
+        ball = resample_to_grid(training_half.times, training_half.ball)
+        fit([(trajs, ball)])
+        assert ball._lag_rows == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_ball=st.integers(3, 12), ball_start=st.integers(-3, 3), n=st.integers(0, 4), data=st.data())
+    def test_segment_exog_rows_equal_the_ball_lag_rows(self, n_ball, ball_start, n, data):
+        """Segments over the ball's whole grid, from its first node, and inside it."""
+        rng = np.random.default_rng(n_ball * 100 + n)
+        ball = GridSeries(
+            ball_start, 1.0, [PitchPoint(*rng.uniform(0, 80, 2).tolist()) for _ in range(n_ball)]
+        )
+        spans = [(ball_start, n_ball)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            a = data.draw(st.integers(0, n_ball - 3))
+            spans.append((ball_start + a, data.draw(st.integers(3, n_ball - a))))
+        trajs = [make_traj([(float(k), 50.0, 0.5 * k) for k in range(a, a + m)]) for a, m in spans]
+        segments = forecaster._segments([(trajs, ball)], 1.0, n)
+        want = [
+            ball.lagged_displacements(range(a + 1, a + m), axis, n)
+            for a, m in spans
+            for axis in (0, 1)
+        ]
+        assert [g.tolist() for _, g in segments] == want
+
+    def test_segments_reject_a_trajectory_outside_the_ball_grid(self):
+        ball = flat_ball(n=10, start_k=0)
+        for ks in (range(-2, 5), range(5, 11)):
+            traj = make_traj([(float(k), 50.0, 0.5 * k) for k in ks])
+            with pytest.raises(ValueError, match="leaves its half's ball grid"):
+                forecaster._segments([([traj], ball)], 1.0, 2)
+
     def test_too_little_data(self):
         traj = make_traj([(0, 10, 10), (5, 12, 12)])
         with pytest.raises(ValueError, match="too short"):
