@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
-from .geometry import MalformedInputError, ObservationFrame, nearest_time_index
+from .geometry import MalformedInputError, ObservationFrame, PitchPoint, nearest_time_index
 from .ingest import SOURCE_SIMULATED, DiscreteMatchRecord, MatchHalf
 
 _TOL = 1e-9
@@ -34,8 +35,8 @@ class DegradeConfig:
             raise ValueError("trim_frames must be non-negative")
 
 
-def ground_truth_at(half: MatchHalf, t: float) -> ObservationFrame:
-    """The native frame nearest to ``t`` (ties go to the earlier frame).
+def ground_truth_at(half: MatchHalf, t: float) -> int:
+    """The row of ``half.frames`` nearest to ``t`` (ties go to the earlier row).
 
     Valid for any time from the start of the half (zero) up to the last
     native frame; times below the first frame snap forward to it.  Other
@@ -46,7 +47,7 @@ def ground_truth_at(half: MatchHalf, t: float) -> ObservationFrame:
         raise MalformedInputError(
             f"half {half.half_id}: time {t} outside half span [0, {times[-1] if times else 0}]"
         )
-    return half.frames[nearest_time_index(times, t)]
+    return nearest_time_index(times, t)
 
 
 def degrade(half: MatchHalf, cfg: DegradeConfig) -> DiscreteMatchRecord:
@@ -65,16 +66,18 @@ def degrade(half: MatchHalf, cfg: DegradeConfig) -> DiscreteMatchRecord:
         )
     k_start = max(cfg.trim_frames, math.ceil(t_first / cfg.sample_period - _TOL))
     k_end = math.floor((t_last - cfg.trim_frames * cfg.sample_period) / cfg.sample_period + _TOL)
+    table, radius = half.frames, cfg.visibility_radius
     frames = []
     for k in range(k_start, k_end + 1):
         t = k * cfg.sample_period
-        native = ground_truth_at(half, t)
+        i = ground_truth_at(half, t)
+        (bx, by), *row = table.cells[i].tolist()
         visible = tuple(
-            (tag, pos)
-            for tag, pos in native.visible
-            if pos.distance_to(native.ball) <= cfg.visibility_radius
+            (tag, PitchPoint(x, y))
+            for (x, y), tag in compress(zip(row, table.tags), table.used[i, 1:].tolist())
+            if math.hypot(x - bx, y - by) <= radius
         )
-        frames.append(ObservationFrame(time=t, ball=native.ball, visible=visible))
+        frames.append(ObservationFrame(time=t, ball=PitchPoint(bx, by), visible=visible))
     return DiscreteMatchRecord(
         half_id=half.half_id,
         frames=frames,

@@ -22,7 +22,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .broadcast import ground_truth_at
-from .geometry import AWAY, HOME, EnrichedFrame, MalformedInputError, PitchPoint, nearest_time_index
+from .geometry import (
+    AWAY, HOME, EnrichedFrame, MalformedInputError, PitchPoint, PlayerTag, nearest_time_index
+)
 from .ingest import DiscreteMatchRecord, Event, MatchHalf
 from .interpolator import ContinuousPath, VelocityField
 from .lsap import linear_sum_assignment
@@ -138,7 +140,9 @@ def snapshot_at(
 def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf) -> HalfResult:
     """Score every in-phase and out-of-phase query time of one half.
 
-    Query times where the truth momentarily lacks ten outfielders per team
+    Each query time is scored against the truth's nearest row
+    (``ground_truth_at``): its used outfield cells, in column order.  Query
+    times where the truth momentarily lacks ten outfielders per team
     (substitution transitions) are skipped; more than 1% of them failing
     indicates broken inputs and raises MalformedInputError naming the half.
     """
@@ -149,6 +153,11 @@ def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf)
         team: [i for i, p in enumerate(outfield) if p.trajectory.tag.team == team]
         for team in (HOME, AWAY)
     }
+    table = truth.frames
+    truth_columns = {  # each team's outfield columns, in column order
+        team: [j for j, tag in enumerate(table.tags, 1) if tag == PlayerTag(team)]
+        for team in (HOME, AWAY)
+    }
     result = HalfResult(record.half_id, [], array("d"), array("d"), bytearray(), len(frame_times))
     skipped: list[float] = []
 
@@ -157,9 +166,10 @@ def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf)
         predictions, with ``flags`` and ESTIMATED where unobserved: the errors
         in path order, or None when ``t`` is skipped."""
         est = [(pos.x, pos.y) for pos, _, _ in states]
-        frame = ground_truth_at(truth, t)
+        row = ground_truth_at(truth, t)
+        cells, used = table.cells[row].tolist(), table.used[row].tolist()
         pairs = {
-            team: ([est[i] for i in idx], [(p.x, p.y) for p in frame.visible_for(team)])
+            team: ([est[i] for i in idx], [(*cells[j],) for j in truth_columns[team] if used[j]])
             for team, idx in teams.items()
         }
         try:
@@ -196,7 +206,7 @@ def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf)
             record.half_id,
             len(skipped),
         )
-        if len(skipped) > 0.01 * (2 * len(frame_times)):
+        if len(skipped) > 0.01 * (2 * len(frame_times) - 1):  # of the query times
             raise MalformedInputError(
                 f"half {record.half_id}: {len(skipped)} query times lacked a full "
                 "set of true outfielders; inputs look inconsistent"

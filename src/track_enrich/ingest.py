@@ -8,14 +8,14 @@ the next column.  Blank or NaN cells mark an absent player or ball; rows
 without a period or time are skipped, rows without a ball (home, else away)
 are dropped and counted, and a row with more than ten outfielders of a team
 keeps the ten first seen (ties by column name).  Each period becomes a half
-rebased to start one native period after zero.  Unparseable cells, home and
-away times that differ or do not increase, a period whose times span more
-than MAX_HALF_SPAN_S or that has no row with a ball, and kept coordinates
-outside [-0.05, 1.05] raise MalformedInputError naming the file and the CSV
-row or rows (exit code 2 on the command line); a file that is not UTF-8 text
-raises it naming the file.  A read half keeps its positions in arrays and
-builds an ObservationFrame or a Trajectory only when one is looked up
-(FrameView, TrackView).
+rebased to start one native period after zero.  Unparseable cells, a period
+that is not a whole number from 0 to 2**53, home and away times that differ
+or do not increase, a period whose times span more than MAX_HALF_SPAN_S or
+that has no row with a ball, and kept coordinates outside [-0.05, 1.05] raise
+MalformedInputError naming the file and the CSV row or rows (exit code 2 on
+the command line); a file that is not UTF-8 text raises it naming the file.
+A read half is one TruthTable of arrays: the commands read its rows and
+columns directly, and build no frame or track object per row.
 
 All numeric output is serialized in fixed decimal with at least two
 fractional digits (six digits of precision), so files are byte-deterministic
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .geometry import (
     AWAY,
@@ -75,6 +75,11 @@ MAX_HALF_SPAN_S = 2 * 3600.0
 # of MAX_HALF_SPAN_S, so a tiny period is a configuration error, not a hang.
 MAX_HALF_GRID_POINTS = 1_000_000
 
+# A period is a half's id: a whole number below this, where a float still
+# holds every whole number exactly.
+MAX_PERIOD = 2**53
+_NOT_A_PERIOD = "period {!r} is not a whole number from 0 to 2**53"
+
 SOURCE_SIMULATED = "simulated"
 SOURCE_BROADCAST_360 = "broadcast-360"
 
@@ -90,38 +95,46 @@ class Event:
     ball: PitchPoint | None = None
 
 
+@dataclass(frozen=True, eq=False)  # equal by identity: arrays do not compare to one bool
+class TruthTable:
+    """One half's truth: row i is the native frame at ``times[i]``, column 0
+    the ball and column j > 0 the player ``keys[j - 1]`` with tag ``tags[j - 1]``."""
+
+    times: list[float]  # seconds since the start of the half, increasing
+    cells: np.ndarray  # (rows, 1 + players, 2) metres, the ball first
+    used: np.ndarray  # (rows, 1 + players) True where a cell is on the pitch
+    keys: list[str]  # the player columns' "<team>:<Player column>"
+    tags: list[PlayerTag]
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+
 @dataclass
 class MatchHalf:
-    """Ground-truth half: native-rate frames with all on-pitch players present.
+    """Ground-truth half: native-rate rows with every on-pitch player.
 
-    ``player_tracks`` keeps the per-column identities from the source file;
-    the pipeline proper never uses them, but training and the evaluation
-    oracle do.  A half read from tracking CSVs keeps its positions in arrays:
-    its ``frames`` and ``player_tracks`` are read-only views that build a
-    frame or a track each time one is looked up.
+    ``frames`` holds the rows as one TruthTable; its player columns keep the
+    source file's identities, which the pipeline proper never uses but
+    training and the evaluation oracle do.
     """
 
     half_id: int
-    frames: Sequence[ObservationFrame]
+    frames: TruthTable
     events: list[Event] = field(default_factory=list)
-    player_tracks: Mapping[str, Trajectory] = field(default_factory=dict)
     defends_left: dict[str, bool] = field(default_factory=dict)
     dropped_rows: int = 0
     time_offset: float = 0.0  # raw-clock seconds subtracted during rebasing
-    times: list[float] = field(init=False, repr=False)  # the frames' times
 
-    def __post_init__(self):
-        if isinstance(self.frames, FrameView):
-            self.times = self.frames.table.times
-        else:
-            self.times = [fr.time for fr in self.frames]
+    @property
+    def times(self) -> list[float]:
+        """Each row's time."""
+        return self.frames.times
 
     @property
     def ball(self) -> list[PitchPoint]:
-        """Each frame's ball position, built without building the frames."""
-        if isinstance(self.frames, FrameView):
-            return [PitchPoint(x, y) for x, y in self.frames.table.cells[:, 0].tolist()]
-        return [fr.ball for fr in self.frames]
+        """Each row's ball position."""
+        return [PitchPoint(x, y) for x, y in self.frames.cells[:, 0].tolist()]
 
 
 @dataclass
@@ -155,55 +168,6 @@ class _TeamTable(NamedTuple):
     period: np.ndarray
     time: np.ndarray
     xy: np.ndarray  # (rows, 1 + players, 2) fractions, the ball first; NaN when absent
-
-
-class _TruthTable(NamedTuple):
-    """One half's truth: row i is the native frame at ``times[i]``."""
-
-    times: list[float]  # seconds since the start of the half
-    cells: np.ndarray  # (rows, 1 + players, 2) metres, the ball first
-    used: np.ndarray  # (rows, 1 + players) True where a cell is on the pitch
-    keys: list[str]  # the player columns' "<team>:<Player column>"
-    tags: list[PlayerTag]
-
-
-class FrameView(Sequence[ObservationFrame]):
-    """A truth table's rows as ObservationFrames, each built when indexed."""
-
-    def __init__(self, table: _TruthTable):
-        self.table = table
-
-    def __len__(self) -> int:
-        return len(self.table.times)
-
-    def __getitem__(self, i: int) -> ObservationFrame:
-        tab = self.table
-        (ball, *row), on = tab.cells[i].tolist(), tab.used[i, 1:].tolist()
-        visible = ((tag, PitchPoint(x, y)) for (x, y), tag in compress(zip(row, tab.tags), on))
-        return ObservationFrame(time=tab.times[i], ball=PitchPoint(*ball), visible=tuple(visible))
-
-
-class TrackView(Mapping[str, Trajectory]):
-    """A truth table's player columns as Trajectories, each built when looked up."""
-
-    def __init__(self, table: _TruthTable):
-        self.table = table
-        self._column = {key: j for j, key in enumerate(table.keys, start=1)}
-
-    def __len__(self) -> int:
-        return len(self._column)
-
-    def __iter__(self):
-        return iter(self._column)
-
-    def __getitem__(self, key: str) -> Trajectory:
-        j, tab = self._column[key], self.table
-        on = tab.used[:, j]
-        return Trajectory(
-            tag=tab.tags[j - 1],
-            times=list(compress(tab.times, on.tolist())),
-            points=[PitchPoint(x, y) for x, y in tab.cells[on, j].tolist()],
-        )
 
 
 def _read_team_csv(path: Path, team: str) -> _TeamTable:
@@ -245,9 +209,12 @@ def _read_team_csv(path: Path, team: str) -> _TeamTable:
     # Views on the parsed buffers: a fully timed file is kept without a copy.
     values = np.frombuffer(parsed).reshape(len(numbers), len(cols))
     rows, period, time = np.frombuffer(numbers, dtype=np.int64), values[:, 0], values[:, 1]
-    bad = np.flatnonzero(~np.isfinite(period) | np.isinf(time))
+    whole = (period >= 0) & (period < MAX_PERIOD) & (np.floor(period) == period)
+    bad = np.flatnonzero(~whole | np.isinf(time))
     if bad.size:
-        raise MalformedInputError(f"{path} row {rows[bad[0]]}: period or time is not finite")
+        i = bad[0]
+        what = f"time {time[i].item()!r} is not finite" if whole[i] else _NOT_A_PERIOD
+        raise MalformedInputError(f"{path} row {rows[i]}: {what.format(period[i].item())}")
     timed = ~np.isnan(time)
     if not timed.all():
         rows, period, time, values = rows[timed], period[timed], time[timed], values[timed]
@@ -362,11 +329,8 @@ def _match_half(period: int, home: _TeamTable, away: _TeamTable) -> MatchHalf:
     np.maximum(cells, 0.0, out=cells)
     np.minimum(cells, scale, out=cells)
 
-    table = _TruthTable((times[kept] - offset).tolist(), cells, used, keys, tags)
-    return MatchHalf(
-        period, FrameView(table), player_tracks=TrackView(table), defends_left=defends,
-        dropped_rows=dropped, time_offset=offset,
-    )
+    table = TruthTable((times[kept] - offset).tolist(), cells, used, keys, tags)
+    return MatchHalf(period, table, defends_left=defends, dropped_rows=dropped, time_offset=offset)
 
 
 def _infer_keepers_and_sides(
@@ -411,9 +375,10 @@ def attach_events(halves: list[MatchHalf], events_path: str | Path) -> None:
     Events share the tracking files' raw clock, so each half's tracking
     offset applies; events falling outside the half's frame span are dropped.
     The location columns are not read.  A file without a ``Start Time [s]``
-    column, a team other than Home or Away, and a period or start time that
-    is not a finite number raise MalformedInputError naming the file and the
-    CSV row; a file that is not UTF-8 text raises it naming the file.
+    column, a team other than Home or Away, a period that is not a whole
+    number from 0 to 2**53 and a start time that is not a finite number raise
+    MalformedInputError naming the file and the CSV row; a file that is not
+    UTF-8 text raises it naming the file.
     """
     raw: dict[int, list[Event]] = {}
     with Path(events_path).open(newline="", encoding="utf8") as fh:
@@ -427,17 +392,16 @@ def attach_events(halves: list[MatchHalf], events_path: str | Path) -> None:
             if team not in (HOME, AWAY):
                 raise MalformedInputError(f"{where}: team {norm.get('team')!r} is not Home or Away")
             try:
-                period = int(float(norm.get("period", "1")))
-                t = float(norm["start time [s]"])
-            except (ValueError, OverflowError):
-                t = math.nan
-            if not math.isfinite(t):
+                period, t = float(norm.get("period", "1")), float(norm["start time [s]"])
+            except ValueError:
+                period = t = math.nan
+            if not (0 <= period < MAX_PERIOD and period.is_integer() and math.isfinite(t)):
                 raise MalformedInputError(
-                    f"{where}: period {norm.get('period')!r} or start time "
+                    f"{where}: {_NOT_A_PERIOD.format(norm.get('period'))}, or start time "
                     f"{norm['start time [s]']!r} is not a finite number"
                 )
             kind = norm.get("type", "").lower() or "unknown"
-            raw.setdefault(period, []).append(Event(t, kind, team))
+            raw.setdefault(int(period), []).append(Event(t, kind, team))
     for half in halves:
         rows = raw.get(half.half_id, [])
         if not rows or not half.frames:

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from synth import synth_half  # noqa: E402
+from synth import synth_half, truth_half  # noqa: E402
 
 from track_enrich.forecaster import fit, resample_to_grid  # noqa: E402
 
@@ -22,7 +22,8 @@ def model(training_half):
         for t in training_half.player_tracks.values()
         if not t.tag.is_goalkeeper
     ]
-    ball = resample_to_grid(training_half.times, training_half.ball)
+    truth = truth_half(training_half)
+    ball = resample_to_grid(truth.times, truth.ball)
     return fit([(trajs, ball)])
 
 

@@ -8,6 +8,7 @@ not used by the pipeline.
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +22,7 @@ from track_enrich.geometry import (
     EnrichedFrame,
     EnrichedPlayer,
     MalformedInputError,
+    ObservationFrame,
     PitchPoint,
     Trajectory,
     clamp_to_pitch,
@@ -29,6 +31,26 @@ from track_enrich.ingest import _flag, _flip, _point, _read_frames, _tag, load_j
 from track_enrich.interpolator import VelocityField
 from track_enrich.lsap import linear_sum_assignment
 from track_enrich.pipeline import snapshot_at
+
+
+def truth_frame(half, i: int) -> ObservationFrame:
+    """Row ``i`` of a MatchHalf's truth table as a frame: the ball, then each
+    used player cell in column order."""
+    tab = half.frames
+    (ball, *row), on = tab.cells[i].tolist(), tab.used[i, 1:].tolist()
+    visible = ((tag, PitchPoint(x, y)) for (x, y), tag in compress(zip(row, tab.tags), on))
+    return ObservationFrame(time=tab.times[i], ball=PitchPoint(*ball), visible=tuple(visible))
+
+
+def truth_tracks(half) -> dict[str, Trajectory]:
+    """Each player column of a MatchHalf's truth table as a trajectory, by key."""
+    tab = half.frames
+    tracks = {}
+    for j, (key, tag) in enumerate(zip(tab.keys, tab.tags), start=1):
+        on = tab.used[:, j]
+        points = [PitchPoint(x, y) for x, y in tab.cells[on, j].tolist()]
+        tracks[key] = Trajectory(tag, list(compress(tab.times, on.tolist())), points)
+    return tracks
 
 
 def observed_at(traj: Trajectory, t: float) -> bool:
@@ -136,11 +158,13 @@ class PredictionRow(NamedTuple):
 def score_half(record, paths, truth) -> tuple[list[tuple[float, float]], list[PredictionRow]]:
     """``evaluator.evaluate_half`` by objects: a 22-player ``snapshot_at`` per
     query time, its outfielders matched team by team with ``match_team``
-    against the truth's ``ObservationFrame``, and one row per prediction.
+    against the truth's nearest row as a frame (``truth_frame``), and one row
+    per prediction.
 
     Returns the in-phase (time, total squared error) pairs and the rows.  A
     query time whose truth lacks a team's outfielders is skipped; more than
-    1% of them skipped raises the evaluator's MalformedInputError.
+    1% of the query times (2n - 1 for n frames) skipped raises the
+    evaluator's MalformedInputError.
     """
     frame_times = [fr.time for fr in record.frames]
     events = event_frame_times(truth.events, frame_times)
@@ -150,12 +174,12 @@ def score_half(record, paths, truth) -> tuple[list[tuple[float, float]], list[Pr
 
     def score(t, phase, prev_time):
         snapshot, ages = snapshot_at(paths, t)
-        truth_frame = ground_truth_at(truth, t)
+        truth_row = truth_frame(truth, ground_truth_at(truth, t))
         scored = [(p, age) for p, age in zip(snapshot.players, ages) if not p.tag.is_goalkeeper]
         errors = [0.0] * len(scored)
         for team in (HOME, AWAY):
             idx = [i for i, (p, _) in enumerate(scored) if p.tag.team == team]
-            true = truth_frame.visible_for(team)
+            true = truth_row.visible_for(team)
             if len(idx) != len(true):
                 return None
             for i, err in zip(idx, match_team([scored[i][0].position for i in idx], true)):
@@ -178,7 +202,7 @@ def score_half(record, paths, truth) -> tuple[list[tuple[float, float]], list[Pr
             frames.append((t, total))
         if i + 1 < len(frame_times):
             skipped += score(t + 0.5 * (frame_times[i + 1] - t), "out_of_phase", t) is None
-    if skipped > 0.01 * (2 * len(frame_times)):
+    if skipped > 0.01 * (2 * len(frame_times) - 1):
         raise MalformedInputError(
             f"half {record.half_id}: {skipped} query times lacked a full "
             "set of true outfielders; inputs look inconsistent"

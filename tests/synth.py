@@ -1,21 +1,25 @@
 """Deterministic synthetic matches: smooth ground truth with known identities.
 
-The generator produces native-rate MatchHalf objects that behave like real
-tracking data (formation anchors, ball attraction, bounded speeds) so the
-whole pipeline can run without any external dataset.  ``calm=True`` keeps
-outfielders far apart and slow, which makes frame-to-frame assignment
-unambiguous for the identity-retention checks.
+The generator produces native-rate halves (``SynthHalf``: one frame object per
+row, one track per player) that behave like real tracking data (formation
+anchors, ball attraction, bounded speeds) so the whole pipeline can run
+without any external dataset.  ``calm=True`` keeps outfielders far apart and
+slow, which makes frame-to-frame assignment unambiguous for the
+identity-retention checks.  ``truth_half`` turns one into the package's
+MatchHalf with the exact float positions; ``write_metrica_csvs`` writes halves
+as the command line reads them.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from track_enrich.geometry import AWAY, HOME, ObservationFrame, PitchPoint, PlayerTag, Trajectory
-from track_enrich.ingest import Event, MatchHalf
+from track_enrich.ingest import Event, MatchHalf, TruthTable
 
 _HOME_ANCHORS = [
     (18.0, 16.0), (16.0, 34.0), (16.0, 46.0), (18.0, 64.0),
@@ -25,6 +29,38 @@ _HOME_ANCHORS = [
 _EVENT_KINDS = ("pass", "shot", "foul", "set piece")
 
 
+@dataclass
+class SynthHalf:
+    """A generated half as objects: its frames list every on-pitch player in
+    ``player_tracks`` order, and each track keeps one player's identity."""
+
+    half_id: int
+    frames: list[ObservationFrame]
+    events: list[Event] = field(default_factory=list)
+    player_tracks: dict[str, Trajectory] = field(default_factory=dict)
+    defends_left: dict[str, bool] = field(default_factory=dict)
+
+
+def truth_half(half: SynthHalf) -> MatchHalf:
+    """``half`` as the package's MatchHalf: one row per frame, the ball
+    first, then one column per track, used where the track has a point at the
+    frame's time.  Positions are the exact floats, with no CSV round trip."""
+    times = [fr.time for fr in half.frames]
+    row = {t: i for i, t in enumerate(times)}
+    cells = np.zeros((len(times), 1 + len(half.player_tracks), 2))
+    used = np.zeros(cells.shape[:2], dtype=bool)
+    cells[:, 0] = [(fr.ball.x, fr.ball.y) for fr in half.frames]
+    used[:, 0] = True
+    for j, traj in enumerate(half.player_tracks.values(), start=1):
+        for t, p in zip(traj.times, traj.points):
+            cells[row[t], j] = (p.x, p.y)
+            used[row[t], j] = True
+    table = TruthTable(
+        times, cells, used, list(half.player_tracks), [t.tag for t in half.player_tracks.values()]
+    )
+    return MatchHalf(half.half_id, table, list(half.events), dict(half.defends_left))
+
+
 def synth_half(
     seconds: float = 240.0,
     fps: int = 5,
@@ -32,7 +68,7 @@ def synth_half(
     half_id: int = 1,
     calm: bool = False,
     event_every_s: float = 15.0,
-) -> MatchHalf:
+) -> SynthHalf:
     rng = np.random.default_rng(seed)
     dt = 1.0 / fps
     n_steps = int(round(seconds * fps))
@@ -118,7 +154,7 @@ def synth_half(
         kind_i += 1
         t_ev += event_every_s
 
-    return MatchHalf(
+    return SynthHalf(
         half_id=half_id,
         frames=frames,
         events=events,
@@ -133,7 +169,7 @@ def point_at(traj: Trajectory, t: float) -> PitchPoint | None:
     return traj.points[i] if i < len(traj.times) and traj.times[i] == t else None
 
 
-def identity_map(half: MatchHalf) -> dict[tuple[float, float, float], str]:
+def identity_map(half: SynthHalf) -> dict[tuple[float, float, float], str]:
     """Exact (time, x, y) -> player key lookup for the identity oracle."""
     out = {}
     for key, traj in half.player_tracks.items():
@@ -142,7 +178,7 @@ def identity_map(half: MatchHalf) -> dict[tuple[float, float, float], str]:
     return out
 
 
-def count_identity_switches(half: MatchHalf, trajectories) -> int:
+def count_identity_switches(half: SynthHalf, trajectories) -> int:
     """Consecutive trajectory points attributed to different true players."""
     lookup = identity_map(half)
     switches = 0
@@ -193,7 +229,7 @@ def write_360_feed(tmp_path, n=40):
 
 
 def write_metrica_csvs(
-    halves: list[MatchHalf], home_path, away_path, events_path=None
+    halves: list[SynthHalf], home_path, away_path, events_path=None
 ) -> None:
     """Materialize synthetic halves in the wide per-team CSV layout."""
     for team, path in ((HOME, home_path), (AWAY, away_path)):

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synth import count_identity_switches, point_at, synth_half
+from synth import count_identity_switches, point_at, synth_half, truth_half
 
-from oracles import flip_point, forecast, velocity_correction
+from oracles import flip_point, forecast, truth_tracks, velocity_correction
 from test_forecaster import flat_ball, make_traj, simple_model, unrolled_oracle
 
 from track_enrich.assigner import build_trajectories
@@ -118,7 +118,7 @@ def match1_report(match1_halves, match1_records):
     training = []
     for half in train:
         trajs = [
-            t for t in half.player_tracks.values()
+            t for t in truth_tracks(half).values()
             if not t.tag.is_goalkeeper and len(t) >= 2
         ]
         training.append((trajs, resample_to_grid(half.times, half.ball)))
@@ -174,7 +174,7 @@ def test_criterion_3_occlusion_curve(match1_report):
 
 def test_report_has_the_keys_criteria_2_and_3_read(model):
     """Criteria 2 and 3 skip without the data; a renamed key must still fail."""
-    half = synth_half(seconds=60.0, fps=5, seed=55)
+    half = truth_half(synth_half(seconds=60.0, fps=5, seed=55))
     record = degrade(half, DegradeConfig(1.0, 30.0, 3))
     paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
     report = build_report([evaluate_half(record, paths, half)])
@@ -352,7 +352,7 @@ def test_criterion_4g_assignment_injectivity(clock, model):
     ok = True
     for seed in (7001, 7002):
         half = synth_half(seconds=70.0, fps=5, seed=seed)
-        record = degrade(half, DegradeConfig(1.0, 25.0, 2))
+        record = degrade(truth_half(half), DegradeConfig(1.0, 25.0, 2))
         tracked = build_trajectories(record, model)
         for team in (HOME, AWAY):
             for frame in record.frames[1:]:
@@ -421,9 +421,10 @@ def test_criterion_4_total_runtime(clock):
 
 def test_criterion_5_oracle_identity(model):
     half = synth_half(seconds=300.0, fps=5, seed=90, half_id=1, calm=True)
-    record = degrade(half, DegradeConfig(1.0, 1e9, 30))
+    truth = truth_half(half)
+    record = degrade(truth, DegradeConfig(1.0, 1e9, 30))
     paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
-    result = evaluate_half(record, paths, half)
+    result = evaluate_half(record, paths, truth)
     in_rows = [e for e, f in zip(result.errors, result.flags) if f & IN_PHASE]
     max_err = max(in_rows)
     outfield = [p.trajectory for p in paths.paths if not p.trajectory.tag.is_goalkeeper]

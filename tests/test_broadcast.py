@@ -2,17 +2,20 @@ import math
 
 import pytest
 
+from synth import SynthHalf, truth_half
+
 from track_enrich.broadcast import DegradeConfig, degrade, degrade_stats, ground_truth_at
-from track_enrich.geometry import AWAY, HOME, ObservationFrame, PitchPoint, PlayerTag
-from track_enrich.ingest import MatchHalf
+from track_enrich.geometry import AWAY, HOME, ObservationFrame, PitchPoint, PlayerTag, Trajectory
 
 
 def half_from_frames(frames, half_id=1):
-    return MatchHalf(
-        half_id=half_id,
-        frames=frames,
-        defends_left={HOME: True, AWAY: False},
-    )
+    """A truth half whose column j holds each frame's j-th visible player."""
+    tracks = {
+        f"column{j}": Trajectory(tag, [fr.time for fr in frames], [fr.visible[j][1] for fr in frames])
+        for j, (tag, _) in enumerate(frames[0].visible)
+    }
+    half = SynthHalf(half_id, frames, player_tracks=tracks, defends_left={HOME: True, AWAY: False})
+    return truth_half(half)
 
 
 def full_frame(t, ball, positions):
@@ -51,7 +54,7 @@ class TestVisibility:
             assert {(p.x, p.y) for _, p in fs.visible} <= {(p.x, p.y) for _, p in fl.visible}
 
     def test_visible_positions_are_exact_copies(self, calm_half):
-        record = degrade(calm_half, DegradeConfig(1.0, 30.0, 2))
+        record = degrade(truth_half(calm_half), DegradeConfig(1.0, 30.0, 2))
         truth = {
             (t, p.x, p.y)
             for traj in calm_half.player_tracks.values()
@@ -80,7 +83,7 @@ class TestFrameCounts:
             degrade(half_from_frames(frames), DegradeConfig(1.0, 30.0, 30))
 
     def test_identities_erased(self, calm_half):
-        record = degrade(calm_half, DegradeConfig(1.0, 30.0, 2))
+        record = degrade(truth_half(calm_half), DegradeConfig(1.0, 30.0, 2))
         for frame in record.frames:
             for tag, _ in frame.visible:
                 assert tag in {
@@ -112,21 +115,21 @@ class TestGroundTruthAt:
 
     def test_exact_hit(self):
         half = self._half()
-        assert ground_truth_at(half, 0.08).time == 0.08
+        assert half.times[ground_truth_at(half, 0.08)] == 0.08
 
     def test_midway_within_half_native_period(self):
         half = self._half()
-        got = ground_truth_at(half, 1.019)
-        assert abs(got.time - 1.019) <= 0.02 + 1e-9
+        got = half.times[ground_truth_at(half, 1.019)]
+        assert abs(got - 1.019) <= 0.02 + 1e-9
 
     def test_before_first_frame_snaps_forward(self):
         half = self._half()
-        assert ground_truth_at(half, 0.03).time == 0.04
+        assert half.times[ground_truth_at(half, 0.03)] == 0.04
 
     def test_tie_prefers_earlier(self):
         half = self._half()
         got = ground_truth_at(half, 0.06)  # equidistant between 0.04 and 0.08
-        assert got.time == pytest.approx(0.04)
+        assert got == 0 and half.times[got] == pytest.approx(0.04)
 
     def test_out_of_span(self):
         half = self._half()
@@ -137,7 +140,7 @@ class TestGroundTruthAt:
 
 
 def test_mean_visible_is_plausible_on_synthetic(calm_half):
-    record = degrade(calm_half, DegradeConfig(1.0, 30.0, 2))
+    record = degrade(truth_half(calm_half), DegradeConfig(1.0, 30.0, 2))
     stats = degrade_stats(record)
     assert 0 < stats.mean_visible_outfield <= 20
     assert stats.n_predictions == 20 * stats.n_frames - sum(

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import read_enriched
-from synth import synth_half, write_360_feed, write_metrica_csvs
+from synth import synth_half, truth_half, write_360_feed, write_metrica_csvs
 
 from track_enrich.broadcast import DegradeConfig, degrade
 from track_enrich.cli import main, sha256_hex
@@ -314,7 +314,7 @@ def tiny_enrich(tmp_path_factory):
     )
     half = synth_half(seconds=20.0, fps=5, seed=77, half_id=1)
     (root / "out").mkdir()
-    write_discrete(degrade(half, DegradeConfig(1.0, 30.0, 0)), root / "out" / "discrete_half1.json")
+    write_discrete(degrade(truth_half(half), DegradeConfig(1.0, 30.0, 0)), root / "out" / "discrete_half1.json")
     return root
 
 
@@ -590,6 +590,38 @@ def test_evaluate_against_mismatched_truth_exits_2(tmp_path, tiny_enriched, tiny
     assert message in run.stderr
 
 
+def test_evaluate_with_1_of_99_query_times_skipped_exits_2(tmp_path, tiny_enrich, capsys):
+    """50 frames give 99 query times, so one skipped is more than 1 % of them."""
+    half = synth_half(seconds=50.0, fps=5, seed=78, half_id=1)
+    home, away, out = tmp_path / "home.csv", tmp_path / "away.csv", tmp_path / "out"
+    write_metrica_csvs([half], home, away)
+    out.mkdir()
+    write_discrete(degrade(truth_half(half), DegradeConfig(1.0, 30.0, 0)), out / "discrete_half1.json")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "model_path": str(tiny_enrich / "model.json"), "output_dir": str(out),
+        "test_home_csv": str(home), "test_away_csv": str(away),
+    }))
+    assert main(["enrich", "--config", str(cfg)]) == 0
+    lines = home.read_text().splitlines()
+    cells = lines[3 + 49].split(",")  # the row at 10 s, which only the query at 10 s reads
+    assert cells[2] == "10.00" and cells[5:7] != ["NaN", "NaN"]
+    lines[3 + 49] = ",".join(cells[:5] + ["NaN", "NaN"] + cells[7:])  # an outfielder leaves
+    home.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    assert "half 1: 1 query times lacked a full set of true outfielders" in capsys.readouterr().err
+
+
+def test_simulate_broadcast_on_a_negative_period_exits_2(tmp_path, tiny_enrich, tiny_truth):
+    """A period read as a half id: ``discrete_half-3.json`` would be written
+    and then never read."""
+    lines = {team: rows[:10] + ["-3" + r[r.index(","):] for r in rows[10:]] for team, rows in tiny_truth.items()}
+    run = _run_on_truth(tmp_path, tiny_enrich, lines, "simulate-broadcast")
+    assert run.returncode == 2
+    assert "home.csv row 11: period -3.0 is not a whole number from 0 to 2**53" in run.stderr
+
+
 @pytest.mark.parametrize(
     "rows, config, message",
     [
@@ -650,7 +682,7 @@ def _other_model(root):
 
 def _record_from_another_radius(root):
     half = synth_half(seconds=20.0, fps=5, seed=77, half_id=1)
-    write_discrete(degrade(half, DegradeConfig(1.0, 15.0, 0)), root / "out" / "discrete_half1.json")
+    write_discrete(degrade(truth_half(half), DegradeConfig(1.0, 15.0, 0)), root / "out" / "discrete_half1.json")
 
 
 def _edit_trajectories(edit, seeded=False):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import PredictionRow, match_team, observed_at, score_half
-from synth import synth_half
+from synth import synth_half, truth_half
 
 from track_enrich.assigner import build_trajectories
 from track_enrich.broadcast import DegradeConfig, degrade
@@ -195,7 +195,7 @@ class TestSvg:
 
 @pytest.fixture(scope="module")
 def scored(model):
-    half = synth_half(seconds=120.0, fps=5, seed=33)
+    half = truth_half(synth_half(seconds=120.0, fps=5, seed=33))
     record = degrade(half, DegradeConfig(1.0, 1e9, 3))  # everyone visible
     paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
     result = evaluate_half(record, paths, half)
@@ -204,7 +204,7 @@ def scored(model):
 
 @pytest.fixture(scope="module")
 def occluded_inputs(model):
-    half = synth_half(seconds=150.0, fps=5, seed=44)
+    half = truth_half(synth_half(seconds=150.0, fps=5, seed=44))
     record = degrade(half, DegradeConfig(1.0, 30.0, 3))
     paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
     return half, record, paths
@@ -379,16 +379,14 @@ def as_rows(result):
 
 
 def without_a_home_outfielder(half, times):
-    """``half`` with one home outfielder missing from the native frame at each
-    of ``times``, as in a substitution overlap."""
-    frames = []
-    for fr in half.frames:
-        if any(abs(fr.time - t) < 0.05 for t in times):
-            visible = list(fr.visible)
-            del visible[next(i for i, (tag, _) in enumerate(visible) if tag == PlayerTag(HOME))]
-            fr = dataclasses.replace(fr, visible=tuple(visible))
-        frames.append(fr)
-    return dataclasses.replace(half, frames=frames)
+    """``half`` with its first home outfielder missing from the native row at
+    each of ``times``, as in a substitution overlap."""
+    table = half.frames
+    used, j = table.used.copy(), 1 + table.tags.index(PlayerTag(HOME))
+    for i, t in enumerate(table.times):
+        if any(abs(t - q) < 0.05 for q in times):
+            used[i, j] = False
+    return dataclasses.replace(half, frames=dataclasses.replace(table, used=used))
 
 
 @pytest.mark.parametrize("case", ["occluded", "skipped", "malformed"])
@@ -417,6 +415,19 @@ def test_columns_equal_the_object_scorer(occluded_inputs, case):
     assert {r.phase for r in rows} == {"in_phase", "out_of_phase"}
     assert {r.provenance for r in rows} == {"observed", "estimated"}
     assert any(r.prev_frame_observed for r in rows) and any(r.at_event_frame for r in rows)
+
+
+def test_one_skipped_query_time_of_99_is_more_than_1_percent(model):
+    half = truth_half(synth_half(seconds=55.0, fps=5, seed=45))
+    record = degrade(half, DegradeConfig(1.0, 30.0, 3))
+    assert len(record.frames) == 50  # 99 query times
+    paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
+    half = without_a_home_outfielder(half, [record.frames[10].time])
+    with pytest.raises(MalformedInputError, match="1 query times lacked") as want:
+        score_half(record, paths, half)
+    with pytest.raises(MalformedInputError) as got:
+        evaluate_half(record, paths, half)
+    assert str(got.value) == str(want.value)
 
 
 def test_a_scored_prediction_keeps_at_most_48_bytes(occluded_inputs):

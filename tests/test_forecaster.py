@@ -23,6 +23,7 @@ from track_enrich.forecaster import (
 from track_enrich.geometry import MalformedInputError, PitchPoint, PlayerTag, Trajectory
 
 from oracles import forecast
+from synth import truth_half
 
 
 def make_traj(points, tag=None):
@@ -361,7 +362,8 @@ class TestFit:
 
     def test_fit_deterministic(self, training_half, model):
         trajs = [t for t in training_half.player_tracks.values() if not t.tag.is_goalkeeper]
-        ball = resample_to_grid(training_half.times, training_half.ball)
+        truth = truth_half(training_half)
+        ball = resample_to_grid(truth.times, truth.ball)
         again = fit([(trajs, ball)])
         assert again == model
 
@@ -386,7 +388,8 @@ class TestFit:
 
     def test_fit_leaves_no_lag_rows_on_the_ball_grids(self, training_half):
         trajs = [t for t in training_half.player_tracks.values() if not t.tag.is_goalkeeper]
-        ball = resample_to_grid(training_half.times, training_half.ball)
+        truth = truth_half(training_half)
+        ball = resample_to_grid(truth.times, truth.ball)
         fit([(trajs, ball)])
         assert ball._lag_rows == {}
 

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import fixed_decimal, flip_point, player_json, read_enriched
-from synth import point_at, synth_half, write_metrica_csvs
+from oracles import fixed_decimal, flip_point, player_json, read_enriched, truth_frame, truth_tracks
+from synth import point_at, synth_half, truth_half, write_metrica_csvs
 
 from track_enrich.assigner import build_trajectories
-from track_enrich.broadcast import DegradeConfig, degrade
+from track_enrich.broadcast import DegradeConfig, degrade, ground_truth_at
 from track_enrich.cli import _training_halves
 from track_enrich.config import PipelineConfig
+from track_enrich.evaluator import evaluate_half
 from track_enrich.geometry import (
     AWAY,
     HOME,
@@ -45,6 +46,7 @@ from track_enrich.ingest import (
     _numbers,
     _player_json,
 )
+from track_enrich.pipeline import build_paths
 
 HOME_CSV = """,,,Home,,Home,,,
 ,,,1,,2,,,
@@ -69,9 +71,9 @@ class TestTrackingCsv:
         halves = read_tracking_csv(home, away)
         assert len(halves) == 1
         half = halves[0]
-        assert [f.time for f in half.frames] == pytest.approx([0.04, 0.08])
-        assert half.frames[0].ball == PitchPoint(60.0, 40.0)
-        xs = sorted(p.x for _, p in half.frames[0].visible)
+        assert half.times == pytest.approx([0.04, 0.08])
+        assert half.ball[0] == PitchPoint(60.0, 40.0)
+        xs = sorted(p.x for _, p in truth_frame(half, 0).visible)
         assert xs == pytest.approx([36.0, 60.0, 84.0, 108.0])
 
     def test_missing_ball_row_skipped_and_counted(self, tmp_path):
@@ -100,8 +102,7 @@ class TestTrackingCsv:
         hp.write_text(home)
         ap.write_text(AWAY_CSV)
         half = read_tracking_csv(hp, ap)[0]
-        assert "home:Player2" not in half.player_tracks
-        assert len(half.player_tracks) == 3
+        assert half.frames.keys == ["home:Player1", "away:Player3", "away:Player4"]
 
     def test_unparseable_header_fatal(self, tmp_path):
         hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
@@ -115,12 +116,13 @@ class TestTrackingCsv:
         half = halves[0]
         assert half.defends_left[HOME] is True
         assert half.defends_left[AWAY] is False
+        tracks = truth_tracks(half)
         home_keepers = [
-            k for k, t in half.player_tracks.items()
+            k for k, t in tracks.items()
             if t.tag.is_goalkeeper and t.tag.team == HOME
         ]
         assert home_keepers == ["home:PlayerKeeper"]
-        mean_x = np.mean(half.player_tracks["home:PlayerKeeper"].points[0].x)
+        mean_x = np.mean(tracks["home:PlayerKeeper"].points[0].x)
         assert mean_x < 30.0
 
     def test_half2_rebased(self, tmp_path):
@@ -135,7 +137,7 @@ class TestTrackingCsv:
         write_metrica_csvs([h1, h2], hp, ap)
         halves = read_tracking_csv(hp, ap)
         assert len(halves) == 2
-        assert halves[1].frames[0].time == pytest.approx(0.2, abs=1e-6)
+        assert halves[1].times[0] == pytest.approx(0.2, abs=1e-6)
 
 
 ROW5_HOME = "1,2,0.08,0.51000,0.50000,0.31000,0.40000,0.52000,0.50000"
@@ -150,6 +152,30 @@ ROW5_AWAY = "1,2,0.08,0.71000,0.50000,0.91000,0.40000,0.52000,0.50000"
         ),
         pytest.param(
             ROW5_HOME.replace("1,2,", "abc,2,", 1), ROW5_AWAY, r"h\.csv row 5", id="unparseable-period"
+        ),
+        pytest.param(
+            ROW5_HOME.replace("1,2,", "1.5,2,", 1),
+            ROW5_AWAY.replace("1,2,", "1.5,2,", 1),
+            r"h\.csv row 5: period 1\.5 is not a whole",
+            id="period-1.5",
+        ),
+        pytest.param(
+            ROW5_HOME.replace("1,2,", "-3,2,", 1),
+            ROW5_AWAY.replace("1,2,", "-3,2,", 1),
+            r"h\.csv row 5: period -3\.0 is not a whole",
+            id="period-minus-3",
+        ),
+        pytest.param(
+            ROW5_HOME.replace("1,2,", "1e20,2,", 1),
+            ROW5_AWAY.replace("1,2,", "1e20,2,", 1),
+            r"h\.csv row 5: period 1e\+20 is not a whole",
+            id="period-1e20",
+        ),
+        pytest.param(
+            ROW5_HOME.replace("1,2,", f"{2**53},2,", 1),
+            ROW5_AWAY.replace("1,2,", f"{2**53},2,", 1),
+            r"h\.csv row 5: period 9007199254740992\.0",
+            id="period-2**53",
         ),
         pytest.param(
             ROW5_HOME.replace("0.08", "0.04", 1),
@@ -222,16 +248,18 @@ def test_substitution_keeps_ten_longest_established(tmp_path):
     _wide_csv(ap, list(away), [(t, away) for t, _ in rows])
     half = read_tracking_csv(hp, ap)[0]
 
-    t0, t1, t2 = (fr.time for fr in half.frames)
-    seen = {key: track.times for key, track in half.player_tracks.items()}
+    t0, t1, t2 = half.times
+    tracks = truth_tracks(half)
+    seen = {key: track.times for key, track in tracks.items()}
     # Player11 was first seen before Player10 and keeps its place; Player01
     # and Player10 first appear together, and the tie goes to the lower key.
     assert seen["home:Player11"] == [t0, t1]
     assert seen["home:Player01"] == [t1, t2]
     assert seen["home:Player10"] == [t2]
-    assert [len(fr.visible_for(HOME)) for fr in half.frames] == [9, 10, 10]
-    assert all(len(fr.visible_for(HOME, keepers=True)) == 1 for fr in half.frames)
-    assert half.player_tracks["home:PlayerKeeper"].tag.is_goalkeeper
+    frames = [truth_frame(half, i) for i in range(len(half.frames))]
+    assert [len(fr.visible_for(HOME)) for fr in frames] == [9, 10, 10]
+    assert all(len(fr.visible_for(HOME, keepers=True)) == 1 for fr in frames)
+    assert tracks["home:PlayerKeeper"].tag.is_goalkeeper
 
 _cell = st.floats(0.0, 1.0).map(lambda v: f"{v:.5f}")
 _present = st.tuples(_cell, _cell)
@@ -257,34 +285,53 @@ def _tracking_csvs(draw):
     return out
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(csvs=_tracking_csvs())
-def test_read_half_frames_match_its_tracks_and_index_as_a_list(tmp_path, csvs):
+def _read_or_no_ball(tmp_path, csvs):
+    """The halves read from ``csvs``; None, after checking the error, when no
+    row has a ball in either file."""
     hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
     hp.write_text(csvs[HOME])
     ap.write_text(csvs[AWAY])
     balls = [line.split(",")[-2].strip() for text in csvs.values() for line in text.splitlines()[3:]]
-    if all(cell in ("", "NaN", "nan") for cell in balls):  # no row has a ball in either file
+    if all(cell in ("", "NaN", "nan") for cell in balls):
         with pytest.raises(MalformedInputError, match=r"h\.csv rows 4-\d+: period 1 has no row with a ball"):
             read_tracking_csv(hp, ap)
-        return
-    for half in read_tracking_csv(hp, ap):
-        frames = list(half.frames)
+        return None
+    return read_tracking_csv(hp, ap)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csvs=_tracking_csvs())
+def test_read_half_frames_match_its_tracks(tmp_path, csvs):
+    for half in _read_or_no_ball(tmp_path, csvs) or []:
+        frames = [truth_frame(half, i) for i in range(len(half.frames))]
         assert half.times == [fr.time for fr in frames]
         assert half.ball == [fr.ball for fr in frames]
-        tracks = list(half.player_tracks.values())
+        tracks = list(truth_tracks(half).values())
         for t, fr in zip(half.times, frames):
             visible = tuple((tr.tag, p) for tr in tracks if (p := point_at(tr, t)) is not None)
             assert fr == ObservationFrame(time=t, ball=fr.ball, visible=visible)
-        n = len(frames)
-        for i in range(-n, 0):
-            assert half.frames[i] == frames[i]
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                half.frames[i]
 
 
-def test_read_builds_frames_and_tracks_only_on_demand(tmp_path, monkeypatch):
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    csvs=_tracking_csvs(),
+    period=st.sampled_from([0.02, 0.04, 0.1]),
+    radius=st.floats(1.0, 150.0),
+)
+def test_degrade_keeps_the_truth_rows_players_within_the_radius(tmp_path, csvs, period, radius):
+    for half in _read_or_no_ball(tmp_path, csvs) or []:
+        if len(half.frames) < 2:
+            continue  # too short to sample
+        record = degrade(half, DegradeConfig(period, radius, 0))
+        for fr in record.frames:
+            want = truth_frame(half, ground_truth_at(half, fr.time))
+            assert fr.ball == want.ball
+            assert fr.visible == tuple(
+                (tag, p) for tag, p in want.visible if p.distance_to(want.ball) <= radius
+            )
+
+
+def test_read_builds_frames_and_tracks_only_on_demand(tmp_path, monkeypatch, model):
     hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
     write_metrica_csvs([synth_half(seconds=30.0, fps=5, seed=3, half_id=1)], hp, ap)
     built = {ObservationFrame: 0, Trajectory: 0}
@@ -298,16 +345,21 @@ def test_read_builds_frames_and_tracks_only_on_demand(tmp_path, monkeypatch):
     half = read_tracking_csv(hp, ap)[0]
     assert built == {ObservationFrame: 0, Trajectory: 0}
     record = degrade(half, DegradeConfig(1.0, 30.0, 2))
-    # one truth frame and its degraded copy per sampled time
-    assert built == {ObservationFrame: 2 * len(record.frames), Trajectory: 0}
+    # one frame per sampled time, the degraded one: none for the truth row
+    assert built == {ObservationFrame: len(record.frames), Trajectory: 0}
+    paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
+    frames = built[ObservationFrame]
+    evaluate_half(record, paths, half)
+    assert built[ObservationFrame] == frames  # the truth is scored from its rows
+    tracks = built[Trajectory]
     training = _training_halves(PipelineConfig(train_home_csv=str(hp), train_away_csv=str(ap)))
-    assert built[ObservationFrame] == 2 * len(record.frames)
     # no track for the ball; the player tracks wait until a fit iterates them
-    assert built[Trajectory] == 0
-    for _ in range(2):
+    assert built[Trajectory] == tracks
+    for n in (1, 2):
         assert len([t for trajs, _ in training for t in trajs]) == 20  # the outfielders
-    # each pass builds every player's track once, keepers included
-    assert built[Trajectory] == 2 * len(half.player_tracks)
+        # each pass builds one track per outfield column, and none for a keeper
+        assert built[Trajectory] == tracks + 20 * n
+    assert built[ObservationFrame] == frames
 
 
 def test_read_half_retains_under_1kb_per_row(tmp_path):
@@ -379,6 +431,9 @@ Away,PASS,,1,0,2.00,0,2.00,0.6,0.5
         pytest.param(",2.00,0,", ",12..5,0,", r"e\.csv row 3: .*start time '12\.\.5'", id="unparseable-start"),
         pytest.param(",2.00,0,", ",inf,0,", r"e\.csv row 3: .*start time 'inf'", id="infinite-start"),
         pytest.param(",1,0,2.00", ",one,0,2.00", r"e\.csv row 3: period 'one'", id="unparseable-period"),
+        pytest.param(",1,0,2.00", ",1.5,0,2.00", r"e\.csv row 3: period '1\.5' is not a whole", id="period-1.5"),
+        pytest.param(",1,0,2.00", ",-3,0,2.00", r"e\.csv row 3: period '-3' is not a whole", id="period-minus-3"),
+        pytest.param(",1,0,2.00", ",1e20,0,2.00", r"e\.csv row 3: period '1e20' is not a whole", id="period-1e20"),
         pytest.param("Start Time [s]", "Start [s]", r"e\.csv row 1: no 'Start Time \[s\]' column", id="no-start-time"),
         pytest.param("0.6,0.5\n", "0.6,0.5\udcff\n", r"e\.csv is not UTF-8 text", id="not-utf8"),
     ],
@@ -455,9 +510,9 @@ class TestEnrichedRoundTrip:
 
 class TestDiscreteRoundTrip:
     def test_identity_from_file(self, tmp_path, calm_half):
-        from track_enrich.broadcast import DegradeConfig, degrade
+        from track_enrich.broadcast import DegradeConfig, degrade, ground_truth_at
 
-        record = degrade(calm_half, DegradeConfig(1.0, 30.0, 2))
+        record = degrade(truth_half(calm_half), DegradeConfig(1.0, 30.0, 2))
         path = tmp_path / "discrete.json"
         write_discrete(record, path)
         first = read_discrete(path)
@@ -870,7 +925,7 @@ class TestNumberFormat:
 def assigned(model):
     """A degraded half with occlusions and kickoff seeds, and its assigned
     trajectories in the assigner's order."""
-    record = degrade(synth_half(seconds=20.0, fps=5, seed=77, half_id=1), DegradeConfig(1.0, 20.0, 0))
+    record = degrade(truth_half(synth_half(seconds=20.0, fps=5, seed=77, half_id=1)), DegradeConfig(1.0, 20.0, 0))
     trajectories = build_trajectories(record, model).in_order()
     assert any(t.seeded for t in trajectories)
     return record, trajectories

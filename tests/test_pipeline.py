@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synth import synth_half
+from synth import synth_half, truth_half
 
 from track_enrich.assigner import build_trajectories
 from track_enrich.broadcast import DegradeConfig, degrade
@@ -25,7 +25,7 @@ from track_enrich.pipeline import (
 
 @pytest.fixture(scope="module")
 def degraded(model):
-    half = synth_half(seconds=120.0, fps=5, seed=55)
+    half = truth_half(synth_half(seconds=120.0, fps=5, seed=55))
     record = degrade(half, DegradeConfig(1.0, 30.0, 5))
     trajectories = build_trajectories(record, model).in_order()
     return half, record, build_paths(record, model, trajectories, alpha=0.5)
