@@ -66,6 +66,11 @@ def degrade(half: MatchHalf, cfg: DegradeConfig) -> DiscreteMatchRecord:
         )
     k_start = max(cfg.trim_frames, math.ceil(t_first / cfg.sample_period - _TOL))
     k_end = math.floor((t_last - cfg.trim_frames * cfg.sample_period) / cfg.sample_period + _TOL)
+    if k_end < k_start:
+        raise MalformedInputError(
+            f"half {half.half_id}: no frame to keep: no multiple of the {cfg.sample_period}s "
+            f"sample period lies in the span kept after trimming"
+        )
     table, radius = half.frames, cfg.visibility_radius
     frames = []
     for k in range(k_start, k_end + 1):

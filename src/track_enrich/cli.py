@@ -110,15 +110,16 @@ def cmd_simulate_broadcast(cfg: PipelineConfig) -> int:
         trim_frames=cfg.trim_frames,
     )
     halves = ingest.read_tracking_csv(cfg.test_home_csv, cfg.test_away_csv)
+    # every half is degraded before any file is written, so an exit 2 leaves none
+    records = [broadcast.degrade(half, dcfg) for half in halves]
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     total_frames, weighted_visible, total_preds = 0, 0.0, 0
-    for half in halves:
-        record = broadcast.degrade(half, dcfg)
+    for record in records:
         stats = broadcast.degrade_stats(record)
-        path = _discrete_path(cfg, half.half_id)
+        path = _discrete_path(cfg, record.half_id)
         ingest.write_discrete(record, path)
         print(
-            f"half {half.half_id}: {stats.n_frames} frames, "
+            f"half {record.half_id}: {stats.n_frames} frames, "
             f"{stats.mean_visible_outfield:.2f} visible outfielders on average, "
             f"{stats.n_predictions} positions to predict -> {path}"
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -65,9 +65,6 @@ class GridSeries:
     start_k: int
     step: float
     values: list[PitchPoint]
-    _lag_rows: dict[tuple[int, int], list[list[float]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.values)
@@ -81,29 +78,6 @@ class GridSeries:
         """Per-axis displacement over each grid interval; entry i ends at node start_k + 1 + i."""
         pairs = list(zip(self.values, self.values[1:]))
         return [b.x - a.x for a, b in pairs], [b.y - a.y for a, b in pairs]
-
-    def lagged_displacements(self, ks: range, axis: int, n: int) -> list[list[float]]:
-        """Per node k of the contiguous range ``ks``, the displacements over the
-        n intervals ending at k, k - 1, ...
-
-        Intervals outside the series have zero displacement.  The rows are
-        built once per axis and ``n`` and shared by every caller, which must
-        not change them.
-        """
-        rows = self._lag_rows.get((axis, n))
-        if rows is None:
-            disp = self.displacements[axis]
-            # row r is node start_k + r; before row 0 and from row len(disp) + n on, rows are zero
-            rows = [
-                [disp[j] if 0 <= j < len(disp) else 0.0 for j in range(i, i - n, -1)]
-                for i in range(-1, len(disp) + n - 1)
-            ]
-            self._lag_rows[(axis, n)] = rows
-        lo, hi = ks.start - self.start_k, ks.stop - self.start_k
-        if 0 <= lo and hi <= len(rows):
-            return rows[lo:hi]
-        zero = [0.0] * n
-        return [rows[r] if 0 <= r < len(rows) else zero for r in range(lo, hi)]
 
 
 def resample_to_grid(
@@ -181,28 +155,35 @@ def armax_recursion(
     coefs: tuple[float, Sequence[float], Sequence[float], Sequence[float]],
     d_lags: list[float],
     e_lags: list[float],
-    exog_rows: Sequence[Sequence[float]],
+    ball: Sequence[float],
+    j: int,
+    steps: int,
     observed: Sequence[float] | None,
 ) -> list[float]:
-    """The displacement recursion, one step per row of exogenous lags.
+    """The displacement recursion over ``steps`` grid steps.
 
-    ``coefs`` is ``(intercept, ar, ma, exog)``; each step predicts
-    ``intercept + sum(ar * d_lags) + sum(ma * e_lags) + sum(exog * row)`` and
-    shifts the lag registers (most recent first) in place.  Given the
-    ``observed`` displacements it returns the residuals ``d - pred``; given
-    None it forecasts, taking ``d = pred`` and a zero residual, and returns
-    the predictions.
+    ``coefs`` is ``(intercept, ar, ma, exog)``.  Step i predicts
+    ``intercept + sum(ar * d_lags) + sum(ma * e_lags) + sum(exog[l] * ball[j + i - l])``,
+    a ball displacement outside the list counting as zero, and shifts the lag
+    registers (most recent first) in place: ``ball[j]`` is the displacement
+    over the interval the first step predicts.  Given the ``observed``
+    displacements it returns the residuals ``d - pred``; given None it
+    forecasts, taking ``d = pred`` and a zero residual, and returns the
+    predictions.
     """
     intercept, ar, ma, exog = coefs
+    n_ball = len(ball)
     out = []
-    for i, row in enumerate(exog_rows):
+    for i in range(steps):
         pred = intercept
         for c, v in zip(ar, d_lags):
             pred += c * v
         for c, v in zip(ma, e_lags):
             pred += c * v
-        for c, v in zip(exog, row):
-            pred += c * v
+        b = j + i
+        for c in exog:
+            pred += c * (ball[b] if 0 <= b < n_ball else 0.0)
+            b -= 1
         d = pred if observed is None else observed[i]
         e = d - pred
         out.append(pred if observed is None else e)
@@ -308,10 +289,9 @@ class ForecastState:
                 dy.append(value.y - prev.y)
             self._grid_k, self._grid_pos = k, value
             prev = value
-        ks = range(k_hi + 1 - len(dx), k_hi + 1)  # the nodes that end a new displacement
-        for axis, d in enumerate((dx, dy)):
-            g = self.ball.lagged_displacements(ks, axis, len(self.model.exog))
-            armax_recursion(self._coefs, *self._lags[axis], g, d)
+        j = k_hi - len(dx) - self.ball.start_k  # the ball displacement ending at the first new node
+        for d, ball, lags in zip((dx, dy), self.ball.displacements, self._lags):
+            armax_recursion(self._coefs, *lags, ball, j, len(d), d)
         self.t_last, self.pos_last = t, point
         self._unroll = None
 
@@ -327,10 +307,9 @@ class ForecastState:
         if self._unroll is None:
             self._unroll = [(list(d), list(e), []) for d, e in self._lags]
         k_first = self._anchor_k() + 1
-        for axis, (d_lags, e_lags, cum) in enumerate(self._unroll):
-            ks = range(k_first + len(cum), k_first + n)
-            g = self.ball.lagged_displacements(ks, axis, len(self.model.exog))
-            preds = armax_recursion(self._coefs, d_lags, e_lags, g, None)
+        for ball, (d_lags, e_lags, cum) in zip(self.ball.displacements, self._unroll):
+            j = k_first + len(cum) - self.ball.start_k - 1
+            preds = armax_recursion(self._coefs, d_lags, e_lags, ball, j, n - len(cum), None)
             total = cum[-1] if cum else 0.0
             for pred in preds:
                 total += pred
@@ -400,10 +379,12 @@ TrainingHalf = tuple[Iterable[Trajectory], GridSeries]
 
 def _segments(
     halves: Sequence[TrainingHalf], grid_step: float, n_exog: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-trajectory, per-axis (displacements, exog-lag matrix) training segments.
-    An exog matrix holds ``ball.lagged_displacements``' rows as a view of the ball's
-    zero-padded displacements; each trajectory must lie within its ball's grid."""
+) -> list[tuple[np.ndarray, np.ndarray, list[float], int]]:
+    """Per-trajectory, per-axis (displacements, exog-lag matrix, ball displacements,
+    offset) training segments.  Row i of the exog matrix holds the ball lags that
+    ``armax_recursion`` reads at step i from the ball displacements and offset, as
+    a view of the ball's zero-padded displacements; each trajectory must lie
+    within its ball's grid."""
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view as windows
 
@@ -422,8 +403,8 @@ def _segments(
             lo, hi = grid.start_k + 1 - ball.start_k, grid.end_k + 1 - ball.start_k
             if lo < 0 or hi > len(lags[0]):
                 raise ValueError("a training trajectory leaves its half's ball grid")
-            for axis in (0, 1):
-                out.append((np.array(grid.displacements[axis]), lags[axis][lo:hi]))
+            for axis, disp in enumerate(ball.displacements):
+                out.append((np.array(grid.displacements[axis]), lags[axis][lo:hi], disp, lo - 1))
     return out
 
 
@@ -466,17 +447,17 @@ def fit(
     import numpy as np
 
     segments = _segments(halves, grid_step, ball_lags)
-    total = sum(len(d) for d, _ in segments)
+    total = sum(len(d) for d, *_ in segments)
     if total < MIN_STEPS:
         raise MalformedInputError(f"training data too short: {total} grid steps, need {MIN_STEPS}")
     t0 = max(ar_order, ma_order, 1)
-    if not any(len(d) > t0 for d, _ in segments):
+    if not any(len(d) > t0 for d, *_ in segments):
         raise MalformedInputError(
             f"training data too short: no trajectory spans more than {t0} grid steps, "
             f"as ar_order {ar_order} and ma_order {ma_order} need"
         )
 
-    pooled = np.concatenate([d for d, _ in segments])
+    pooled = np.concatenate([d for d, *_ in segments])
     one_step_std = max(float(np.std(pooled, ddof=1)), 1e-6)
 
     q = ma_order
@@ -484,11 +465,11 @@ def fit(
         t0, long_lag = max(p, q, 1), max(8, p + q + 2)
 
         # Stage 1: long AR (+ exog) to get initial residual estimates.
-        e_hat = [np.zeros(len(d)) for d, _ in segments]
+        e_hat = [np.zeros(len(d)) for d, *_ in segments]
         if q > 0:
             stage1 = {
                 idx: _design(d, None, g, long_lag, 0, long_lag)
-                for idx, (d, g) in enumerate(segments)
+                for idx, (d, g, *_) in enumerate(segments)
                 if len(d) > long_lag
             }
             if stage1:
@@ -502,7 +483,7 @@ def fit(
         # current coefficients (non-stationary intermediates are tolerated).
         for _ in range(3):
             xs, ys = [], []
-            for (d, g), e in zip(segments, e_hat):
+            for (d, g, *_), e in zip(segments, e_hat):
                 if len(d) <= t0:
                     continue
                 x, y = _design(d, e, g, p, q, t0)
@@ -511,13 +492,10 @@ def fit(
             coeffs, *_ = np.linalg.lstsq(np.concatenate(xs), np.concatenate(ys), rcond=None)
             intercept, *rest = coeffs.tolist()
             ar, ma, exog = tuple(rest[:p]), tuple(rest[p : p + q]), tuple(rest[p + q :])
+            coefs = (intercept, ar, ma, exog)
             e_hat = [
-                np.array(
-                    armax_recursion(
-                        (intercept, ar, ma, exog), [0.0] * p, [0.0] * q, g.tolist(), d.tolist()
-                    )
-                )
-                for d, g in segments
+                np.array(armax_recursion(coefs, [0.0] * p, [0.0] * q, ball, j, len(d), d.tolist()))
+                for d, _, ball, j in segments
             ]
         if ar_is_stationary(ar):
             break

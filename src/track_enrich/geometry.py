@@ -6,7 +6,6 @@ start of the half.  The two halves of a match never share a time axis.
 
 from __future__ import annotations
 
-import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -45,9 +44,6 @@ class PitchPoint:
 
     x: float
     y: float
-
-    def distance_to(self, other: "PitchPoint") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 def nearest_time_index(times: Sequence[float], t: float) -> int:

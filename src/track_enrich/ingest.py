@@ -435,10 +435,15 @@ def _seconds(value) -> float:
 
 
 def _period(value) -> int:
+    """A 360 period: a number other than a bool, or a numeric string, that is
+    whole and in [0, MAX_PERIOD), the CSVs' rule."""
     try:
-        return int(value)
+        period = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
-        raise MalformedInputError(f"period {value!r} is not an integer") from None
+        period = math.nan
+    if not (0 <= period < MAX_PERIOD and period.is_integer()):
+        raise MalformedInputError(_NOT_A_PERIOD.format(value))
+    return int(period)
 
 
 def _xy(location) -> tuple[float, float] | None:

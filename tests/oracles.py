@@ -53,6 +53,10 @@ def truth_tracks(half) -> dict[str, Trajectory]:
     return tracks
 
 
+def distance(a: PitchPoint, b: PitchPoint) -> float:
+    return math.hypot(a.x - b.x, a.y - b.y)
+
+
 def observed_at(traj: Trajectory, t: float) -> bool:
     """True when a real observation (not an invented seed) of ``traj`` is at ``t``."""
     i = bisect_left(traj.times, t)
@@ -74,6 +78,17 @@ def ar_is_stationary(ar) -> bool:
 def forecast(model: ForecastModel, traj: Trajectory, ball: GridSeries, t: float) -> Forecast:
     """Forecast the player's position at ``t``, at or after the last sighting."""
     return forward_state(model, traj, ball).forecast_at(t)
+
+
+def ball_lag_rows(ball: GridSeries, ks: range, axis: int, n: int) -> list[list[float]]:
+    """Per node k of ``ks``, the ball's displacements over the n grid intervals
+    ending at k, k - 1, ...; an interval outside the series counts as zero."""
+    disp = ball.displacements[axis]
+    rows = []
+    for k in ks:
+        i = k - ball.start_k - 1  # the displacement over the interval ending at k
+        rows.append([disp[j] if 0 <= j < len(disp) else 0.0 for j in range(i, i - n, -1)])
+    return rows
 
 
 def velocity_at(field: VelocityField, t: float) -> tuple[float, float]:
@@ -138,7 +153,7 @@ def match_team(est: list[PitchPoint], truth: list[PitchPoint]) -> list[float]:
         else:
             unused.remove(hit)
     if remaining:
-        cost = [[truth[j].distance_to(est[c]) for c in remaining] for j in unused]
+        cost = [[distance(truth[j], est[c]) for c in remaining] for j in unused]
         for r, c in zip(*linear_sum_assignment(cost)):
             errors[remaining[c]] = cost[r][c]
     return errors

@@ -5,7 +5,7 @@ import pytest
 from synth import SynthHalf, truth_half
 
 from track_enrich.broadcast import DegradeConfig, degrade, degrade_stats, ground_truth_at
-from track_enrich.geometry import AWAY, HOME, ObservationFrame, PitchPoint, PlayerTag, Trajectory
+from track_enrich.geometry import AWAY, HOME, MalformedInputError, ObservationFrame, PitchPoint, PlayerTag, Trajectory
 
 
 def half_from_frames(frames, half_id=1):
@@ -81,6 +81,13 @@ class TestFrameCounts:
         frames = [full_frame(0.2 * (i + 1), (60.0, 40.0), positions) for i in range(50)]
         with pytest.raises(ValueError, match="half too short"):
             degrade(half_from_frames(frames), DegradeConfig(1.0, 30.0, 30))
+
+    def test_half_with_no_sampled_time(self):
+        """No multiple of the 0.1 s period lies in [0.04, 0.08]: no frame, not an empty record."""
+        positions = [(HOME, False, 50.0, 40.0)]
+        frames = [full_frame(t, (60.0, 40.0), positions) for t in (0.04, 0.08)]
+        with pytest.raises(MalformedInputError, match="half 1: no frame to keep"):
+            degrade(half_from_frames(frames), DegradeConfig(0.1, 30.0, 0))
 
     def test_identities_erased(self, calm_half):
         record = degrade(truth_half(calm_half), DegradeConfig(1.0, 30.0, 2))

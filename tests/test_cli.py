@@ -235,6 +235,17 @@ def test_enrich_360_millisecond_timestamps_rejected(tmp_path, capsys):
     assert not list((tmp_path / "out360").glob("enriched_half*.json"))
 
 
+def test_enrich_360_event_with_a_fractional_period_exits_2(tmp_path, tiny_enrich, capsys):
+    fp, ep = write_360_feed(tmp_path)
+    events = json.loads(ep.read_text())
+    events[3]["period"] = 1.5
+    ep.write_text(json.dumps(events))
+    cfg = _enrich_360_config(tmp_path, tiny_enrich / "model.json", fp, ep)
+    assert main(["enrich", "--config", str(cfg)]) == 2
+    assert f"{ep}: event 3: period 1.5 is not a whole number from 0 to 2**53" in capsys.readouterr().err
+    assert not (tmp_path / "out360").exists()
+
+
 def _src_env() -> dict:
     src = str(Path(__file__).resolve().parent.parent / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -611,6 +622,24 @@ def test_evaluate_with_1_of_99_query_times_skipped_exits_2(tmp_path, tiny_enrich
     capsys.readouterr()
     assert main(["evaluate", "--config", str(cfg)]) == 2
     assert "half 1: 1 query times lacked a full set of true outfielders" in capsys.readouterr().err
+
+
+def test_simulate_broadcast_on_a_half_with_no_sampled_time_exits_2(tmp_path, tiny_enrich, tiny_truth):
+    """Two rows at 0.2 and 0.4 s hold no whole second, the sample period."""
+    lines = {team: rows[:5] for team, rows in tiny_truth.items()}
+    run = _run_on_truth(tmp_path, tiny_enrich, lines, "simulate-broadcast", {"trim_frames": 0})
+    assert run.returncode == 2
+    assert "half 1: no frame to keep" in run.stderr
+
+
+def test_simulate_broadcast_exit_2_on_half_2_writes_no_file(tmp_path, tiny_enrich, tiny_truth):
+    """Half 1 degrades, half 2 (two rows) does not: neither half's file is written."""
+    lines = {team: rows + ["2" + r[r.index(","):] for r in rows[3:5]] for team, rows in tiny_truth.items()}
+    config = {"trim_frames": 5, "output_dir": str(tmp_path / "fresh")}
+    run = _run_on_truth(tmp_path, tiny_enrich, lines, "simulate-broadcast", config)
+    assert run.returncode == 2
+    assert "half 2: half too short" in run.stderr
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_simulate_broadcast_on_a_negative_period_exits_2(tmp_path, tiny_enrich, tiny_truth):

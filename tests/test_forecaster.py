@@ -237,8 +237,9 @@ class TestMultiStepAgainstOracle:
             assert abs(fc.mean.y - np.clip(oy, 0, 80)) < 1e-9, f"trial {trial}"
 
 
-def textbook_residuals(model, d, g):
-    """Conditional residuals with zero pre-sample lags, indexed the textbook way."""
+def textbook_residuals(model, d, exog_at):
+    """Conditional residuals with zero pre-sample lags, indexed the textbook way;
+    ``exog_at(i, l)`` is ball lag l at step i."""
     p, q = len(model.ar), len(model.ma)
     e = []
     for i, dv in enumerate(d):
@@ -248,7 +249,7 @@ def textbook_residuals(model, d, g):
         for lag in range(1, q + 1):
             pred += model.ma[lag - 1] * (e[i - lag] if i - lag >= 0 else 0.0)
         for lag, c in enumerate(model.exog):
-            pred += c * g[i][lag]
+            pred += c * exog_at(i, lag)
         e.append(dv - pred)
     return e
 
@@ -258,30 +259,43 @@ class TestSharedRecursion:
         return (model.intercept, model.ar, model.ma, model.exog)
 
     def test_residuals_equal_textbook_loop(self):
+        """From before the ball list (negative j), inside it, across its end and past it."""
         rng = np.random.default_rng(31)
-        for ar, ma in (((0.3, 0.1), (0.2,)), ((0.5,), ()), ((), (0.4, -0.1)), ((), ())):
-            model = simple_model(ar=ar, ma=ma)
-            d = rng.normal(0, 1, 50).tolist()
-            g = rng.normal(0, 1, (50, len(model.exog))).tolist()
-            got = armax_recursion(
-                self._coefs(model), [0.0] * len(ar), [0.0] * len(ma), g, d
-            )
-            assert got == textbook_residuals(model, d, g)
+        ball = rng.normal(0, 1, 50).tolist()
+        for j in (-60, -3, 0, 10, 49, 70):
+            for ar, ma, exog in (
+                ((0.3, 0.1), (0.2,), (0.15, 0.05)),
+                ((0.5,), (), (0.2, -0.1, 0.05, 0.3)),
+                ((), (0.4, -0.1), (0.1,)),
+                ((), (), ()),
+            ):
+                model = simple_model(ar=ar, ma=ma, exog=exog)
+                d = rng.normal(0, 1, 50).tolist()
+                got = armax_recursion(
+                    self._coefs(model), [0.0] * len(ar), [0.0] * len(ma), ball, j, len(d), d
+                )
+                want = textbook_residuals(
+                    model, d, lambda i, lag: ball[j + i - lag] if 0 <= j + i - lag < len(ball) else 0.0
+                )
+                assert got == want, (j, ar, ma, exog)
 
     def test_forecast_mode_feeds_predictions_back(self):
         model = simple_model()
         rng = np.random.default_rng(32)
-        g = rng.normal(0, 1, (12, 2)).tolist()
+        ball = rng.normal(0, 1, 8).tolist()
         d_lags, e_lags = [0.4, -0.2], [0.3]
-        preds = armax_recursion(self._coefs(model), list(d_lags), list(e_lags), g, None)
+        preds = armax_recursion(self._coefs(model), list(d_lags), list(e_lags), ball, -2, 12, None)
         # observing each prediction reproduces the forecast: zero residuals
-        resid = armax_recursion(self._coefs(model), list(d_lags), list(e_lags), g, preds)
-        assert resid == [0.0] * len(g)
+        resid = armax_recursion(self._coefs(model), list(d_lags), list(e_lags), ball, -2, 12, preds)
+        assert resid == [0.0] * 12
 
     def test_ball_displacements_zero_outside_series(self):
         ball = GridSeries(3, 1.0, [PitchPoint(1.0, 2.0), PitchPoint(4.0, 1.0), PitchPoint(6.0, 5.0)])
-        assert ball.lagged_displacements(range(5, 7), 0, 4) == [[2.0, 3.0, 0.0, 0.0], [0.0, 2.0, 3.0, 0.0]]
-        assert ball.lagged_displacements(range(3, 4), 1, 2) == [[0.0, 0.0]]
+        coefs = (0.0, (), (), (1.0, 10.0, 100.0, 1000.0))  # each lag in its own decimal place
+        # nodes 5 and 6 read x lags [2, 3, 0, 0] and [0, 2, 3, 0]
+        assert armax_recursion(coefs, [], [], ball.displacements[0], 1, 2, None) == [32.0, 320.0]
+        # node 3, the series' first node, has no displacement ending at it
+        assert armax_recursion(coefs[:3] + ((1.0, 10.0),), [], [], ball.displacements[1], -1, 1, None) == [0.0]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -291,21 +305,23 @@ class TestSharedRecursion:
         first=st.integers(-15, 15),
         length=st.integers(0, 20),
     )
-    def test_lag_row_slices_equal_the_per_node_rows(self, n_values, start_k, n, first, length):
-        """Ranges inside the series, and ranges crossing either end of it, take
-        the rows the per-node definition gives: zeros outside the series."""
+    def test_index_reads_equal_the_loop_over_per_node_rows(self, n_values, start_k, n, first, length):
+        """The recursion over nodes ``first ..``, read by index from the ball's
+        displacements, equals the textbook loop fed the per-node lag rows: inside
+        the series and across either end of it."""
         rng = np.random.default_rng(n_values * 1000 + length)
         ball = GridSeries(
             start_k, 1.0, [PitchPoint(*rng.uniform(0, 80, 2).tolist()) for _ in range(n_values)]
         )
-        ks = range(first, first + length)
+        model = simple_model(exog=tuple(rng.uniform(-0.5, 0.5, n).tolist()))
+        d = rng.normal(0, 1, length).tolist()
         for axis in (0, 1):
-            disp = ball.displacements[axis]
-            want = []
-            for k in ks:
-                i = k - start_k - 1
-                want.append([disp[j] if 0 <= j < len(disp) else 0.0 for j in range(i, i - n, -1)])
-            assert ball.lagged_displacements(ks, axis, n) == want
+            rows = oracles.ball_lag_rows(ball, range(first, first + length), axis, n)
+            got = armax_recursion(
+                self._coefs(model), [0.0, 0.0], [0.0], ball.displacements[axis],
+                first - start_k - 1, length, d,
+            )
+            assert got == textbook_residuals(model, d, lambda i, lag: rows[i][lag])
 
 
 class TestIncrementalState:
@@ -386,17 +402,11 @@ class TestFit:
         assert model.intercept > 0.0
         assert len(calls) == 1  # the retries reuse the training segments
 
-    def test_fit_leaves_no_lag_rows_on_the_ball_grids(self, training_half):
-        trajs = [t for t in training_half.player_tracks.values() if not t.tag.is_goalkeeper]
-        truth = truth_half(training_half)
-        ball = resample_to_grid(truth.times, truth.ball)
-        fit([(trajs, ball)])
-        assert ball._lag_rows == {}
-
     @settings(max_examples=100, deadline=None)
     @given(n_ball=st.integers(3, 12), ball_start=st.integers(-3, 3), n=st.integers(0, 4), data=st.data())
     def test_segment_exog_rows_equal_the_ball_lag_rows(self, n_ball, ball_start, n, data):
-        """Segments over the ball's whole grid, from its first node, and inside it."""
+        """Segments over the ball's whole grid, from its first node, and inside it:
+        each segment's window rows are the lag rows at its (list, offset)."""
         rng = np.random.default_rng(n_ball * 100 + n)
         ball = GridSeries(
             ball_start, 1.0, [PitchPoint(*rng.uniform(0, 80, 2).tolist()) for _ in range(n_ball)]
@@ -407,12 +417,12 @@ class TestFit:
             spans.append((ball_start + a, data.draw(st.integers(3, n_ball - a))))
         trajs = [make_traj([(float(k), 50.0, 0.5 * k) for k in range(a, a + m)]) for a, m in spans]
         segments = forecaster._segments([(trajs, ball)], 1.0, n)
-        want = [
-            ball.lagged_displacements(range(a + 1, a + m), axis, n)
-            for a, m in spans
-            for axis in (0, 1)
-        ]
-        assert [g.tolist() for _, g in segments] == want
+        spans = [(a, m, axis) for a, m in spans for axis in (0, 1)]
+        assert len(segments) == len(spans)
+        for (d, g, disp, j), (a, m, axis) in zip(segments, spans):
+            # the recursion reads the displacement ending at node a + 1 + i at step i
+            assert disp is ball.displacements[axis] and j == a - ball_start
+            assert g.tolist() == oracles.ball_lag_rows(ball, range(a + 1, a + m), axis, n)
 
     def test_segments_reject_a_trajectory_outside_the_ball_grid(self):
         ball = flat_ball(n=10, start_k=0)

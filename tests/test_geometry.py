@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import observed_at
+from oracles import distance, observed_at
 from synth import point_at
 
 from track_enrich.geometry import (
@@ -117,7 +117,7 @@ class TestEnrichedFrame:
 
 
 def test_distance():
-    assert math.isclose(PitchPoint(0, 0).distance_to(PitchPoint(3, 4)), 5.0)
+    assert math.isclose(distance(PitchPoint(0, 0), PitchPoint(3, 4)), 5.0)
 
 
 @pytest.mark.parametrize(

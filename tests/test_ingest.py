@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import fixed_decimal, flip_point, player_json, read_enriched, truth_frame, truth_tracks
+from oracles import distance, fixed_decimal, flip_point, player_json, read_enriched, truth_frame, truth_tracks
 from synth import point_at, synth_half, truth_half, write_metrica_csvs
 
 from track_enrich.assigner import build_trajectories
@@ -322,12 +323,18 @@ def test_degrade_keeps_the_truth_rows_players_within_the_radius(tmp_path, csvs, 
     for half in _read_or_no_ball(tmp_path, csvs) or []:
         if len(half.frames) < 2:
             continue  # too short to sample
+        a, b, p = (round(v * 100) for v in (half.times[0], half.times[-1], period))  # in 0.01 s
+        if b // p < -(-a // p):  # no multiple of the period in the span: no frame, not an empty record
+            with pytest.raises(MalformedInputError, match=f"half {half.half_id}: no frame to keep"):
+                degrade(half, DegradeConfig(period, radius, 0))
+            continue
         record = degrade(half, DegradeConfig(period, radius, 0))
+        assert record.frames
         for fr in record.frames:
             want = truth_frame(half, ground_truth_at(half, fr.time))
             assert fr.ball == want.ball
             assert fr.visible == tuple(
-                (tag, p) for tag, p in want.visible if p.distance_to(want.ball) <= radius
+                (tag, p) for tag, p in want.visible if distance(p, want.ball) <= radius
             )
 
 
@@ -683,6 +690,32 @@ class Test360:
             (12.0, PitchPoint(70.0, 40.0)),
         ]
         assert [(e.frame_index, e.reason) for e in errors] == [(2, "orphan frame")]
+
+    @pytest.mark.parametrize("period", [1.5, True, -3, 1e20, "2.5", None, [1]])
+    def test_event_period_that_is_not_a_whole_number_raises(self, tmp_path, period):
+        """The CSVs' rule: a bool, a fraction or a negative is not a half id."""
+        events = [event_360("e0", 5.0, "home", [50.0, 40.0]), event_360("e1", 6.0, "home", [50.0, 40.0], period)]
+        frames = [{"event_uuid": "e0", "freeze_frame": [ff([50.0, 40.0], actor=True)]}]
+        fp, ep = self._write(tmp_path, frames, events)
+        message = f"{ep}: event 1: period {period!r} is not a whole number from 0 to 2**53"
+        with pytest.raises(MalformedInputError, match=re.escape(message)):
+            read_360_frames(fp, ep)
+
+    @pytest.mark.parametrize("period", [1.5, True, -3, 1e20])
+    def test_frame_period_that_is_not_a_whole_number_excludes_the_frame(self, tmp_path, period):
+        events = [event_360("e1", 5.0, "home", [50.0, 40.0])]
+        frames = [{"timestamp": 5.0, "period": period, "freeze_frame": [ff([50.0, 40.0], actor=True)]}]
+        records, errors = read_360_frames(*self._write(tmp_path, frames, events))
+        assert not records
+        assert [e.reason for e in errors] == ["malformed frame"]
+
+    def test_whole_periods_read_as_their_half(self, tmp_path):
+        for period in (2, 2.0, "2", " 2 ", "2.0"):
+            events = [event_360("e1", 5.0, "home", [50.0, 40.0], period)]
+            frames = [{"timestamp": 5.0, "period": period, "freeze_frame": [ff([70.0, 40.0], actor=True)]}]
+            records, errors = read_360_frames(*self._write(tmp_path, frames, events))
+            assert not errors, period
+            assert [r.half_id for r in records] == [2], period
 
     def test_flip_is_involution(self):
         rng = np.random.default_rng(10)
