@@ -1,7 +1,7 @@
 """Degrade ground-truth tracking into broadcast-like discrete frames.
 
 Frames are sampled on a fixed period anchored at zero, the first and last
-``trim_frames`` sampled frames are discarded, and each sampled frame keeps
+``trim`` sampled frames are discarded, and each sampled frame keeps
 only the players within the visibility radius of the ball (inclusive).
 Sampled frames snap to the nearest native frame, so every visible position is
 an exact copy of ground truth; identities are erased.
@@ -10,29 +10,10 @@ an exact copy of ground truth; identities are erased.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 
-from .geometry import MalformedInputError, ObservationFrame, PitchPoint, nearest_time_index
+from .geometry import GRID_TOL, MalformedInputError, ObservationFrame, PitchPoint, nearest_time_index
 from .ingest import SOURCE_SIMULATED, DiscreteMatchRecord, MatchHalf
-
-_TOL = 1e-9
-OUTFIELD_TOTAL = 20  # both teams' outfielders
-
-
-@dataclass(frozen=True)
-class DegradeConfig:
-    sample_period: float = 1.0
-    visibility_radius: float = 30.0
-    trim_frames: int = 30
-
-    def __post_init__(self):
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
-        if self.visibility_radius <= 0:
-            raise ValueError("visibility_radius must be positive")
-        if self.trim_frames < 0:
-            raise ValueError("trim_frames must be non-negative")
 
 
 def ground_truth_at(half: MatchHalf, t: float) -> int:
@@ -43,15 +24,17 @@ def ground_truth_at(half: MatchHalf, t: float) -> int:
     times raise MalformedInputError naming the half.
     """
     times = half.times
-    if not times or t < -_TOL or t > times[-1] + _TOL:
+    if not times or t < -GRID_TOL or t > times[-1] + GRID_TOL:
         raise MalformedInputError(
             f"half {half.half_id}: time {t} outside half span [0, {times[-1] if times else 0}]"
         )
     return nearest_time_index(times, t)
 
 
-def degrade(half: MatchHalf, cfg: DegradeConfig) -> DiscreteMatchRecord:
-    """Sample, trim, and restrict visibility to within radius of the ball.
+def degrade(half: MatchHalf, period: float, radius: float, trim: int) -> DiscreteMatchRecord:
+    """Sample every ``period`` seconds, drop ``trim`` sampled frames at each
+    end, and keep the players within ``radius`` metres of the ball (settings
+    ``PipelineConfig.validate`` checks).
 
     An empty half, or one too short to keep a frame after trimming, raises
     MalformedInputError naming the half.
@@ -59,22 +42,22 @@ def degrade(half: MatchHalf, cfg: DegradeConfig) -> DiscreteMatchRecord:
     if not half.frames:
         raise MalformedInputError(f"half {half.half_id}: cannot degrade an empty half")
     t_first, t_last = half.times[0], half.times[-1]
-    if t_last - t_first <= 2 * cfg.trim_frames * cfg.sample_period:
+    if t_last - t_first <= 2 * trim * period:
         raise MalformedInputError(
             f"half {half.half_id}: half too short: span {t_last - t_first:.1f}s cannot absorb "
-            f"2x{cfg.trim_frames} trimmed frames at {cfg.sample_period}s"
+            f"2x{trim} trimmed frames at {period}s"
         )
-    k_start = max(cfg.trim_frames, math.ceil(t_first / cfg.sample_period - _TOL))
-    k_end = math.floor((t_last - cfg.trim_frames * cfg.sample_period) / cfg.sample_period + _TOL)
+    k_start = max(trim, math.ceil(t_first / period - GRID_TOL))
+    k_end = math.floor((t_last - trim * period) / period + GRID_TOL)
     if k_end < k_start:
         raise MalformedInputError(
-            f"half {half.half_id}: no frame to keep: no multiple of the {cfg.sample_period}s "
+            f"half {half.half_id}: no frame to keep: no multiple of the {period}s "
             f"sample period lies in the span kept after trimming"
         )
-    table, radius = half.frames, cfg.visibility_radius
+    table = half.frames
     frames = []
     for k in range(k_start, k_end + 1):
-        t = k * cfg.sample_period
+        t = k * period
         i = ground_truth_at(half, t)
         (bx, by), *row = table.cells[i].tolist()
         visible = tuple(
@@ -90,22 +73,3 @@ def degrade(half: MatchHalf, cfg: DegradeConfig) -> DiscreteMatchRecord:
         defends_left=dict(half.defends_left),
     )
 
-
-@dataclass(frozen=True)
-class DegradeStats:
-    n_frames: int
-    mean_visible_outfield: float
-    n_predictions: int  # hidden outfielder slots summed over frames
-
-
-def degrade_stats(record: DiscreteMatchRecord) -> DegradeStats:
-    n_frames = len(record.frames)
-    visible = [
-        sum(1 for tag, _ in fr.visible if not tag.is_goalkeeper) for fr in record.frames
-    ]
-    total_visible = sum(visible)
-    return DegradeStats(
-        n_frames=n_frames,
-        mean_visible_outfield=total_visible / n_frames if n_frames else 0.0,
-        n_predictions=OUTFIELD_TOTAL * n_frames - total_visible,
-    )

@@ -104,34 +104,31 @@ def cmd_simulate_broadcast(cfg: PipelineConfig) -> int:
 
     cfg.require_paths("test_home_csv", "test_away_csv")
     cfg.require_output("output_dir")
-    dcfg = broadcast.DegradeConfig(
-        sample_period=cfg.sample_period_s,
-        visibility_radius=cfg.visibility_radius_m,
-        trim_frames=cfg.trim_frames,
-    )
     halves = ingest.read_tracking_csv(cfg.test_home_csv, cfg.test_away_csv)
     # every half is degraded before any file is written, so an exit 2 leaves none
-    records = [broadcast.degrade(half, dcfg) for half in halves]
+    records = [
+        broadcast.degrade(half, cfg.sample_period_s, cfg.visibility_radius_m, cfg.trim_frames)
+        for half in halves
+    ]
     Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-    total_frames, weighted_visible, total_preds = 0, 0.0, 0
+    total_frames = total_visible = 0
     for record in records:
-        stats = broadcast.degrade_stats(record)
+        frames = len(record.frames)
+        visible = sum(not tag.is_goalkeeper for fr in record.frames for tag, _ in fr.visible)
         path = _discrete_path(cfg, record.half_id)
         ingest.write_discrete(record, path)
         print(
-            f"half {record.half_id}: {stats.n_frames} frames, "
-            f"{stats.mean_visible_outfield:.2f} visible outfielders on average, "
-            f"{stats.n_predictions} positions to predict -> {path}"
+            f"half {record.half_id}: {frames} frames, "
+            f"{visible / frames:.2f} visible outfielders on average, "
+            f"{20 * frames - visible} positions to predict -> {path}"  # 20 outfielders a frame
         )
-        total_frames += stats.n_frames
-        weighted_visible += stats.mean_visible_outfield * stats.n_frames
-        total_preds += stats.n_predictions
-    if total_frames:
-        print(
-            f"total: {total_frames} frames, "
-            f"{weighted_visible / total_frames:.2f} mean visible outfielders, "
-            f"{total_preds} positions to predict"
-        )
+        total_frames += frames
+        total_visible += visible
+    print(
+        f"total: {total_frames} frames, "
+        f"{total_visible / total_frames:.2f} mean visible outfielders, "
+        f"{20 * total_frames - total_visible} positions to predict"
+    )
     return 0
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .forecaster import MAX_LAGS
 from .geometry import is_finite_number
-from .ingest import MAX_HALF_GRID_POINTS, MAX_HALF_SPAN_S
+from .ingest import DEFAULT_AXIS_DISAGREEMENT_M, MAX_HALF_GRID_POINTS, MAX_HALF_SPAN_S
 
 
 class ConfigError(ValueError):
@@ -40,7 +40,7 @@ class PipelineConfig:
     grid_step_s: float = 1.0
     # interpolation / ingest
     alpha: float = 0.5
-    axis_disagreement_m: float = 5.0
+    axis_disagreement_m: float = DEFAULT_AXIS_DISAGREEMENT_M
     # output
     enrich_period_s: float = 1.0
 

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .geometry import (
+    GRID_TOL,
     MalformedInputError,
     PitchPoint,
     Trajectory,
@@ -43,7 +44,6 @@ from .ingest import MAX_HALF_GRID_POINTS, MAX_HALF_SPAN_S, load_json
 if TYPE_CHECKING:
     import numpy as np
 
-_TOL = 1e-9
 _MIN_STD = 1e-9
 _STATIONARY_TOL = 1e-7
 
@@ -91,20 +91,19 @@ def resample_to_grid(
     """
     if not times:
         raise ValueError("cannot resample an empty series")
-    k_first = math.ceil(times[0] / grid_step - _TOL)
-    k_last = math.floor(times[-1] / grid_step + _TOL)
+    k_first = math.ceil(times[0] / grid_step - GRID_TOL)
+    k_last = math.floor(times[-1] / grid_step + GRID_TOL)
     values: list[PitchPoint] = []
     if k_last < k_first:
         return GridSeries(k_first, grid_step, values)
     i = 0
     for k in range(k_first, k_last + 1):
-        t = k * grid_step
-        while i + 1 < len(times) and times[i + 1] <= t + _TOL:
+        while i + 1 < len(times) and times[i + 1] / grid_step <= k + GRID_TOL:
             i += 1
-        if abs(times[i] - t) <= _TOL:
+        if abs(times[i] / grid_step - k) <= GRID_TOL:
             values.append(points[i])
         else:
-            values.append(lerp(points[i], times[i], points[i + 1], times[i + 1], t))
+            values.append(lerp(points[i], times[i], points[i + 1], times[i + 1], k * grid_step))
     return GridSeries(k_first, grid_step, values)
 
 
@@ -249,7 +248,7 @@ class ForecastState:
     """
 
     def __init__(self, model: ForecastModel, ball: GridSeries):
-        if abs(ball.step - model.grid_step) > _TOL:
+        if abs(ball.step - model.grid_step) > GRID_TOL:
             raise ValueError("ball grid step does not match the model grid step")
         self.model = model
         self.ball = ball
@@ -269,20 +268,20 @@ class ForecastState:
         if self.t_last is None:
             self.t_last, self.pos_last = t, point
             k = round(t / step)
-            if abs(t - k * step) <= _TOL:
+            if abs(t / step - k) <= GRID_TOL:
                 self._grid_k, self._grid_pos = k, point
             return
         if t <= self.t_last:
             raise ValueError(f"appended time {t} not after {self.t_last}")
-        k_hi = math.floor(t / step + _TOL)
+        k_hi = math.floor(t / step + GRID_TOL)
         if self._grid_k is not None:
             k_next = self._grid_k + 1
         else:
-            k_next = math.ceil(self.t_last / step - _TOL)
+            k_next = math.ceil(self.t_last / step - GRID_TOL)
         prev = self._grid_pos
         dx, dy = [], []
         for k in range(k_next, k_hi + 1):
-            at_sighting = abs(t - k * step) <= _TOL  # taken exactly, as resample_to_grid does
+            at_sighting = abs(t / step - k) <= GRID_TOL  # taken exactly, as resample_to_grid does
             value = point if at_sighting else lerp(self.pos_last, self.t_last, point, t, k * step)
             if prev is not None:
                 dx.append(value.x - prev.x)
@@ -300,7 +299,7 @@ class ForecastState:
             return self._grid_k
         # No grid node inside the span yet (sub-step trajectory off the grid):
         # anchor the recursion at the node just below the last sighting.
-        return math.floor(self.t_last / self.model.grid_step + _TOL)
+        return math.floor(self.t_last / self.model.grid_step + GRID_TOL)
 
     def _cumulative_unroll(self, n: int) -> tuple[list[float], list[float]]:
         """Per-axis cumulative predicted displacement 1..n grid steps past the anchor."""
@@ -319,20 +318,20 @@ class ForecastState:
     def forecast_at(self, t: float) -> Forecast:
         if self.t_last is None:
             raise ValueError("cannot forecast from an empty trajectory")
-        if t < self.t_last - _TOL:
+        if t < self.t_last - GRID_TOL:
             raise ValueError(f"forecast time {t} precedes last sighting {self.t_last}")
         step = self.model.grid_step
         pos_last = self.pos_last
-        if t <= self.t_last + _TOL:
+        if t <= self.t_last + GRID_TOL:
             return Forecast(clamp_to_pitch(pos_last.x, pos_last.y), _MIN_STD)
         anchor = self._anchor_k()
         # Node n sits at (anchor + n) * step; node 1 is the first node after t_last.
         t1 = (anchor + 1) * step
-        if t <= t1 + _TOL:
+        if t / step <= anchor + 1 + GRID_TOL:
             u = (t - self.t_last) / (t1 - self.t_last)
             std = max(u * self.model.one_step_std, _MIN_STD)
             return Forecast(clamp_to_pitch(pos_last.x, pos_last.y), std)
-        n_hi = math.ceil(t / step - _TOL) - anchor
+        n_hi = math.ceil(t / step - GRID_TOL) - anchor
         cum_x, cum_y = self._cumulative_unroll(n_hi)
         apos = self._grid_pos if self._grid_pos is not None else pos_last
 
@@ -345,7 +344,7 @@ class ForecastState:
             return self.model.one_step_std if n <= 1 else self._ladder.std_at(n)
 
         t_hi = (anchor + n_hi) * step
-        if abs(t - t_hi) <= _TOL:
+        if abs(t / step - (anchor + n_hi)) <= GRID_TOL:
             mx, my = node_mean(n_hi)
             return Forecast(clamp_to_pitch(mx, my), max(node_std(n_hi), _MIN_STD))
         n_lo = n_hi - 1

@@ -18,6 +18,10 @@ PITCH_WIDTH_M = 80.0
 # slightly exceed the touchlines) before they count as malformed.
 PERCENT_TOLERANCE = 0.05
 
+# A time within this many grid steps of a grid node is on the node; two times
+# within this many seconds of each other are the same time.
+GRID_TOL = 1e-9
+
 Team = Literal["home", "away"]
 HOME: Team = "home"
 AWAY: Team = "away"

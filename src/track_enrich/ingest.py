@@ -250,6 +250,8 @@ def read_tracking_csv(home_path: str | Path, away_path: str | Path) -> list[Matc
         raise MalformedInputError(
             f"{home.path} has {len(home.time)} timed rows but {away.path} {len(away.time)}"
         )
+    if not len(home.time):
+        raise MalformedInputError(f"{home.path}: no data row has both a period and a time")
     differ = np.flatnonzero((home.period != away.period) | (home.time != away.time))
     if differ.size:
         i = differ[0]

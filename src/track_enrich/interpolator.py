@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .forecaster import ForecastModel, ForecastState, GridSeries, forward_state
-from .geometry import PitchPoint, Trajectory, clamp_to_pitch
-
-_TOL = 1e-9
+from .geometry import GRID_TOL, PitchPoint, Trajectory, clamp_to_pitch
 
 
 @dataclass
@@ -93,7 +91,7 @@ def compute_velocity_field(
         d: dict[int, PitchPoint] = {}
         for t, p in zip(traj.times, traj.points):
             k = round(t / grid_step)
-            if abs(t - k * grid_step) <= _TOL:
+            if abs(t / grid_step - k) <= GRID_TOL:
                 d[k] = p
         if d:
             lo, hi = min(d), max(d)

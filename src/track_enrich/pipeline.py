@@ -11,7 +11,7 @@ from typing import Sequence
 # enrich runs the assigner through this module, where perfbench/tracing.py wraps it
 from .assigner import ball_grid, build_trajectories  # noqa: F401
 from .forecaster import ForecastModel, ForecastState
-from .geometry import EnrichedFrame, EnrichedPlayer, PitchPoint, Trajectory, lerp
+from .geometry import GRID_TOL, EnrichedFrame, EnrichedPlayer, PitchPoint, Trajectory, lerp
 from .ingest import DiscreteMatchRecord
 from .interpolator import (
     ContinuousPath,
@@ -114,8 +114,8 @@ def snapshot_at(paths: PathSet, t: float) -> tuple[EnrichedFrame, list[float]]:
 def grid_times(record: DiscreteMatchRecord, period: float) -> list[float]:
     """The enrich grid: every multiple of ``period`` within the record's span."""
     t0, t1 = record.frames[0].time, record.frames[-1].time
-    k0 = math.ceil(t0 / period - 1e-9)
-    k1 = math.floor(t1 / period + 1e-9)
+    k0 = math.ceil(t0 / period - GRID_TOL)
+    k1 = math.floor(t1 / period + GRID_TOL)
     return [k * period for k in range(k0, k1 + 1)]
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from synth import count_identity_switches, point_at, synth_half, truth_half
 
 from track_enrich.assigner import ball_grid, build_trajectories, initialize, log_likelihoods
-from track_enrich.broadcast import DegradeConfig, degrade
+from track_enrich.broadcast import degrade
 from track_enrich.forecaster import Forecast, forward_state
 from track_enrich.geometry import AWAY, HOME, ObservationFrame, PitchPoint, PlayerTag
 from track_enrich.lsap import linear_sum_assignment
@@ -163,7 +163,7 @@ class TestInitialize:
 class TestBuildTrajectories:
     def test_single_frame_gives_single_points(self, model):
         half = synth_half(seconds=40.0, fps=5, seed=5)
-        record = degrade(truth_half(half), DegradeConfig(sample_period=1.0, visibility_radius=30.0, trim_frames=3))
+        record = degrade(truth_half(half), 1.0, 30.0, 3)
         record.frames = record.frames[:1]
         tracked = build_trajectories(record, model)
         for team in (HOME, AWAY):
@@ -172,7 +172,7 @@ class TestBuildTrajectories:
 
     def test_every_visible_position_lands_in_exactly_one_trajectory(self, model):
         half = synth_half(seconds=90.0, fps=5, seed=6)
-        record = degrade(truth_half(half), DegradeConfig(1.0, 30.0, 3))
+        record = degrade(truth_half(half), 1.0, 30.0, 3)
         tracked = build_trajectories(record, model)
         for frame in record.frames:
             for team in (HOME, AWAY):
@@ -192,7 +192,7 @@ class TestBuildTrajectories:
         rng = np.random.default_rng(8)
         for seed in rng.integers(0, 1000, size=3):
             half = synth_half(seconds=60.0, fps=5, seed=int(seed))
-            record = degrade(truth_half(half), DegradeConfig(1.0, 25.0, 2))
+            record = degrade(truth_half(half), 1.0, 25.0, 2)
             tracked = build_trajectories(record, model)
             for team in (HOME, AWAY):
                 for frame in record.frames[1:]:
@@ -202,14 +202,14 @@ class TestBuildTrajectories:
                     assert len(holders) == len(frame.visible_for(team))
 
     def test_full_visibility_keeps_identities(self, model, calm_half):
-        record = degrade(truth_half(calm_half), DegradeConfig(1.0, 1e9, 3))
+        record = degrade(truth_half(calm_half), 1.0, 1e9, 3)
         tracked = build_trajectories(record, model)
         switches = count_identity_switches(calm_half, [*tracked.outfield[HOME], *tracked.outfield[AWAY]])
         assert switches == 0
 
     def test_keeper_stream_appends_sightings(self, model):
         half = synth_half(seconds=60.0, fps=5, seed=12)
-        record = degrade(truth_half(half), DegradeConfig(1.0, 1e9, 2))
+        record = degrade(truth_half(half), 1.0, 1e9, 2)
         tracked = build_trajectories(record, model)
         for team in (HOME, AWAY):
             keeper = tracked.keepers[team]
@@ -229,7 +229,7 @@ def test_assigner_states_forecast_as_a_replay_does(model, seed, radius, offsets)
     replayed from the trajectory's points, at and between grid nodes past the
     last sighting."""
     half = synth_half(seconds=30.0, fps=5, seed=seed)
-    record = degrade(truth_half(half), DegradeConfig(1.0, radius, 2))
+    record = degrade(truth_half(half), 1.0, radius, 2)
     tracked = build_trajectories(record, model)
     ball = ball_grid(record, model.grid_step)
     states = tracked.states_in_order()

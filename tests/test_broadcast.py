@@ -4,7 +4,7 @@ import pytest
 
 from synth import SynthHalf, truth_half
 
-from track_enrich.broadcast import DegradeConfig, degrade, degrade_stats, ground_truth_at
+from track_enrich.broadcast import degrade, ground_truth_at
 from track_enrich.geometry import AWAY, HOME, MalformedInputError, ObservationFrame, PitchPoint, PlayerTag, Trajectory
 
 
@@ -40,7 +40,7 @@ class TestVisibility:
         return half_from_frames(frames)
 
     def test_inclusive_boundary_and_hidden(self):
-        record = degrade(self._half(), DegradeConfig(1.0, 30.0, 1))
+        record = degrade(self._half(), 1.0, 30.0, 1)
         frame = record.frames[0]
         visible = {(p.x, p.y) for p in frame.visible_for(HOME)}
         assert (84.0, 58.0) in visible
@@ -48,13 +48,13 @@ class TestVisibility:
 
     def test_radius_monotone(self):
         half = self._half()
-        small = degrade(half, DegradeConfig(1.0, 5.0, 1))
-        large = degrade(half, DegradeConfig(1.0, 40.0, 1))
+        small = degrade(half, 1.0, 5.0, 1)
+        large = degrade(half, 1.0, 40.0, 1)
         for fs, fl in zip(small.frames, large.frames):
             assert {(p.x, p.y) for _, p in fs.visible} <= {(p.x, p.y) for _, p in fl.visible}
 
     def test_visible_positions_are_exact_copies(self, calm_half):
-        record = degrade(truth_half(calm_half), DegradeConfig(1.0, 30.0, 2))
+        record = degrade(truth_half(calm_half), 1.0, 30.0, 2)
         truth = {
             (t, p.x, p.y)
             for traj in calm_half.player_tracks.values()
@@ -70,7 +70,7 @@ class TestFrameCounts:
         # native 5 fps frames spanning (0.2, 100.0]; period 1, trim 5
         positions = [(HOME, False, 50.0, 40.0)]
         frames = [full_frame(0.2 * (i + 1), (60.0, 40.0), positions) for i in range(500)]
-        record = degrade(half_from_frames(frames), DegradeConfig(1.0, 30.0, 5))
+        record = degrade(half_from_frames(frames), 1.0, 30.0, 5)
         times = [f.time for f in record.frames]
         assert times[0] == 5.0
         assert times[-1] == 95.0
@@ -80,17 +80,17 @@ class TestFrameCounts:
         positions = [(HOME, False, 50.0, 40.0)]
         frames = [full_frame(0.2 * (i + 1), (60.0, 40.0), positions) for i in range(50)]
         with pytest.raises(ValueError, match="half too short"):
-            degrade(half_from_frames(frames), DegradeConfig(1.0, 30.0, 30))
+            degrade(half_from_frames(frames), 1.0, 30.0, 30)
 
     def test_half_with_no_sampled_time(self):
         """No multiple of the 0.1 s period lies in [0.04, 0.08]: no frame, not an empty record."""
         positions = [(HOME, False, 50.0, 40.0)]
         frames = [full_frame(t, (60.0, 40.0), positions) for t in (0.04, 0.08)]
         with pytest.raises(MalformedInputError, match="half 1: no frame to keep"):
-            degrade(half_from_frames(frames), DegradeConfig(0.1, 30.0, 0))
+            degrade(half_from_frames(frames), 0.1, 30.0, 0)
 
     def test_identities_erased(self, calm_half):
-        record = degrade(truth_half(calm_half), DegradeConfig(1.0, 30.0, 2))
+        record = degrade(truth_half(calm_half), 1.0, 30.0, 2)
         for frame in record.frames:
             for tag, _ in frame.visible:
                 assert tag in {
@@ -107,11 +107,12 @@ class TestFrameCounts:
             (AWAY, True, 115.0, 40.0),  # keeper, hidden, not an outfielder
         ]
         frames = [full_frame(0.2 * (i + 1), (60.0, 40.0), positions) for i in range(100)]
-        record = degrade(half_from_frames(frames), DegradeConfig(1.0, 30.0, 2))
-        stats = degrade_stats(record)
-        assert stats.n_frames == len(record.frames)
-        assert stats.mean_visible_outfield == 2.0
-        assert stats.n_predictions == 18 * stats.n_frames  # 18 of 20 outfielders hidden each
+        record = degrade(half_from_frames(frames), 1.0, 30.0, 2)
+        n_frames = len(record.frames)
+        n_visible = sum(not tag.is_goalkeeper for fr in record.frames for tag, _ in fr.visible)
+        assert n_frames == 17  # 2 s to 18 s: the 20 s half less 2 trimmed at each end
+        assert n_visible / n_frames == 2.0
+        assert 20 * n_frames - n_visible == 18 * n_frames  # 18 of 20 outfielders hidden each
 
 
 class TestGroundTruthAt:
@@ -147,9 +148,7 @@ class TestGroundTruthAt:
 
 
 def test_mean_visible_is_plausible_on_synthetic(calm_half):
-    record = degrade(truth_half(calm_half), DegradeConfig(1.0, 30.0, 2))
-    stats = degrade_stats(record)
-    assert 0 < stats.mean_visible_outfield <= 20
-    assert stats.n_predictions == 20 * stats.n_frames - sum(
-        len([1 for tag, _ in f.visible if not tag.is_goalkeeper]) for f in record.frames
-    )
+    record = degrade(truth_half(calm_half), 1.0, 30.0, 2)
+    visible = [sum(not tag.is_goalkeeper for tag, _ in f.visible) for f in record.frames]
+    assert 0 < sum(visible) / len(visible) <= 20
+    assert all(0 <= n <= 20 for n in visible)  # so 20 - n outfielders are to predict

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from oracles import read_enriched
 from synth import synth_half, truth_half, write_360_feed, write_metrica_csvs
 
-from track_enrich.broadcast import DegradeConfig, degrade
+from track_enrich.broadcast import degrade
 from track_enrich.cli import main, sha256_hex
 from track_enrich.forecaster import ForecastModel, save_model
 from track_enrich.geometry import MalformedInputError
-from track_enrich.ingest import read_360_frames, write_discrete
+from track_enrich.ingest import read_360_frames, read_tracking_csv, write_discrete
 
 
 @pytest.fixture(scope="module")
@@ -325,7 +325,7 @@ def tiny_enrich(tmp_path_factory):
     )
     half = synth_half(seconds=20.0, fps=5, seed=77, half_id=1)
     (root / "out").mkdir()
-    write_discrete(degrade(truth_half(half), DegradeConfig(1.0, 30.0, 0)), root / "out" / "discrete_half1.json")
+    write_discrete(degrade(truth_half(half), 1.0, 30.0, 0), root / "out" / "discrete_half1.json")
     return root
 
 
@@ -467,6 +467,18 @@ def test_half_with_no_enrich_grid_time_exits_2_before_writing(tmp_path, tiny_enr
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["discrete_half1.json"]
 
 
+def test_enrich_with_a_last_frame_just_below_a_node_of_a_2_s_grid_runs(tmp_path, tiny_enrich):
+    """The last frame 1.5e-9 s before 20 s is within the grid tolerance of the
+    node at 20 s, 0.75e-9 steps of 2 s, so the ball's resampling takes it there."""
+
+    def edit_discrete(doc):
+        assert doc["frames"][-1]["time_s"] == 20.0
+        doc["frames"][-1]["time_s"] = 20 - 1.5e-9
+
+    run = _enrich_copy(tmp_path, tiny_enrich, lambda doc: doc.update(grid_step=2.0), edit_discrete)
+    assert run.returncode == 0, run.stderr
+
+
 def test_every_period_is_enriched_and_evaluated(tmp_path, tiny_enrich, capsys):
     """Extra time: simulate-broadcast writes one discrete file per period, and
     enrich and evaluate read each of them, in period order."""
@@ -525,12 +537,12 @@ def tiny_truth(tiny_enrich, tmp_path_factory):
     return {team: (root / f"{team}.csv").read_text().splitlines() for team in ("home", "away")}
 
 
-def _run_on_truth(tmp_path, inputs, lines, command, config=None, edit=None):
-    """Run ``command`` as its own process under a 10 s timeout, on a copy of
-    ``inputs`` (the tiny model and discrete half, and enrich's output in
-    ``tiny_enriched``), edited in place by ``edit(tmp_path)``, and on tracking
-    CSVs made of ``lines`` (the training CSVs for ``train``, the test CSVs
-    otherwise)."""
+def _run_on_truth(tmp_path, inputs, lines, command, config=None, edit=None, flags=()):
+    """Run ``command`` with ``flags`` as its own process under a 10 s timeout,
+    on a copy of ``inputs`` (the tiny model and discrete half, and enrich's
+    output in ``tiny_enriched``), edited in place by ``edit(tmp_path)``, and on
+    tracking CSVs made of ``lines`` (the training CSVs for ``train``, the test
+    CSVs otherwise)."""
     shutil.copytree(inputs, tmp_path, dirs_exist_ok=True)
     if edit is not None:
         edit(tmp_path)
@@ -541,7 +553,7 @@ def _run_on_truth(tmp_path, inputs, lines, command, config=None, edit=None):
         cfg[f"{role}_{team}_csv"] = str(tmp_path / f"{team}.csv")
     (tmp_path / "c.json").write_text(json.dumps(cfg))
     return subprocess.run(
-        [sys.executable, "-m", "track_enrich.cli", command, "--config", str(tmp_path / "c.json")],
+        [sys.executable, "-m", "track_enrich.cli", command, "--config", str(tmp_path / "c.json"), *flags],
         env=_src_env(), capture_output=True, text=True, timeout=10,
     )
 
@@ -560,6 +572,11 @@ def tiny_enriched(tiny_enrich, tmp_path_factory):
 
 def _blank_ball(row: str) -> str:
     return ",".join(row.split(",")[:-2] + ["", ""])
+
+
+def _blank_time(row: str) -> str:
+    cells = row.split(",")
+    return ",".join(cells[:2] + [""] + cells[3:])
 
 
 def _blank_first_player(row: str) -> str:
@@ -607,7 +624,7 @@ def test_evaluate_with_1_of_99_query_times_skipped_exits_2(tmp_path, tiny_enrich
     home, away, out = tmp_path / "home.csv", tmp_path / "away.csv", tmp_path / "out"
     write_metrica_csvs([half], home, away)
     out.mkdir()
-    write_discrete(degrade(truth_half(half), DegradeConfig(1.0, 30.0, 0)), out / "discrete_half1.json")
+    write_discrete(degrade(truth_half(half), 1.0, 30.0, 0), out / "discrete_half1.json")
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "model_path": str(tiny_enrich / "model.json"), "output_dir": str(out),
@@ -640,6 +657,33 @@ def test_simulate_broadcast_exit_2_on_half_2_writes_no_file(tmp_path, tiny_enric
     assert run.returncode == 2
     assert "half 2: half too short" in run.stderr
     assert not (tmp_path / "fresh").exists()
+
+
+def test_simulate_broadcast_on_csvs_with_no_timed_row_exits_2_before_writing(tmp_path, tiny_enrich, tiny_truth):
+    """Three header rows and one data row whose time cell is blank."""
+    lines = {team: rows[:3] + [_blank_time(rows[3])] for team, rows in tiny_truth.items()}
+    config = {"output_dir": str(tmp_path / "fresh")}
+    run = _run_on_truth(tmp_path, tiny_enrich, lines, "simulate-broadcast", config)
+    assert run.returncode == 2
+    assert f"{tmp_path / 'home.csv'}: no data row has both a period and a time" in run.stderr
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_simulate_broadcast_flags_reach_degrade(tmp_path, tiny_enrich, tiny_truth):
+    """--period, --radius and --trim are the settings degrade samples with."""
+    flags = ["--period", "2", "--radius", "15", "--trim", "3"]
+    run = _run_on_truth(tmp_path, tiny_enrich, tiny_truth, "simulate-broadcast", flags=flags)
+    assert run.returncode == 0, run.stderr
+    want = tmp_path / "want.json"
+    (half,) = read_tracking_csv(tmp_path / "home.csv", tmp_path / "away.csv")
+    write_discrete(degrade(half, 2.0, 15.0, 3), want)
+    assert (tmp_path / "out" / "discrete_half1.json").read_bytes() == want.read_bytes()
+
+
+def test_simulate_broadcast_with_a_fractional_trim_exits_2(tmp_path, tiny_enrich, tiny_truth):
+    run = _run_on_truth(tmp_path, tiny_enrich, tiny_truth, "simulate-broadcast", flags=["--trim", "1.5"])
+    assert run.returncode == 2
+    assert "--trim: invalid int value: '1.5'" in run.stderr
 
 
 def test_simulate_broadcast_on_a_negative_period_exits_2(tmp_path, tiny_enrich, tiny_truth):
@@ -711,7 +755,7 @@ def _other_model(root):
 
 def _record_from_another_radius(root):
     half = synth_half(seconds=20.0, fps=5, seed=77, half_id=1)
-    write_discrete(degrade(truth_half(half), DegradeConfig(1.0, 15.0, 0)), root / "out" / "discrete_half1.json")
+    write_discrete(degrade(truth_half(half), 1.0, 15.0, 0), root / "out" / "discrete_half1.json")
 
 
 def _edit_trajectories(edit, seeded=False):

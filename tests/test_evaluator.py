@@ -15,7 +15,7 @@ from oracles import PredictionRow, match_team, observed_at, score_half
 from synth import synth_half, truth_half
 
 from track_enrich.assigner import build_trajectories
-from track_enrich.broadcast import DegradeConfig, degrade
+from track_enrich.broadcast import degrade
 from track_enrich.evaluator import (
     AT_EVENT,
     ESTIMATED,
@@ -196,7 +196,7 @@ class TestSvg:
 @pytest.fixture(scope="module")
 def scored(model):
     half = truth_half(synth_half(seconds=120.0, fps=5, seed=33))
-    record = degrade(half, DegradeConfig(1.0, 1e9, 3))  # everyone visible
+    record = degrade(half, 1.0, 1e9, 3)  # everyone visible
     paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
     result = evaluate_half(record, paths, half)
     return half, record, result
@@ -205,7 +205,7 @@ def scored(model):
 @pytest.fixture(scope="module")
 def occluded_inputs(model):
     half = truth_half(synth_half(seconds=150.0, fps=5, seed=44))
-    record = degrade(half, DegradeConfig(1.0, 30.0, 3))
+    record = degrade(half, 1.0, 30.0, 3)
     paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
     return half, record, paths
 
@@ -419,7 +419,7 @@ def test_columns_equal_the_object_scorer(occluded_inputs, case):
 
 def test_one_skipped_query_time_of_99_is_more_than_1_percent(model):
     half = truth_half(synth_half(seconds=55.0, fps=5, seed=45))
-    record = degrade(half, DegradeConfig(1.0, 30.0, 3))
+    record = degrade(half, 1.0, 30.0, 3)
     assert len(record.frames) == 50  # 99 query times
     paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
     half = without_a_home_outfielder(half, [record.frames[10].time])

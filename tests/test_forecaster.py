@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,7 +20,7 @@ from track_enrich.forecaster import (
     resample_to_grid,
     save_model,
 )
-from track_enrich.geometry import MalformedInputError, PitchPoint, PlayerTag, Trajectory
+from track_enrich.geometry import GRID_TOL, MalformedInputError, PitchPoint, PlayerTag, Trajectory
 
 from oracles import forecast
 from synth import truth_half
@@ -84,6 +84,69 @@ class TestResample:
                 got = grid.values[int(t) - grid.start_k]
                 assert got.x == p[0] and got.y == p[1]
 
+
+
+# Times a grid step's 1e-9 fraction on either side of a node, or between nodes,
+# as a sorted list at least 1e-6 s apart; with the step they sit on.
+_STEPS = st.sampled_from([0.04, 0.5, 1.0, 2.0, 3.0])
+_NEAR_NODES = st.lists(
+    st.tuples(
+        st.integers(0, 30),  # node
+        st.sampled_from([0.0, 0.25, 0.5]),  # fraction of a step past it
+        st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.5]),  # offset in 1e-9 steps
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _near_node_times(step, draws):
+    times = []
+    for t in sorted((k + frac) * step + off * 1e-9 * step for k, frac, off in draws):
+        if not times or t - times[-1] >= 1e-6:
+            times.append(t)
+    return times
+
+
+class TestResampleTolerance:
+    """A time within GRID_TOL grid steps of a node is on the node, whatever the step."""
+
+    def test_last_time_just_below_a_node_of_a_long_step(self):
+        grid = resample_to_grid([0.0, 10 - 1.5e-9], [PitchPoint(0, 0), PitchPoint(1, 1)], 2.0)
+        assert grid.end_k == 5 and grid.values[-1] == PitchPoint(1, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(step=_STEPS, draws=_NEAR_NODES)
+    @example(step=3.0, draws=[(0, 0.0, 0.0), (4, 0.0, -0.5)])
+    def test_nodes_within_tolerance_take_their_point(self, step, draws):
+        times = _near_node_times(step, draws)
+        points = [PitchPoint(float(i), -float(i)) for i in range(len(times))]
+        grid = resample_to_grid(times, points, step)
+        for t, p in zip(times, points):
+            k = round(t / step)
+            if abs(t / step - k) <= GRID_TOL:
+                assert grid.values[k - grid.start_k] is p
+
+    @settings(max_examples=300, deadline=None)
+    @given(step=_STEPS, draws=_NEAR_NODES)
+    @example(step=3.0, draws=[(0, 0.0, 0.0), (4, 0.0, -0.5)])
+    def test_state_covers_the_grid_as_resampling_does(self, step, draws):
+        """After each append, a state's last grid node and value are the last
+        node and value of the prefix's resampling, and a forecast within
+        tolerance of a node is the node's."""
+        times = _near_node_times(step, draws)
+        points = [PitchPoint(float(i), -float(i)) for i in range(len(times))]
+        ball = GridSeries(0, step, [PitchPoint(60.0, 40.0)] * 2)
+        state = ForecastState(simple_model(grid_step=step), ball)
+        for n, (t, p) in enumerate(zip(times, points), start=1):
+            state.append(t, p)
+            grid = resample_to_grid(times[:n], points[:n], step)
+            if grid.values:
+                assert (state._grid_k, state._grid_pos) == (grid.end_k, grid.values[-1])
+            else:
+                assert state._grid_k is None
+            node = (state._anchor_k() + 2) * step
+            assert state.forecast_at(node + 0.5e-9 * step) == state.forecast_at(node)
 
 class TestForecastBasics:
     def test_one_step_is_random_walk(self):

@@ -14,7 +14,7 @@ from oracles import distance, fixed_decimal, flip_point, player_json, read_enric
 from synth import point_at, synth_half, truth_half, write_metrica_csvs
 
 from track_enrich.assigner import build_trajectories
-from track_enrich.broadcast import DegradeConfig, degrade, ground_truth_at
+from track_enrich.broadcast import degrade, ground_truth_at
 from track_enrich.cli import _training_halves
 from track_enrich.config import PipelineConfig
 from track_enrich.evaluator import evaluate_half
@@ -218,6 +218,16 @@ def test_hostile_tracking_csv_names_file_and_row(tmp_path, home_row, away_row, w
         read_tracking_csv(hp, ap)
 
 
+def test_tracking_csvs_with_no_timed_row_name_the_home_file(tmp_path):
+    """Three header rows and one data row whose time cell is blank."""
+    hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
+    for path, text in ((hp, HOME_CSV), (ap, AWAY_CSV)):
+        lines = text.splitlines()
+        path.write_text("\n".join(lines[:3] + [lines[3].replace(",0.04,", ",,", 1)]) + "\n")
+    with pytest.raises(MalformedInputError, match=r"h\.csv: no data row has both a period and a time"):
+        read_tracking_csv(hp, ap)
+
+
 def _wide_csv(path, names, rows):
     """A one-team wide CSV; ``rows`` are (time, {name: (x, y)}) with the ball mid-pitch."""
     lines = [",,,Team", ",,,Number", "Period,Frame,Time [s]," + "".join(f"{n},," for n in names) + "Ball,"]
@@ -326,9 +336,9 @@ def test_degrade_keeps_the_truth_rows_players_within_the_radius(tmp_path, csvs, 
         a, b, p = (round(v * 100) for v in (half.times[0], half.times[-1], period))  # in 0.01 s
         if b // p < -(-a // p):  # no multiple of the period in the span: no frame, not an empty record
             with pytest.raises(MalformedInputError, match=f"half {half.half_id}: no frame to keep"):
-                degrade(half, DegradeConfig(period, radius, 0))
+                degrade(half, period, radius, 0)
             continue
-        record = degrade(half, DegradeConfig(period, radius, 0))
+        record = degrade(half, period, radius, 0)
         assert record.frames
         for fr in record.frames:
             want = truth_frame(half, ground_truth_at(half, fr.time))
@@ -351,7 +361,7 @@ def test_read_builds_frames_and_tracks_only_on_demand(tmp_path, monkeypatch, mod
 
     half = read_tracking_csv(hp, ap)[0]
     assert built == {ObservationFrame: 0, Trajectory: 0}
-    record = degrade(half, DegradeConfig(1.0, 30.0, 2))
+    record = degrade(half, 1.0, 30.0, 2)
     # one frame per sampled time, the degraded one: none for the truth row
     assert built == {ObservationFrame: len(record.frames), Trajectory: 0}
     paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
@@ -517,9 +527,9 @@ class TestEnrichedRoundTrip:
 
 class TestDiscreteRoundTrip:
     def test_identity_from_file(self, tmp_path, calm_half):
-        from track_enrich.broadcast import DegradeConfig, degrade, ground_truth_at
+        from track_enrich.broadcast import degrade, ground_truth_at
 
-        record = degrade(truth_half(calm_half), DegradeConfig(1.0, 30.0, 2))
+        record = degrade(truth_half(calm_half), 1.0, 30.0, 2)
         path = tmp_path / "discrete.json"
         write_discrete(record, path)
         first = read_discrete(path)
@@ -958,7 +968,7 @@ class TestNumberFormat:
 def assigned(model):
     """A degraded half with occlusions and kickoff seeds, and its assigned
     trajectories in the assigner's order."""
-    record = degrade(truth_half(synth_half(seconds=20.0, fps=5, seed=77, half_id=1)), DegradeConfig(1.0, 20.0, 0))
+    record = degrade(truth_half(synth_half(seconds=20.0, fps=5, seed=77, half_id=1)), 1.0, 20.0, 0)
     trajectories = build_trajectories(record, model).in_order()
     assert any(t.seeded for t in trajectories)
     return record, trajectories

@@ -69,6 +69,12 @@ class TestComputeVelocityField:
         field = compute_velocity_field([a], alpha=0.5)
         assert not field.vx
 
+    def test_points_within_tolerance_of_a_node_are_on_it(self):
+        """0.5e-9 steps of 3 s off the node at 3 s: 1.5e-9 s, on the node all the same."""
+        a = self._traj([(0, 10, 10), (3 - 1.5e-9, 13, 16)])
+        field = compute_velocity_field([a], alpha=0.5, grid_step=3.0)
+        assert field.vx[0] == 1.0 and field.vy[0] == 2.0
+
 
 class TestWeightedVelocity:
     def test_constant_integrand(self):

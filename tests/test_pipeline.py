@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from synth import synth_half, truth_half
 
 from track_enrich.assigner import build_trajectories
-from track_enrich.broadcast import DegradeConfig, degrade
+from track_enrich.broadcast import degrade
 from track_enrich.evaluator import evaluate_half
 from track_enrich.geometry import AWAY, HOME, PitchPoint, PlayerTag, Trajectory
 from track_enrich.ingest import read_trajectories, write_trajectories
@@ -26,7 +26,7 @@ from track_enrich.pipeline import (
 @pytest.fixture(scope="module")
 def degraded(model):
     half = truth_half(synth_half(seconds=120.0, fps=5, seed=55))
-    record = degrade(half, DegradeConfig(1.0, 30.0, 5))
+    record = degrade(half, 1.0, 30.0, 5)
     trajectories = build_trajectories(record, model).in_order()
     return half, record, build_paths(record, model, trajectories, alpha=0.5)
 
