@@ -28,7 +28,7 @@ from .geometry import (
 from .ingest import DiscreteMatchRecord, Event, MatchHalf
 from .interpolator import ContinuousPath, VelocityField
 from .lsap import linear_sum_assignment
-from .pipeline import PathSet, path_at
+from .pipeline import PathSet, path_states
 
 logger = logging.getLogger(__name__)
 
@@ -129,12 +129,13 @@ def event_frame_times(events: Sequence[Event], frame_times: Sequence[float]) -> 
 
 
 def snapshot_at(
-    outfield: Sequence[ContinuousPath], field_: VelocityField, t: float
+    outfield: Sequence[ContinuousPath], field_: VelocityField, t: float, cursors: list[int]
 ) -> list[tuple[PitchPoint, bool, float]]:
-    """The scoring snapshot at ``t``: ``pipeline.path_at`` of each outfield
-    path, in order.  Unlike ``pipeline.snapshot_at`` it builds no frame; one
-    call per query time, which ``perfbench/tracing.py`` counts."""
-    return [path_at(path, field_, t) for path in outfield]
+    """The scoring snapshot at ``t``: ``pipeline.path_states`` of the outfield
+    paths, in order, with the half's ``cursors``.  Unlike
+    ``pipeline.snapshot_at`` it builds no frame; one call per query time,
+    which ``perfbench/tracing.py`` counts."""
+    return path_states(outfield, field_, t, cursors)
 
 
 def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf) -> HalfResult:
@@ -160,6 +161,7 @@ def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf)
     }
     result = HalfResult(record.half_id, [], array("d"), array("d"), bytearray(), len(frame_times))
     skipped: list[float] = []
+    cursors = [-1] * len(outfield)  # the query times increase
 
     def score(t: float, states: list[tuple[PitchPoint, bool, float]], flags: list[int]):
         """Match the scoring snapshot at ``t`` to the truth and append its
@@ -187,7 +189,7 @@ def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf)
         return errors
 
     for i, t in enumerate(frame_times):
-        states = snapshot_at(outfield, paths.field, t)
+        states = snapshot_at(outfield, paths.field, t, cursors)
         errors = score(t, states, [IN_PHASE | (AT_EVENT if t in ev_frames else 0)] * len(states))
         if errors is not None:
             total = 0.0
@@ -198,7 +200,7 @@ def evaluate_half(record: DiscreteMatchRecord, paths: PathSet, truth: MatchHalf)
             mid = t + 0.5 * (frame_times[i + 1] - t)
             # the previous frame's observed flags, kept even when it was skipped
             prev = [PREV_OBSERVED if observed else 0 for _, observed, _ in states]
-            score(mid, snapshot_at(outfield, paths.field, mid), prev)
+            score(mid, snapshot_at(outfield, paths.field, mid, cursors), prev)
 
     if skipped:
         logger.warning(

@@ -157,24 +157,27 @@ class ContinuousPath:
         return self.state
 
 
-def _position(
+def position_at(
     path: ContinuousPath,
     field_: VelocityField,
-    i: int,
     t: float,
-    ft: tuple[float, float] | None,
+    *,
+    i: int | None = None,
+    ft: tuple[float, float] | None = None,
 ) -> PitchPoint:
-    """Evaluate the continuous path at ``t``, where ``i`` indexes the last
-    recorded time at or before ``t`` (-1 before the first).
+    """The continuous path at ``t``.
 
     Recorded times reproduce their points exactly; gaps between recorded
     points follow the velocity-corrected interpolation; times past the last
     recorded point fall back to the forecast mean, and a time before the first
-    holds that point.  The result is clamped to the pitch.  ``ft`` is
-    ``field_._antiderivative(t)``, or None to integrate the field here when a
-    gap needs it.
+    holds that point.  The result is clamped to the pitch.  ``i`` is the index
+    of the last recorded time at or before ``t`` (-1 before the first), and
+    ``ft`` is ``field_._antiderivative(t)``; whichever is not given is worked
+    out here, ``ft`` only when a gap needs it.
     """
     times, points = path.trajectory.times, path.trajectory.points
+    if i is None:
+        i = bisect_right(times, t) - 1
     if i < 0:
         return clamp_to_pitch(points[0].x, points[0].y)
     if times[i] == t:
@@ -195,36 +198,3 @@ def _position(
         p1.x + w1x + f * (p2.x - p1.x - w12x),
         p1.y + w1y + f * (p2.y - p1.y - w12y),
     )
-
-
-def sweep(
-    path: ContinuousPath,
-    field_: VelocityField,
-    times: Sequence[float],
-    integrals: Sequence[tuple[float, float]],
-) -> list[tuple[int, PitchPoint]]:
-    """Per each of the increasing ``times``, the index of the last recorded
-    time at or before it (-1 before the first) and ``_position`` there.
-
-    One cursor into the recorded times advances by bisecting from where it
-    last stood.  ``integrals[j]`` is ``field_._antiderivative(times[j])``, so
-    paths swept over one set of times share the field's integrals.
-    """
-    rec_times = path.trajectory.times
-    if not rec_times:
-        raise ValueError("cannot evaluate an empty trajectory")
-    out = []
-    i = -1
-    for t, ft in zip(times, integrals):
-        i = bisect_right(rec_times, t, i + 1) - 1
-        out.append((i, _position(path, field_, i, t, ft)))
-    return out
-
-
-def position_at(path: ContinuousPath, field_: VelocityField, t: float) -> PitchPoint:
-    """The continuous path at ``t``: ``_position`` at the last recorded time
-    at or before it."""
-    times = path.trajectory.times
-    if not times:
-        raise ValueError("cannot evaluate an empty trajectory")
-    return _position(path, field_, bisect_right(times, t) - 1, t, None)

@@ -13,13 +13,7 @@ from .assigner import ball_grid, build_trajectories  # noqa: F401
 from .forecaster import ForecastModel, ForecastState
 from .geometry import GRID_TOL, EnrichedFrame, EnrichedPlayer, PitchPoint, Trajectory, lerp
 from .ingest import DiscreteMatchRecord
-from .interpolator import (
-    ContinuousPath,
-    VelocityField,
-    compute_velocity_field,
-    position_at,
-    sweep,
-)
+from .interpolator import ContinuousPath, VelocityField, compute_velocity_field, position_at
 
 
 @dataclass
@@ -85,12 +79,32 @@ def _observed_and_age(traj: Trajectory, i: int, t: float) -> tuple[bool, float]:
     return i >= lo and times[i] == t, age
 
 
-def path_at(path: ContinuousPath, field: VelocityField, t: float) -> tuple[PitchPoint, bool, float]:
-    """``path``'s position at ``t``, whether a real observation sits at ``t``,
-    and the seconds from ``t`` to the nearest one."""
-    traj = path.trajectory
-    observed, age = _observed_and_age(traj, bisect_right(traj.times, t) - 1, t)
-    return position_at(path, field, t), observed, age
+def path_states(
+    paths: Sequence[ContinuousPath], field_: VelocityField, t: float, cursors: list[int]
+) -> list[tuple[PitchPoint, bool, float]]:
+    """Each path's position at ``t``, whether a real observation sits at
+    ``t``, and the seconds from ``t`` to the nearest one.
+
+    ``cursors[n]`` is the index of ``paths[n]``'s last recorded time at or
+    before the previous query time (-1 before the first, and to start), and
+    moves on to ``t``: a caller that keeps its cursors queries in time order.
+    The field is integrated once at ``t`` for every path.
+    """
+    ft = field_._antiderivative(t)
+    states = []
+    for n, path in enumerate(paths):
+        traj = path.trajectory
+        i = cursors[n] = bisect_right(traj.times, t, cursors[n] + 1) - 1
+        states.append((position_at(path, field_, t, i=i, ft=ft), *_observed_and_age(traj, i, t)))
+    return states
+
+
+def _frame(paths: PathSet, t: float, states: list[tuple[PitchPoint, bool, float]]) -> EnrichedFrame:
+    players = tuple(
+        EnrichedPlayer(path.trajectory.tag, pos, "observed" if observed else "estimated")
+        for path, (pos, observed, _) in zip(paths.paths, states)
+    )
+    return EnrichedFrame(time=t, ball=paths.ball_at(t), players=players)
 
 
 def snapshot_at(paths: PathSet, t: float) -> tuple[EnrichedFrame, list[float]]:
@@ -100,15 +114,8 @@ def snapshot_at(paths: PathSet, t: float) -> tuple[EnrichedFrame, list[float]]:
     keeper; positions at recorded trajectory times are exact copies of the
     observations and carry ``observed`` provenance.
     """
-    players: list[EnrichedPlayer] = []
-    ages: list[float] = []
-    for path in paths.paths:
-        pos, observed, age = path_at(path, paths.field, t)
-        provenance = "observed" if observed else "estimated"
-        players.append(EnrichedPlayer(tag=path.trajectory.tag, position=pos, provenance=provenance))
-        ages.append(age)
-    frame = EnrichedFrame(time=t, ball=paths.ball_at(t), players=tuple(players))
-    return frame, ages
+    states = path_states(paths.paths, paths.field, t, [-1] * len(paths.paths))
+    return _frame(paths, t, states), [age for _, _, age in states]
 
 
 def grid_times(record: DiscreteMatchRecord, period: float) -> list[float]:
@@ -119,24 +126,11 @@ def grid_times(record: DiscreteMatchRecord, period: float) -> list[float]:
     return [k * period for k in range(k0, k1 + 1)]
 
 
-def enrich_frames(
-    paths: PathSet, *, period: float = 1.0
-) -> list[EnrichedFrame]:
+def enrich_frames(paths: PathSet, *, period: float = 1.0) -> list[EnrichedFrame]:
     """Snapshots on the enrich grid (``grid_times``), as ``snapshot_at`` takes
-    them.  Each path is swept over the grid once, and the field is integrated
-    once per grid time for every path."""
-    times = grid_times(paths.record, period)
-    field_ = paths.field
-    integrals = [field_._antiderivative(t) for t in times]
-    columns = []
-    for path in paths.paths:
-        traj = path.trajectory
-        column = []
-        for t, (i, pos) in zip(times, sweep(path, field_, times, integrals)):
-            observed = _observed_and_age(traj, i, t)[0]
-            column.append(EnrichedPlayer(traj.tag, pos, "observed" if observed else "estimated"))
-        columns.append(column)
+    them, with each path's cursor kept from one grid time to the next."""
+    cursors = [-1] * len(paths.paths)
     return [
-        EnrichedFrame(time=t, ball=paths.ball_at(t), players=players)
-        for t, players in zip(times, zip(*columns))
+        _frame(paths, t, path_states(paths.paths, paths.field, t, cursors))
+        for t in grid_times(paths.record, period)
     ]

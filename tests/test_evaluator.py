@@ -45,6 +45,7 @@ from track_enrich.geometry import (
     PlayerTag,
 )
 from track_enrich.ingest import Event
+from track_enrich.interpolator import VelocityField
 from track_enrich.pipeline import _observed_and_age, build_paths
 
 
@@ -428,6 +429,26 @@ def test_one_skipped_query_time_of_99_is_more_than_1_percent(model):
     with pytest.raises(MalformedInputError) as got:
         evaluate_half(record, paths, half)
     assert str(got.value) == str(want.value)
+
+
+def test_the_field_is_integrated_once_per_query_time_and_recorded_point(
+    occluded_inputs, model, monkeypatch
+):
+    """The query times share one integral each, and each path integrates at
+    its recorded times once, not again at every query time in its gaps."""
+    half, record, built = occluded_inputs
+    paths = build_paths(record, model, [p.trajectory for p in built.paths], alpha=0.5)
+    calls = []
+    integrate = VelocityField._antiderivative
+
+    def counted(self, t):
+        calls.append(t)
+        return integrate(self, t)
+
+    monkeypatch.setattr(VelocityField, "_antiderivative", counted)
+    evaluate_half(record, paths, half)
+    points = sum(len(p.trajectory.times) for p in paths.paths if not p.trajectory.tag.is_goalkeeper)
+    assert 0 < len(calls) <= 2 * len(record.frames) - 1 + points
 
 
 def test_a_scored_prediction_keeps_at_most_48_bytes(occluded_inputs):

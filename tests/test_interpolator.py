@@ -13,8 +13,8 @@ from track_enrich.interpolator import (
     VelocityField,
     compute_velocity_field,
     position_at,
-    sweep,
 )
+from track_enrich.pipeline import _observed_and_age, path_states
 
 from oracles import (
     forecast,
@@ -315,31 +315,43 @@ def test_gap_positions_equal_the_weighted_velocity_oracle_exactly(case):
 
 
 @st.composite
-def _swept_paths(draw):
-    """A path of 1-8 recorded points with a field, and increasing query times
-    (some repeated) at its points, in its gaps, before it and after it."""
-    n = draw(st.integers(1, 8))
-    times = [draw(st.floats(-5.0, 5.0))]
-    for gap in draw(st.lists(st.floats(0.1, 6.0), min_size=n - 1, max_size=n - 1)):
-        times.append(times[-1] + gap)
-    coord = st.floats(-5.0, 125.0)
-    pts = [(t, draw(coord), draw(coord)) for t in times]
+def _paths_and_query_times(draw):
+    """1-4 paths of 1-8 recorded points, some seeded, with a field, and
+    increasing query times (some repeated) at their points, in their gaps,
+    before their first points and after their last."""
+    paths = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 8))
+        times = [draw(st.floats(-5.0, 5.0))]
+        for gap in draw(st.lists(st.floats(0.1, 6.0), min_size=n - 1, max_size=n - 1)):
+            times.append(times[-1] + gap)
+        coord = st.floats(-5.0, 125.0)
+        path = path_of([(t, draw(coord), draw(coord)) for t in times])
+        path.trajectory.seeded = draw(st.booleans())
+        paths.append(path)
     vs = draw(st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), max_size=40))
     field = field_from(vs, alpha=draw(st.floats(0.0, 1.0)), start_k=draw(st.integers(-10, 20)))
-    others = draw(st.lists(st.floats(times[0] - 4.0, times[-1] + 9.0), max_size=12))
-    hits = draw(st.lists(st.sampled_from(times), max_size=6))
-    return path_of(pts), field, sorted(others + hits)
+    recorded = [t for path in paths for t in path.trajectory.times]
+    others = draw(st.lists(st.floats(min(recorded) - 4.0, max(recorded) + 9.0), max_size=12))
+    hits = draw(st.lists(st.sampled_from(recorded), max_size=6))
+    return paths, field, sorted(others + hits)
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_swept_paths())
-def test_a_sweep_equals_one_query_per_time(case):
-    """One cursor over increasing times, with the field's integrals handed in,
-    gives what a query per time gives."""
-    path, field, queries = case
-    got = sweep(path, field, queries, [field._antiderivative(t) for t in queries])
-    assert [pos for _, pos in got] == [position_at(path, field, t) for t in queries]
-    assert [i for i, _ in got] == [bisect_right(path.trajectory.times, t) - 1 for t in queries]
+@given(case=_paths_and_query_times())
+def test_advancing_cursors_equal_one_query_per_time(case):
+    """One set of cursors moved over increasing times gives, per time, each
+    path's ``position_at`` from scratch with its observed flag and age, and
+    stands at the index of each path's last recorded time at or before it."""
+    paths, field, queries = case
+    cursors = [-1] * len(paths)
+    for t in queries:
+        want = []
+        for path in paths:
+            i = bisect_right(path.trajectory.times, t) - 1
+            want.append((position_at(path, field, t), *_observed_and_age(path.trajectory, i, t)))
+        assert path_states(paths, field, t, cursors) == want
+        assert cursors == [bisect_right(p.trajectory.times, t) - 1 for p in paths]
 
 
 def test_one_path_follows_the_field_it_is_asked_with():

@@ -12,13 +12,11 @@ from track_enrich.broadcast import degrade
 from track_enrich.evaluator import evaluate_half
 from track_enrich.geometry import AWAY, HOME, PitchPoint, PlayerTag, Trajectory
 from track_enrich.ingest import read_trajectories, write_trajectories
-from track_enrich.interpolator import sweep
 from track_enrich.pipeline import (
     _observed_and_age,
     build_paths,
     enrich_frames,
     grid_times,
-    path_at,
     snapshot_at,
 )
 
@@ -155,21 +153,6 @@ class TestEnrichFrames:
         for period in (1.0, 0.5, 2.5):
             times = grid_times(record, period)
             assert enrich_frames(paths, period=period) == [snapshot_at(paths, t)[0] for t in times]
-
-    def test_sweep_equals_path_at(self, degraded):
-        """Positions, observed flags and ages from the sweep's cursor equal the
-        per-time queries at recorded times, in gaps, before the first point and
-        after the last."""
-        _, record, paths = degraded
-        t0, t1 = record.frames[0].time, record.frames[-1].time
-        frame_times = [fr.time for fr in record.frames]
-        times = sorted({t0 - 2.0, t0 - 0.25, *frame_times, *(t + 0.3 for t in frame_times), t1 + 4.5})
-        integrals = [paths.field._antiderivative(t) for t in times]
-        for path in paths.paths:
-            got = []
-            for t, (i, pos) in zip(times, sweep(path, paths.field, times, integrals)):
-                got.append((pos, *_observed_and_age(path.trajectory, i, t)))
-            assert got == [path_at(path, paths.field, t) for t in times]
 
 
 def test_paths_from_the_trajectories_file_equal_the_assigners(degraded, model, tmp_path):
