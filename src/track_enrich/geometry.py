@@ -18,6 +18,11 @@ PITCH_WIDTH_M = 80.0
 # slightly exceed the touchlines) before they count as malformed.
 PERCENT_TOLERANCE = 0.05
 
+# The metre coordinates the readers accept: the pitch widened as far, so
+# x in [-6, 126] and y in [-4, 84].
+X_BOUNDS = (-PERCENT_TOLERANCE * PITCH_LENGTH_M, (1 + PERCENT_TOLERANCE) * PITCH_LENGTH_M)
+Y_BOUNDS = (-PERCENT_TOLERANCE * PITCH_WIDTH_M, (1 + PERCENT_TOLERANCE) * PITCH_WIDTH_M)
+
 # A time within this many grid steps of a grid node is on the node; two times
 # within this many seconds of each other are the same time.
 GRID_TOL = 1e-9
@@ -36,6 +41,11 @@ class MalformedInputError(ValueError):
 def is_finite_number(value) -> bool:
     """True for an int or float that is a finite float (a bool is not one)."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def near_pitch(x: float, y: float) -> bool:
+    """Whether ``(x, y)`` lies within X_BOUNDS and Y_BOUNDS (NaN does not)."""
+    return X_BOUNDS[0] <= x <= X_BOUNDS[1] and Y_BOUNDS[0] <= y <= Y_BOUNDS[1]
 
 
 def other_team(team: str) -> str:

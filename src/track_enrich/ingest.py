@@ -43,6 +43,8 @@ from .geometry import (
     PERCENT_TOLERANCE,
     PITCH_LENGTH_M,
     PITCH_WIDTH_M,
+    X_BOUNDS,
+    Y_BOUNDS,
     EnrichedFrame,
     MalformedInputError,
     ObservationFrame,
@@ -50,6 +52,7 @@ from .geometry import (
     PlayerTag,
     Trajectory,
     is_finite_number,
+    near_pitch,
     nearest_time_index,
     other_team,
 )
@@ -427,7 +430,8 @@ def _seconds(value) -> float:
     """Finite seconds from a number or an ``[hh:]mm:ss.sss`` string."""
     seconds = 0.0
     try:
-        for part in [value] if isinstance(value, (int, float)) else str(value).split(":"):
+        # a bool is not a number: its text does not parse
+        for part in [value] if type(value) in (int, float) else str(value).split(":"):
             seconds = seconds * 60.0 + float(part)
     except (ValueError, OverflowError):
         seconds = math.nan
@@ -449,14 +453,17 @@ def _period(value) -> int:
 
 
 def _xy(location) -> tuple[float, float] | None:
-    """The first two entries of a JSON location, if they are finite numbers."""
+    """The first two entries of a JSON location, if they are numbers other
+    than bools, or numeric strings, on or near the pitch (``near_pitch``)."""
     if not isinstance(location, (list, tuple)) or len(location) < 2:
+        return None
+    if bool in map(type, location[:2]):
         return None
     try:
         x, y = float(location[0]), float(location[1])
     except (TypeError, ValueError, OverflowError):
         return None
-    return (x, y) if math.isfinite(x) and math.isfinite(y) else None
+    return (x, y) if near_pitch(x, y) else None
 
 
 class _Excluded(Exception):
@@ -477,7 +484,8 @@ def read_360_frames(
     ball position wins; frames that disagree by more than
     ``axis_disagreement_m`` under both orientations are excluded and reported.
     A malformed event raises MalformedInputError; a frame that cannot be read
-    is excluded, so the records hold only finite times and positions.
+    is excluded, so the records hold only finite times and positions within
+    ``X_BOUNDS`` and ``Y_BOUNDS``.
     """
     frames_doc, events_doc = load_json(frames_path), load_json(events_path)
     if not isinstance(frames_doc, list) or not isinstance(events_doc, list):
@@ -560,7 +568,9 @@ def _add_360_frame(
     if not isinstance(freeze, list):
         freeze = [None]
     locations = [_xy(e.get("location")) if isinstance(e, dict) else None for e in freeze]
-    if None in locations:
+    if None in locations or any(
+        type(e.get(flag, False)) is not bool for e in freeze for flag in ("actor", "teammate", "keeper")
+    ):
         raise _Excluded("malformed freeze frame", ball_event, None, math.inf)
     actor = next((k for k, e in enumerate(freeze) if e.get("actor")), None)
     if actor is None:
@@ -659,8 +669,16 @@ def _flag(d: dict, key: str) -> bool:
     return value
 
 
+_ON_PITCH = (
+    f"x must lie in [{X_BOUNDS[0]:g}, {X_BOUNDS[1]:g}] m and y in [{Y_BOUNDS[0]:g}, {Y_BOUNDS[1]:g}] m"
+)
+
+
 def _point(d: dict) -> PitchPoint:
-    return PitchPoint(_finite(d, "x"), _finite(d, "y"))
+    x, y = _finite(d, "x"), _finite(d, "y")
+    if not near_pitch(x, y):
+        raise MalformedInputError(f"{_ON_PITCH}, got ({x!r}, {y!r})")
+    return PitchPoint(x, y)
 
 
 def _tag(d: dict) -> PlayerTag:
@@ -749,7 +767,8 @@ def read_discrete(path: str | Path) -> DiscreteMatchRecord:
 
     A malformed file raises MalformedInputError naming the file and the key
     or frame: every player needs a home or away ``team``, a boolean
-    ``keeper`` and finite ``x`` and ``y``; frame times must be finite and
+    ``keeper`` and numeric ``x`` and ``y`` within ``X_BOUNDS`` and
+    ``Y_BOUNDS``, and so does the ball; frame times must be finite and
     increase, and span no more than ``MAX_HALF_SPAN_S``.
     """
     doc = load_json(path)
@@ -837,6 +856,8 @@ def _trajectory(d, tag: PlayerTag) -> Trajectory:
         raise MalformedInputError("times, x and y must be non-empty and of equal length")
     if not all(a < b for a, b in zip(times, times[1:])):
         raise MalformedInputError("times must increase")
+    if not (near_pitch(min(xs), min(ys)) and near_pitch(max(xs), max(ys))):
+        raise MalformedInputError(f"{_ON_PITCH} at every point")
     return Trajectory(tag, times, list(map(PitchPoint, xs, ys)), _flag(d, "seeded"))
 
 
@@ -848,7 +869,8 @@ def read_trajectories(
 
     A malformed file raises MalformedInputError naming the file and the
     trajectory: it must hold 10 outfield trajectories and a keeper per team
-    in the assigner's order, each with finite numbers and increasing times.
+    in the assigner's order, each with finite numbers, increasing times and
+    points within ``X_BOUNDS`` and ``Y_BOUNDS``.
     So does a file that does not fit ``record``: every trajectory must start
     at the first frame, with its seed or its first sighting, every point must
     sit at a frame time, and at each frame each team's outfield and keeper

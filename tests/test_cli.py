@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -356,6 +357,8 @@ def _enrich_copy(tmp_path, tiny_enrich, edit_model=None, edit_discrete=None, con
         ("team", ["home"], "team must be 'home' or 'away'"),
         ("keeper", "yes", "keeper must be true or false"),
         ("x", "12", "x must be a finite number"),
+        ("x", 1e200, "x must lie in [-6, 126] m and y in [-4, 84] m, got (1e+200, "),
+        ("x", 500, "x must lie in [-6, 126] m and y in [-4, 84] m, got (500, "),
     ],
 )
 def test_enrich_corrupt_discrete_player_exits_2(tmp_path, tiny_enrich, field, value, message):
@@ -807,6 +810,18 @@ def test_evaluate_on_stale_or_missing_trajectories_exits_2(tmp_path, tiny_enrich
     assert run.returncode == 2
     assert message in run.stderr
     assert "trajectories_half1.json" in run.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _seed_far_off_the_pitch(traj):
+    traj["x"][0] = -1e308  # a seed point is not compared with the record
+
+
+def test_evaluate_on_a_trajectory_point_off_the_pitch_exits_2(tmp_path, tiny_enriched, tiny_truth):
+    edit = _edit_trajectories(_seed_far_off_the_pitch, seeded=True)
+    run = _run_on_truth(tmp_path, tiny_enriched, tiny_truth, "evaluate", edit=edit)
+    assert run.returncode == 2, run.stderr
+    assert re.search(r"trajectories_half1\.json: trajectory \d+: x must lie in \[-6, 126\] m", run.stderr)
     assert not (tmp_path / "out" / "report.json").exists()
 
 

@@ -29,6 +29,7 @@ from track_enrich.geometry import (
     PlayerTag,
     Trajectory,
     is_finite_number,
+    near_pitch,
 )
 from track_enrich.ingest import (
     TRAJECTORY_TAGS,
@@ -567,6 +568,35 @@ class TestDiscreteRoundTrip:
             write_discrete(first, path)
             assert read_discrete(path) == first
 
+    def test_points_on_the_bounds_are_read_exactly(self, tmp_path):
+        corners = [(-6.0, -4.0), (126.0, -4.0), (-6.0, 84.0), (126.0, 84.0)]
+        frames = [
+            ObservationFrame(
+                time=float(i),
+                ball=PitchPoint(*corners[i]),
+                visible=tuple((PlayerTag(HOME), PitchPoint(*p)) for p in corners),
+            )
+            for i in range(4)
+        ]
+        record = DiscreteMatchRecord(half_id=1, frames=frames, defends_left={HOME: True, AWAY: False})
+        path = tmp_path / "discrete.json"
+        write_discrete(record, path)
+        assert read_discrete(path).frames == frames
+
+    @pytest.mark.parametrize("where", ["ball", "player"])
+    @pytest.mark.parametrize("x, y", [(-6.01, 40.0), (126.01, 40.0), (60.0, -4.01), (60.0, 84.01), (1e200, 40.0)])
+    def test_a_point_off_the_pitch_raises_naming_the_file_and_frame(self, tmp_path, where, x, y):
+        frame = {"time_s": 0.0, "ball": {"x": 60.0, "y": 40.0}, "players": [
+            {"team": "home", "keeper": False, "x": 30.0, "y": 20.0}
+        ]}
+        (frame["ball"] if where == "ball" else frame["players"][0]).update(x=x, y=y)
+        doc = {"half_id": 1, "source": "simulated", "defends_left": {"home": True, "away": False}, "frames": [frame]}
+        path = tmp_path / "discrete.json"
+        path.write_text(json.dumps(doc))
+        message = f"{path}: frame 0: x must lie in [-6, 126] m and y in [-4, 84] m, got ({x!r}, {y!r})"
+        with pytest.raises(MalformedInputError, match=re.escape(message)):
+            read_discrete(path)
+
 
 def frames_360(entries):
     return json.dumps(entries)
@@ -727,6 +757,63 @@ class Test360:
             assert not errors, period
             assert [r.half_id for r in records] == [2], period
 
+    def test_an_event_timestamp_of_true_raises_naming_the_event(self, tmp_path):
+        events = [event_360("e0", 5.0, "home", [50.0, 40.0]), event_360("e1", True, "home", [50.0, 40.0])]
+        frames = [{"event_uuid": "e0", "freeze_frame": [ff([50.0, 40.0], actor=True)]}]
+        fp, ep = self._write(tmp_path, frames, events)
+        with pytest.raises(MalformedInputError, match=re.escape(f"{ep}: event 1: timestamp True is not")):
+            read_360_frames(fp, ep)
+
+    def test_a_frame_timestamp_of_true_excludes_the_frame(self, tmp_path):
+        events = [event_360("e1", 1.0, "home", [50.0, 40.0])]
+        frames = [{"timestamp": True, "freeze_frame": [ff([50.0, 40.0], actor=True)]}]
+        records, errors = read_360_frames(*self._write(tmp_path, frames, events))
+        assert not records
+        assert [e.reason for e in errors] == ["malformed frame"]
+
+    @pytest.mark.parametrize("loc", [[True, False], [50.0, True], [126.5, 40.0], [50.0, -4.5], [-1e308, 40.0]])
+    def test_an_event_location_of_bools_or_off_the_pitch_is_no_location(self, tmp_path, loc):
+        events = [event_360("e1", 5.0, "home", loc)]
+        frames = [{"event_uuid": "e1", "freeze_frame": [ff([50.0, 40.0], actor=True)]}]
+        records, errors = read_360_frames(*self._write(tmp_path, frames, events))
+        assert not records
+        assert [e.reason for e in errors] == ["event has no location"]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"location": [True, False]},
+            {"location": [40.0, 84.5]},
+            {"location": [-6.5, 30.0]},
+            {"keeper": "false"},
+            {"teammate": "no"},
+            {"actor": 1},
+            {"keeper": None},
+        ],
+    )
+    def test_a_freeze_frame_entry_with_a_non_bool_flag_or_off_the_pitch_is_malformed(self, tmp_path, entry):
+        events = [event_360("e1", 5.0, "home", [50.0, 40.0])]
+        frames = [{"event_uuid": "e1", "freeze_frame": [ff([50.0, 40.0], actor=True), {**ff([40.0, 30.0]), **entry}]}]
+        records, errors = read_360_frames(*self._write(tmp_path, frames, events))
+        assert not records
+        assert [e.reason for e in errors] == ["malformed freeze frame"]
+
+    def test_flags_may_be_left_out_and_locations_may_sit_on_the_bounds(self, tmp_path):
+        events = [event_360("e1", 5.0, "home", [126.0, 84.0])]
+        frames = [
+            {
+                "event_uuid": "e1",
+                "freeze_frame": [ff([126.0, 84.0], actor=True), {"location": [-6.0, -4.0]}],
+            }
+        ]
+        records, errors = read_360_frames(*self._write(tmp_path, frames, events))
+        assert not errors
+        [frame] = records[0].frames
+        assert frame.visible == (
+            (PlayerTag(HOME), PitchPoint(126.0, 84.0)),
+            (PlayerTag(AWAY), PitchPoint(-6.0, -4.0)),
+        )
+
     def test_flip_is_involution(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
@@ -807,6 +894,7 @@ def test_360_reader_returns_records_and_exclusions_or_raises_malformed(tmp_path,
         for fr in record.frames:
             numbers = [fr.time, fr.ball.x, fr.ball.y, *(v for _, p in fr.visible for v in (p.x, p.y))]
             assert all(math.isfinite(v) for v in numbers)
+            assert all(near_pitch(p.x, p.y) for p in [fr.ball, *(p for _, p in fr.visible)])
     for e in errors:
         points = [p for p in (e.ball_event, e.ball_frame) if p is not None]
         assert not any(math.isnan(v) for v in [e.disagreement, *(c for p in points for c in (p.x, p.y))])
@@ -869,6 +957,7 @@ def test_discrete_reader_returns_a_record_or_raises_malformed(tmp_path, doc):
     assert record.frames and all(a.time < b.time for a, b in zip(record.frames, record.frames[1:]))
     for fr in record.frames:
         assert _finite_frame_numbers(fr, [p for _, p in fr.visible])
+        assert all(near_pitch(p.x, p.y) for p in [fr.ball, *(p for _, p in fr.visible)])
         assert all(tag.team in (HOME, AWAY) and type(tag.is_goalkeeper) is bool for tag, _ in fr.visible)
 
 
