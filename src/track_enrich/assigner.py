@@ -115,8 +115,7 @@ def _seed_keeper(
 @dataclass
 class TrackedTeams:
     """Constructed trajectories for one half: 10 outfield per team plus keepers,
-    and the forecast state each outfield trajectory was assigned with, as its
-    last point left it."""
+    and the forecast state each outfield trajectory was assigned with."""
 
     outfield: dict[str, list[Trajectory]]
     keepers: dict[str, Trajectory]
@@ -152,11 +151,7 @@ def build_trajectories(record: DiscreteMatchRecord, model: ForecastModel) -> Tra
     for team in (HOME, AWAY):
         outfield[team] = initialize(first, team, record.defends_left[team])
         keepers[team] = _seed_keeper(first, team, record.defends_left[team])
-        states[team] = []
-        for traj in outfield[team]:
-            st = ForecastState(model, ball)
-            st.append(traj.times[0], traj.points[0])
-            states[team].append(st)
+        states[team] = [ForecastState(model, ball, traj) for traj in outfield[team]]
 
     for frame in record.frames[1:]:
         for team in (HOME, AWAY):
@@ -169,7 +164,6 @@ def build_trajectories(record: DiscreteMatchRecord, model: ForecastModel) -> Tra
                 cost = [[-ll for ll in log_likelihoods(fc, positions)] for fc in forecasts]
                 for i, j in zip(*linear_sum_assignment(cost)):
                     outfield[team][i].append(frame.time, positions[j])
-                    states[team][i].append(frame.time, positions[j])
             seen_keeper = frame.visible_for(team, keepers=True)
             if seen_keeper:
                 keepers[team].append(frame.time, seen_keeper[0])

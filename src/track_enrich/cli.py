@@ -6,7 +6,7 @@ enriched output, and reports are byte-reproducible.
 
 Exit codes: 0 success, 2 configuration or input validation error
 (``ConfigError``, ``MalformedInputError``), 1 runtime failure.
-Set TRACK_ENRICH_LOG=DEBUG (or INFO/WARNING) to adjust verbosity.
+Set TRACK_ENRICH_LOG to DEBUG, INFO, WARNING (the default), ERROR or CRITICAL.
 
 Each command imports the modules it runs: ``enrich`` loads no numpy, which
 only CSV ingest, the fit and the report statistics use.
@@ -332,15 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("TRACK_ENRICH_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     parser = build_parser()
     args = vars(parser.parse_args(argv))
     command = args.pop("command")
     config_path = args.pop("config", None)
     try:
+        level = os.environ.get("TRACK_ENRICH_LOG", "WARNING")
+        if level.upper() not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
+            raise ConfigError(
+                f"TRACK_ENRICH_LOG must be DEBUG, INFO, WARNING, ERROR or CRITICAL, got {level!r}"
+            )
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         cfg = load_config(config_path)
         apply_overrides(cfg, args)
         return _COMMANDS[command](cfg)

@@ -56,8 +56,9 @@ class PipelineConfig:
                 )
         if self.visibility_radius_m <= 0:
             raise ConfigError("visibility_radius_m must be positive")
-        if self.trim_frames < 0:
-            raise ConfigError("trim_frames must be non-negative")
+        if not 0 <= self.trim_frames <= MAX_HALF_GRID_POINTS:
+            # a half has no more sampled frames than this, so a larger trim empties it
+            raise ConfigError(f"trim_frames must lie in [0, {MAX_HALF_GRID_POINTS}]")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         for name in ("ar_order", "ma_order", "ball_lags"):
@@ -112,6 +113,8 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raise ConfigError(f"config file {path} is not UTF-8 text: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}")
+    except RecursionError:
+        raise ConfigError(f"config file {path} nests JSON too deeply to read")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a flat JSON object")
     apply_overrides(cfg, doc, source=str(path))

@@ -24,6 +24,7 @@ Forecast conventions, shared with the independent test oracles:
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,6 +44,8 @@ from .ingest import MAX_HALF_GRID_POINTS, MAX_HALF_SPAN_S, load_json
 
 if TYPE_CHECKING:
     import numpy as np
+
+logger = logging.getLogger(__name__)
 
 _MIN_STD = 1e-9
 _STATIONARY_TOL = 1e-7
@@ -232,73 +235,68 @@ class Forecast:
 
 
 class ForecastState:
-    """Incremental forecasting state for one trajectory.
+    """Incremental forecasting state for one trajectory, read from the trajectory.
 
-    Appending a sighting extends the grid resampling and the residual
-    recursion over the new interval only, so a frame loop pays O(gap) per
-    sighting instead of O(history) per forecast.  Forecasts unroll the same
-    recursion past the last grid node and keep the unrolled steps until the
-    next append, so a state queried at many times beyond its trajectory
-    unrolls each step once.
+    Before each forecast the state catches up over the points appended to
+    the trajectory since the last one, extending the grid resampling and the
+    residual recursion over the new intervals only, so a frame loop pays
+    O(gap) per sighting instead of O(history) per forecast.  Forecasts unroll
+    the same recursion past the last grid node and keep the unrolled steps
+    until the next catch-up, so a state queried at many times beyond its
+    trajectory unrolls each step once.
 
-    The assigner keeps one state per outfield trajectory; after its last
-    append that state is the trajectory's forward state, which ``enrich``
-    hands to the trajectory's path.  Paths of keepers, and of trajectories
-    read from a file, replay their points into a new one (``forward_state``).
+    The assigner keeps one state per outfield trajectory and ``enrich`` gives
+    it to the trajectory's path; a state made for a finished trajectory
+    replays all its points on its first forecast.
     """
 
-    def __init__(self, model: ForecastModel, ball: GridSeries):
+    def __init__(self, model: ForecastModel, ball: GridSeries, trajectory: Trajectory):
         if abs(ball.step - model.grid_step) > GRID_TOL:
             raise ValueError("ball grid step does not match the model grid step")
         self.model = model
         self.ball = ball
+        self.trajectory = trajectory
         self._coefs = (model.intercept, model.ar, model.ma, model.exog)
         self._ladder = _VarianceLadder(model)
+        self._covered = 0  # the trajectory's points caught up so far
         self.t_last: float | None = None
         self.pos_last: PitchPoint | None = None
-        self._grid_k: int | None = None  # last grid node covered by the resampling
-        self._grid_pos: PitchPoint | None = None
+        self._grid_pos: PitchPoint | None = None  # the value at the last grid node covered
         # Per axis: the displacement and residual lag registers, most recent first.
         self._lags = [([0.0] * len(model.ar), [0.0] * len(model.ma)) for _ in (0, 1)]
         # Per axis: the unroll's own lag registers and its cumulative predictions.
         self._unroll: list[tuple[list[float], list[float], list[float]]] | None = None
 
-    def append(self, t: float, point: PitchPoint) -> None:
+    def _catch_up(self) -> None:
+        times, points = self.trajectory.times, self.trajectory.points
         step = self.model.grid_step
-        if self.t_last is None:
+        for t, point in zip(times[self._covered :], points[self._covered :]):
+            if self.t_last is None:  # the first point is a grid value only on a node
+                if abs(t / step - round(t / step)) <= GRID_TOL:
+                    self._grid_pos = point
+            else:
+                k_hi = math.floor(t / step + GRID_TOL)
+                prev = self._grid_pos
+                dx, dy = [], []
+                for k in range(self._anchor_k() + 1, k_hi + 1):
+                    # a node at the sighting takes it exactly, as resample_to_grid does
+                    at_sighting = abs(t / step - k) <= GRID_TOL
+                    value = point if at_sighting else lerp(self.pos_last, self.t_last, point, t, k * step)
+                    if prev is not None:
+                        dx.append(value.x - prev.x)
+                        dy.append(value.y - prev.y)
+                    self._grid_pos = prev = value
+                # the ball displacement ending at the first new node
+                j = k_hi - len(dx) - self.ball.start_k
+                for d, ball, lags in zip((dx, dy), self.ball.displacements, self._lags):
+                    armax_recursion(self._coefs, *lags, ball, j, len(d), d)
             self.t_last, self.pos_last = t, point
-            k = round(t / step)
-            if abs(t / step - k) <= GRID_TOL:
-                self._grid_k, self._grid_pos = k, point
-            return
-        if t <= self.t_last:
-            raise ValueError(f"appended time {t} not after {self.t_last}")
-        k_hi = math.floor(t / step + GRID_TOL)
-        if self._grid_k is not None:
-            k_next = self._grid_k + 1
-        else:
-            k_next = math.ceil(self.t_last / step - GRID_TOL)
-        prev = self._grid_pos
-        dx, dy = [], []
-        for k in range(k_next, k_hi + 1):
-            at_sighting = abs(t / step - k) <= GRID_TOL  # taken exactly, as resample_to_grid does
-            value = point if at_sighting else lerp(self.pos_last, self.t_last, point, t, k * step)
-            if prev is not None:
-                dx.append(value.x - prev.x)
-                dy.append(value.y - prev.y)
-            self._grid_k, self._grid_pos = k, value
-            prev = value
-        j = k_hi - len(dx) - self.ball.start_k  # the ball displacement ending at the first new node
-        for d, ball, lags in zip((dx, dy), self.ball.displacements, self._lags):
-            armax_recursion(self._coefs, *lags, ball, j, len(d), d)
-        self.t_last, self.pos_last = t, point
+        self._covered = len(times)
         self._unroll = None
 
     def _anchor_k(self) -> int:
-        if self._grid_k is not None:
-            return self._grid_k
-        # No grid node inside the span yet (sub-step trajectory off the grid):
-        # anchor the recursion at the node just below the last sighting.
+        """The last grid node the resampling covers, or, before the span reaches
+        one, the node just below the last point."""
         return math.floor(self.t_last / self.model.grid_step + GRID_TOL)
 
     def _cumulative_unroll(self, n: int) -> tuple[list[float], list[float]]:
@@ -316,6 +314,8 @@ class ForecastState:
         return self._unroll[0][2], self._unroll[1][2]
 
     def forecast_at(self, t: float) -> Forecast:
+        if self._covered < len(self.trajectory.times):
+            self._catch_up()
         if self.t_last is None:
             raise ValueError("cannot forecast from an empty trajectory")
         if t < self.t_last - GRID_TOL:
@@ -359,15 +359,6 @@ class ForecastState:
             ),
             std,
         )
-
-
-def forward_state(model: ForecastModel, traj: Trajectory, ball: GridSeries) -> ForecastState:
-    """A state over the whole trajectory, for forecasts at or after its last
-    sighting: the points appended in order, as the assigner appends them."""
-    state = ForecastState(model, ball)
-    for t, p in zip(traj.times, traj.points):
-        state.append(t, p)
-    return state
 
 
 # --- fitting -----------------------------------------------------------------
@@ -441,7 +432,9 @@ def fit(
     ARMAX regression is refined with residuals recomputed from the current
     coefficients.  The procedure is deterministic, so refitting identical
     inputs reproduces the model bit for bit.  A non-stationary AR estimate is
-    retried at the next lower order on the same training segments.
+    retried at the next lower order on the same training segments.  A stage-2
+    pass after the first that estimates a non-invertible MA is dropped, and
+    the passes end with the previous one (logged at INFO).
     """
     import numpy as np
 
@@ -479,8 +472,9 @@ def fit(
                     e_hat[idx][long_lag:] = y - x @ beta1
 
         # Stage 2: ARMAX regression, iterated with residuals recomputed from the
-        # current coefficients (non-stationary intermediates are tolerated).
-        for _ in range(3):
+        # current coefficients (non-stationary intermediates are tolerated, but
+        # a non-invertible MA is not: its residuals diverge).
+        for n_pass in range(3):
             xs, ys = [], []
             for (d, g, *_), e in zip(segments, e_hat):
                 if len(d) <= t0:
@@ -489,9 +483,15 @@ def fit(
                 xs.append(x)
                 ys.append(y)
             coeffs, *_ = np.linalg.lstsq(np.concatenate(xs), np.concatenate(ys), rcond=None)
-            intercept, *rest = coeffs.tolist()
-            ar, ma, exog = tuple(rest[:p]), tuple(rest[p : p + q]), tuple(rest[p + q :])
-            coefs = (intercept, ar, ma, exog)
+            c0, *rest = coeffs.tolist()
+            estimate = (c0, tuple(rest[:p]), tuple(rest[p : p + q]), tuple(rest[p + q :]))
+            if n_pass and not ar_is_stationary([-c for c in estimate[2]]):
+                logger.info(
+                    "fit: stage-2 pass %d estimates the non-invertible MA %s; keeping pass %d",
+                    n_pass + 1, estimate[2], n_pass,
+                )
+                break
+            coefs = intercept, ar, ma, exog = estimate
             e_hat = [
                 np.array(armax_recursion(coefs, [0.0] * p, [0.0] * q, ball, j, len(d), d.tolist()))
                 for d, _, ball, j in segments

@@ -689,14 +689,16 @@ def _tag(d: dict) -> PlayerTag:
 
 
 def load_json(path: str | Path):
-    """The JSON document in ``path``; a directory or invalid JSON raises
-    MalformedInputError."""
+    """The JSON document in ``path``; a directory, invalid JSON or JSON nested
+    deeper than the parser recurses raises MalformedInputError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf8"))
     except IsADirectoryError:
         raise MalformedInputError(f"{path} is a directory, not a JSON file") from None
     except ValueError as e:
         raise MalformedInputError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise MalformedInputError(f"{path} nests JSON too deeply to read") from None
 
 
 def _read_frames(path: str | Path, frames, build: Callable) -> list:

@@ -5,10 +5,10 @@ correction driven by the crowd: the average displacement of all outfield
 players observed over each grid interval defines a piecewise-linear velocity
 ``u``, and the path follows the weighted integral of ``u`` where it deviates
 from its own straight-line average.  Past the last recorded point the path
-defers to the forecaster's mean, from a forward state over the whole
-trajectory: for an outfield trajectory in ``enrich``, the state the assigner
-forecast it with; for a keeper, or a trajectory read from a file, one replayed
-from its points (``forecaster.forward_state``) on the first query past its end.
+defers to the forecaster's mean, from the path's forecast state: for an
+outfield trajectory in ``enrich``, the state the assigner forecast it with;
+for a keeper, or a trajectory read from a file, a new one, which replays the
+trajectory on the first query past its end.
 Every trajectory starts at its record's first frame, so before its first point
 the path holds that point.
 """
@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .forecaster import ForecastModel, ForecastState, GridSeries, forward_state
+from .forecaster import ForecastState
 from .geometry import GRID_TOL, PitchPoint, Trajectory, clamp_to_pitch
 
 
@@ -123,17 +123,14 @@ def compute_velocity_field(
 class ContinuousPath:
     """A trajectory with everything needed to evaluate it at any time.
 
-    ``state`` is the forward state past the end of the span: the assigner's
-    own state for the trajectory when it is handed over, else replayed from
-    the points on the first query that needs it.  The velocity field's
-    antiderivative at each recorded time is likewise built on first use.
-    Either way the trajectory must be complete before that query.
+    ``state`` forecasts past the end of the span, catching up over the
+    trajectory's points on each forecast.  The velocity field's
+    antiderivative at each recorded time is built on first use, so the
+    trajectory must be complete before the first query.
     """
 
     trajectory: Trajectory
-    model: ForecastModel
-    ball: GridSeries
-    state: ForecastState | None = field(default=None, repr=False, compare=False)
+    state: ForecastState = field(repr=False, compare=False)
     _knots: tuple[VelocityField, array, array] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -149,12 +146,6 @@ class ContinuousPath:
                 fy.append(y)
             self._knots = (field_, fx, fy)
         return self._knots[1], self._knots[2]
-
-    @property
-    def ahead(self) -> ForecastState:
-        if self.state is None:
-            self.state = forward_state(self.model, self.trajectory, self.ball)
-        return self.state
 
 
 def position_at(
@@ -183,7 +174,7 @@ def position_at(
     if times[i] == t:
         return points[i]
     if i == len(times) - 1:
-        return path.ahead.forecast_at(t).mean
+        return path.state.forecast_at(t).mean
     # w(s, t) = alpha * (F(t) - F(s)), with F the exact integral of u
     t1, t2 = times[i], times[i + 1]
     p1, p2 = points[i], points[i + 1]

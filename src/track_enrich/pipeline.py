@@ -50,13 +50,17 @@ def build_paths(
 ) -> PathSet:
     """Wrap a half's trajectories, in the assigner's order, as continuous paths;
     the outfield ones make the velocity field.  ``states``, parallel to
-    ``trajectories``, are the forward states the assigner leaves
-    (``TrackedTeams.states_in_order``); a path without one replays its own."""
+    ``trajectories``, are the forecast states the assigner leaves
+    (``TrackedTeams.states_in_order``); a path without one gets a new state,
+    which replays its trajectory on its first forecast."""
     ball = ball_grid(record, model.grid_step)
     outfield = [t for t in trajectories if not t.tag.is_goalkeeper]
-    states = states if states is not None else [None] * len(trajectories)
+    states = states or [None] * len(trajectories)
     return PathSet(
-        paths=[ContinuousPath(t, model, ball, st) for t, st in zip(trajectories, states)],
+        paths=[
+            ContinuousPath(t, st or ForecastState(model, ball, t))
+            for t, st in zip(trajectories, states)
+        ],
         field=compute_velocity_field(outfield, alpha, model.grid_step),
         record=record,
     )

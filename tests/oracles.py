@@ -15,7 +15,7 @@ import numpy as np
 
 from track_enrich.broadcast import ground_truth_at
 from track_enrich.evaluator import event_frame_times
-from track_enrich.forecaster import Forecast, ForecastModel, GridSeries, forward_state
+from track_enrich.forecaster import Forecast, ForecastModel, ForecastState, GridSeries
 from track_enrich.geometry import (
     AWAY,
     HOME,
@@ -77,7 +77,7 @@ def ar_is_stationary(ar) -> bool:
 
 def forecast(model: ForecastModel, traj: Trajectory, ball: GridSeries, t: float) -> Forecast:
     """Forecast the player's position at ``t``, at or after the last sighting."""
-    return forward_state(model, traj, ball).forecast_at(t)
+    return ForecastState(model, ball, traj).forecast_at(t)
 
 
 def ball_lag_rows(ball: GridSeries, ks: range, axis: int, n: int) -> list[list[float]]:

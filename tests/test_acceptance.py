@@ -25,6 +25,7 @@ from track_enrich.assigner import build_trajectories
 from track_enrich.broadcast import degrade
 from track_enrich.evaluator import IN_PHASE, build_report, evaluate_half
 from track_enrich.forecaster import (
+    ForecastState,
     GridSeries,
     fit,
     resample_to_grid,
@@ -244,7 +245,8 @@ def test_criterion_4b_interpolation_through_points(clock):
 def _path_of(pts):
     from track_enrich.interpolator import ContinuousPath
 
-    return ContinuousPath(trajectory=make_traj(pts), model=simple_model(), ball=flat_ball())
+    traj = make_traj(pts)
+    return ContinuousPath(trajectory=traj, state=ForecastState(simple_model(), flat_ball(), traj))
 
 
 def test_criterion_4c_decomposition(clock):

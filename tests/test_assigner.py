@@ -10,7 +10,7 @@ from synth import count_identity_switches, point_at, synth_half, truth_half
 
 from track_enrich.assigner import ball_grid, build_trajectories, initialize, log_likelihoods
 from track_enrich.broadcast import degrade
-from track_enrich.forecaster import Forecast, forward_state
+from track_enrich.forecaster import Forecast, ForecastState
 from track_enrich.geometry import AWAY, HOME, ObservationFrame, PitchPoint, PlayerTag
 from track_enrich.lsap import linear_sum_assignment
 
@@ -237,7 +237,7 @@ def test_assigner_states_forecast_as_a_replay_does(model, seed, radius, offsets)
     for traj, state in zip(tracked.in_order(), states):
         if state is None:
             continue
-        replay = forward_state(model, traj, ball)
+        replay = ForecastState(model, ball, traj)
         t_last = traj.times[-1]
         node = math.floor(t_last)
         queries = [t_last] + [node + k + 0.5 * h for k in range(1, 14) for h in (0, 1)]

@@ -116,6 +116,20 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "nope.csv" in err
 
 
+@pytest.mark.parametrize("level, code", [("VERBOSE", 2), ("5", 2), ("debug", 0), ("Critical", 0)])
+def test_track_enrich_log_takes_the_five_level_names_in_any_case(tmp_path, tiny_enrich, level, code):
+    shutil.copytree(tiny_enrich, tmp_path, dirs_exist_ok=True)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model_path": str(tmp_path / "model.json"), "output_dir": str(tmp_path / "out")}))
+    run = subprocess.run(
+        [sys.executable, "-m", "track_enrich.cli", "enrich", "--config", str(cfg)],
+        env={**_src_env(), "TRACK_ENRICH_LOG": level}, capture_output=True, text=True, timeout=10,
+    )
+    assert run.returncode == code, run.stderr
+    assert ("TRACK_ENRICH_LOG must be DEBUG, INFO, WARNING, ERROR or CRITICAL" in run.stderr) == (code == 2)
+    assert (tmp_path / "out" / "enriched_half1.json").exists() == (code == 0)
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"no_such_key": 1}))
@@ -426,17 +440,43 @@ def test_enrich_model_path_directory_exits_2(tmp_path, tiny_enrich):
     assert f"model_path: no such file: {tmp_path / 'out'}" in run.stderr
 
 
-def test_discrete_half_that_is_a_directory_exits_2(tmp_path, tiny_enrich):
-    shutil.copytree(tiny_enrich, tmp_path, dirs_exist_ok=True)
-    discrete = tmp_path / "out" / "discrete_half1.json"
-    discrete.unlink()
-    discrete.mkdir()
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"model_path": str(tmp_path / "model.json"), "output_dir": str(tmp_path / "out")}))
-    run = _cli("enrich", "--config", cfg)
+@pytest.mark.parametrize(
+    "command, name, fault, message",
+    [
+        ("enrich", "out/discrete_half1.json", "directory", "{} is a directory"),
+        ("enrich", "out/discrete_half1.json", "nested", "{} nests JSON too deeply"),
+        ("enrich", "model.json", "nested", "{} nests JSON too deeply"),
+        ("enrich", "c.json", "nested", "config file {} nests JSON too deeply"),
+        ("enrich", "frames.json", "nested", "{} nests JSON too deeply"),
+        ("enrich", "events.json", "nested", "{} nests JSON too deeply"),
+        ("evaluate", "out/trajectories_half1.json", "nested", "{} nests JSON too deeply"),
+    ],
+    ids=["discrete-directory", "discrete", "model", "config", "360-frames", "360-events", "trajectories"],
+)
+def test_json_input_that_is_a_directory_or_nested_too_deep_exits_2(
+    tmp_path, tiny_enrich, tiny_enriched, tiny_truth, command, name, fault, message
+):
+    """A JSON input that is a directory, or nests arrays deeper than the parser
+    recurses, exits 2 naming the file before the command writes anything."""
+    path = tmp_path / name
+    config = {}
+    if name in ("frames.json", "events.json"):
+        fp, ep = write_360_feed(tmp_path)
+        config = {"frames_360_json": str(fp), "events_360_json": str(ep)}
+
+    def spoil(root):
+        path.unlink()
+        if fault == "directory":
+            path.mkdir()
+        else:
+            path.write_text("[" * 100_000 + "]" * 100_000)
+
+    inputs = tiny_enriched if command == "evaluate" else tiny_enrich
+    run = _run_on_truth(tmp_path, inputs, tiny_truth, command, config, edit=spoil)
     assert run.returncode == 2
-    assert f"{discrete} is a directory" in run.stderr
-    assert not (tmp_path / "out" / "enriched_half1.json").exists()
+    assert message.format(path) in run.stderr
+    output = "report.json" if command == "evaluate" else "enriched_half1.json"
+    assert not (tmp_path / "out" / output).exists()
 
 
 def test_discrete_half_whose_half_id_is_not_its_name_exits_2(tmp_path, tiny_enrich):
@@ -543,18 +583,18 @@ def tiny_truth(tiny_enrich, tmp_path_factory):
 def _run_on_truth(tmp_path, inputs, lines, command, config=None, edit=None, flags=()):
     """Run ``command`` with ``flags`` as its own process under a 10 s timeout,
     on a copy of ``inputs`` (the tiny model and discrete half, and enrich's
-    output in ``tiny_enriched``), edited in place by ``edit(tmp_path)``, and on
-    tracking CSVs made of ``lines`` (the training CSVs for ``train``, the test
-    CSVs otherwise)."""
+    output in ``tiny_enriched``), on tracking CSVs made of ``lines`` (the
+    training CSVs for ``train``, the test CSVs otherwise) and on the config
+    ``c.json``, all of them edited in place by ``edit(tmp_path)``."""
     shutil.copytree(inputs, tmp_path, dirs_exist_ok=True)
-    if edit is not None:
-        edit(tmp_path)
     cfg = {"model_path": str(tmp_path / "model.json"), "output_dir": str(tmp_path / "out"), **(config or {})}
     role = "train" if command == "train" else "test"
     for team, rows in lines.items():
         (tmp_path / f"{team}.csv").write_text("\n".join(rows) + "\n")
         cfg[f"{role}_{team}_csv"] = str(tmp_path / f"{team}.csv")
     (tmp_path / "c.json").write_text(json.dumps(cfg))
+    if edit is not None:
+        edit(tmp_path)
     return subprocess.run(
         [sys.executable, "-m", "track_enrich.cli", command, "--config", str(tmp_path / "c.json"), *flags],
         env=_src_env(), capture_output=True, text=True, timeout=10,

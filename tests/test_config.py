@@ -1,9 +1,12 @@
 import dataclasses
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from track_enrich.config import ConfigError, PipelineConfig, apply_overrides
+from track_enrich.ingest import MAX_HALF_GRID_POINTS
 
 _KEYS = [f.name for f in dataclasses.fields(PipelineConfig)]
 _values = st.recursive(
@@ -30,3 +33,12 @@ def test_apply_overrides_returns_a_valid_config_or_raises_config_error(values):
     for key, value in values.items():
         if value is not None:
             assert getattr(cfg, key) == value
+
+
+def test_trim_frames_is_bounded_by_the_most_sampled_frames_a_half_holds():
+    """A trim above MAX_HALF_GRID_POINTS would empty any half; 10**400 made
+    degrade fail converting it to a float."""
+    apply_overrides(PipelineConfig(), {"trim_frames": MAX_HALF_GRID_POINTS})
+    for trim in (MAX_HALF_GRID_POINTS + 1, 10**400):
+        with pytest.raises(ConfigError, match=r"trim_frames must lie in \[0, 1000000\]"):
+            apply_overrides(PipelineConfig(), {"trim_frames": trim})

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from track_enrich.forecaster import (
 from track_enrich.geometry import GRID_TOL, MalformedInputError, PitchPoint, PlayerTag, Trajectory
 
 from oracles import forecast
-from synth import truth_half
+from synth import synth_half, truth_half
 
 
 def make_traj(points, tag=None):
@@ -137,14 +138,14 @@ class TestResampleTolerance:
         times = _near_node_times(step, draws)
         points = [PitchPoint(float(i), -float(i)) for i in range(len(times))]
         ball = GridSeries(0, step, [PitchPoint(60.0, 40.0)] * 2)
-        state = ForecastState(simple_model(grid_step=step), ball)
+        traj = Trajectory(tag=PlayerTag("home"))
+        state = ForecastState(simple_model(grid_step=step), ball, traj)
         for n, (t, p) in enumerate(zip(times, points), start=1):
-            state.append(t, p)
+            traj.append(t, p)
+            state.forecast_at(t)  # catches up over the new point
             grid = resample_to_grid(times[:n], points[:n], step)
-            if grid.values:
-                assert (state._grid_k, state._grid_pos) == (grid.end_k, grid.values[-1])
-            else:
-                assert state._grid_k is None
+            assert state._anchor_k() == grid.end_k
+            assert state._grid_pos == (grid.values[-1] if grid.values else None)
             node = (state._anchor_k() + 2) * step
             assert state.forecast_at(node + 0.5e-9 * step) == state.forecast_at(node)
 
@@ -393,12 +394,11 @@ class TestIncrementalState:
         rng = np.random.default_rng(17)
         ball_vals = [PitchPoint(float(rng.uniform(30, 90)), float(rng.uniform(20, 60))) for _ in range(80)]
         ball = GridSeries(0, 1.0, ball_vals)
-        state = ForecastState(model, ball)
         traj = Trajectory(tag=PlayerTag("home"))
+        state = ForecastState(model, ball, traj)
         t = 1.0
         for _ in range(12):
             p = PitchPoint(float(rng.uniform(20, 100)), float(rng.uniform(10, 70)))
-            state.append(t, p)
             traj.append(t, p)
             for dt in (0.5, 1.0, 3.0, 7.25):
                 a = state.forecast_at(t + dt)
@@ -464,6 +464,30 @@ class TestFit:
         assert model.ar == ()
         assert model.intercept > 0.0
         assert len(calls) == 1  # the retries reuse the training segments
+
+    def test_stage_two_keeps_the_last_invertible_ma(self, monkeypatch, caplog):
+        """One 450 s half at 25 fps: stage 2's second pass estimates the MA
+        -1.02, not invertible, whose residuals run to 4e4 m.  The fit keeps the
+        first pass instead, so no stage-2 residual exceeds 100 m."""
+        half = synth_half(seconds=450.0, fps=25, seed=21)
+        trajs = [t for t in half.player_tracks.values() if not t.tag.is_goalkeeper]
+        truth = truth_half(half)
+        ball = resample_to_grid(truth.times, truth.ball)
+        worst = []
+        recursion = forecaster.armax_recursion
+
+        def spy(coefs, d_lags, e_lags, ball, j, steps, observed):
+            out = recursion(coefs, d_lags, e_lags, ball, j, steps, observed)
+            worst.append(max(map(abs, out), default=0.0))
+            return out
+
+        monkeypatch.setattr(forecaster, "armax_recursion", spy)
+        with caplog.at_level(logging.INFO, logger="track_enrich.forecaster"):
+            model = fit([(trajs, ball)])
+        assert worst and max(worst) < 100.0
+        assert ar_is_stationary([-c for c in model.ma])
+        assert "stage-2 pass 2 estimates the non-invertible MA" in caplog.text
+        assert "keeping pass 1" in caplog.text
 
     @settings(max_examples=100, deadline=None)
     @given(n_ball=st.integers(3, 12), ball_start=st.integers(-3, 3), n=st.integers(0, 4), data=st.data())

@@ -120,11 +120,9 @@ class TestWeightedVelocity:
 
 
 def path_of(points, model=None, ball=None):
-    return ContinuousPath(
-        trajectory=make_traj(points),
-        model=model or simple_model(),
-        ball=ball or flat_ball(),
-    )
+    traj = make_traj(points)
+    state = forecaster.ForecastState(model or simple_model(), ball or flat_ball(), traj)
+    return ContinuousPath(trajectory=traj, state=state)
 
 
 class TestPositionAt:
@@ -376,7 +374,7 @@ class TestExtrapolationStates:
     def test_shuffled_queries_equal_scratch_forecasts(self):
         path = self._path()
         field = field_from([(0.5, 0.2)] * 10, alpha=0.5)
-        model, traj, ball = path.model, path.trajectory, path.ball
+        model, traj, ball = path.state.model, path.trajectory, path.state.ball
         times = [-12.0, -3.5, 0.0, 1.0, 2.0, 2.25, 9.5, 10.0, 11.75, 15.0, 30.0, 41.5]
         order = np.random.default_rng(19).permutation(len(times))
         for t in [times[i] for i in order]:
@@ -390,13 +388,13 @@ class TestExtrapolationStates:
         built = []
 
         class Spy(forecaster.ForecastState):
-            def __init__(self, model, ball):
+            def __init__(self, model, ball, trajectory):
                 built.append(ball)
-                super().__init__(model, ball)
+                super().__init__(model, ball, trajectory)
 
         monkeypatch.setattr(forecaster, "ForecastState", Spy)
         path = self._path()
         field = field_from([(0.5, 0.2)] * 10, alpha=0.5)
         for t in (20.0, -4.0, 12.5, 0.5, 13.0, 1.0, 3.0, -9.0, 40.0):
             position_at(path, field, t)
-        assert len(built) == 1 and built[0] is path.ball
+        assert len(built) == 1 and built[0] is path.state.ball

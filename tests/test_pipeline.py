@@ -168,3 +168,15 @@ def test_paths_from_the_trajectories_file_equal_the_assigners(degraded, model, t
     got, want = evaluate_half(record, read, half), evaluate_half(record, built, half)
     assert got.errors and (got.errors, got.ages, got.flags) == (want.errors, want.ages, want.flags)
     assert got.frame_errors == want.frame_errors
+
+
+def test_build_paths_replays_nothing(degraded, model):
+    """A path built without the assigner's state gets a new one, which covers
+    no point of its trajectory until its first forecast replays them all."""
+    _, record, built = degraded
+    paths = build_paths(record, model, [p.trajectory for p in built.paths], alpha=0.5).paths
+    assert all(p.state._covered == 0 and p.state.t_last is None for p in paths)
+    for p in paths:
+        p.state.forecast_at(p.trajectory.times[-1] + 2.5)
+        assert p.state._covered == len(p.trajectory)
+        assert (p.state.t_last, p.state.pos_last) == (p.trajectory.times[-1], p.trajectory.points[-1])
