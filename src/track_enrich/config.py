@@ -104,7 +104,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     if path is None:
         return cfg
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except FileNotFoundError:
         raise ConfigError(f"config file does not exist: {path}")
     except IsADirectoryError:

@@ -14,8 +14,14 @@ or do not increase, a period whose times span more than MAX_HALF_SPAN_S or
 that has no row with a ball, and kept coordinates outside [-0.05, 1.05] raise
 MalformedInputError naming the file and the CSV row or rows (exit code 2 on
 the command line); a file that is not UTF-8 text raises it naming the file.
-A read half is one TruthTable of arrays: the commands read its rows and
-columns directly, and build no frame or track object per row.
+The two files are read in step, each row's cells going straight into its
+period's one buffer, which becomes the half's cells in place.  A read half is
+one TruthTable of arrays: the commands read its rows and columns directly,
+and build no frame or track object per row.
+
+Every text input (CSV, JSON, and the config file in ``config``) may start
+with a UTF-8 byte-order mark, as spreadsheet exports write; it is skipped.
+Outputs are written without one.
 
 All numeric output is serialized in fixed decimal with at least two
 fractional digits (six digits of precision), so files are byte-deterministic
@@ -28,11 +34,13 @@ import csv
 import json
 import logging
 import math
+import struct
 import sys
 from array import array
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, zip_longest
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
@@ -164,20 +172,30 @@ class AxisErrorRecord:
 # --- tracking CSV ------------------------------------------------------------
 
 
-class _TeamTable(NamedTuple):
-    path: Path
-    keys: list[str]  # "<team>:<Player column>", in header order
-    rows: np.ndarray  # CSV row number of each timed data row
-    period: np.ndarray
-    time: np.ndarray
-    xy: np.ndarray  # (rows, 1 + players, 2) fractions, the ball first; NaN when absent
+class _Period(NamedTuple):
+    """One period's timed rows in file order, as the two files are read."""
+
+    cells: array  # per row the ball (home's, else away's), then each home and each away player; x, y
+    times: array
+    home_rows: array  # CSV row numbers
+    away_rows: array
+    home_ball: bytearray  # 1 where the row's ball is the home file's
 
 
-def _read_team_csv(path: Path, team: str) -> _TeamTable:
-    """Parse one wide per-team CSV into float arrays; untimed rows are skipped."""
-    import numpy as np
+# A move of kept cells copies at most this many bytes at a time.
+_MOVE_BLOCK_BYTES = 1 << 16
 
-    with path.open(newline="", encoding="utf8") as fh:
+
+def _timed_rows(path: Path, team: str):
+    """Yield one wide per-team CSV's player keys, "<team>:<Player column>" in
+    header order, then (CSV row, cells) for each timed data row: its period,
+    time, ball x and y, then each player's x and y.
+
+    Untimed rows are skipped.  A malformed cell raises at once; a period that
+    is not whole or an infinite time raises once the rest of the file has
+    parsed, as a malformed cell anywhere in the file comes first.
+    """
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         head = list(islice(reader, 4))
         if len(head) < 4:
@@ -198,31 +216,34 @@ def _read_team_csv(path: Path, team: str) -> _TeamTable:
         keys = [f"{team}:{header[i]}" for i in players]
         if len(set(keys)) != len(keys):
             raise MalformedInputError(f"{path}: header repeats a player column")
+        yield keys
         cols = [0, time_col, *(c for i in [ball, *players] for c in (i, i + 1))]
         pick, pad = itemgetter(*cols), [""] * (max(cols) + 1)
-        numbers, parsed = array("q"), array("d")
+        fault, whole = None, math.nan
         for n, raw in enumerate(chain(head[header_idx + 1 :], reader), start=header_idx + 2):
-            if raw and raw[0].strip():
-                numbers.append(n)
-                cells = pick(raw + pad[len(raw) :])
-                try:  # whole rows only: a row that fails appends nothing
-                    parsed.extend(list(map(float, cells)))
-                except ValueError:  # a blank cell, else a malformed one
-                    parsed.extend([_number(path, n, cell) for cell in cells])
-    # Views on the parsed buffers: a fully timed file is kept without a copy.
-    values = np.frombuffer(parsed).reshape(len(numbers), len(cols))
-    rows, period, time = np.frombuffer(numbers, dtype=np.int64), values[:, 0], values[:, 1]
-    whole = (period >= 0) & (period < MAX_PERIOD) & (np.floor(period) == period)
-    bad = np.flatnonzero(~whole | np.isinf(time))
-    if bad.size:
-        i = bad[0]
-        what = f"time {time[i].item()!r} is not finite" if whole[i] else _NOT_A_PERIOD
-        raise MalformedInputError(f"{path} row {rows[i]}: {what.format(period[i].item())}")
-    timed = ~np.isnan(time)
-    if not timed.all():
-        rows, period, time, values = rows[timed], period[timed], time[timed], values[timed]
-    xy = values[:, 2:].reshape(-1, 1 + len(keys), 2)
-    return _TeamTable(path, keys, rows, period.astype(int), time, xy)
+            if not (raw and raw[0].strip()):
+                continue
+            cells = pick(raw if len(raw) >= len(pad) else raw + pad[len(raw) :])
+            try:
+                values = list(map(float, cells))
+            except ValueError:  # a blank cell, else a malformed one
+                values = [_number(path, n, cell) for cell in cells]
+            if fault:
+                continue
+            period, time = values[0], values[1]
+            if period != whole:  # the last whole period seen; NaN differs from all
+                if not (0 <= period < MAX_PERIOD and period.is_integer()):
+                    fault = f"{path} row {n}: {_NOT_A_PERIOD.format(period)}"
+                    continue
+                whole = period
+            if time - time:  # NaN, untimed, or infinite
+                if time != time:
+                    continue
+                fault = f"{path} row {n}: time {time!r} is not finite"
+                continue
+            yield n, values
+    if fault:
+        raise MalformedInputError(fault)
 
 
 def _utf8_lines(fh, path: str | Path):
@@ -244,90 +265,126 @@ def _number(path: Path, n: int, cell: str) -> float:
 
 
 def read_tracking_csv(home_path: str | Path, away_path: str | Path) -> list[MatchHalf]:
-    """Read per-team wide CSVs into one ground-truth MatchHalf per period."""
+    """Read per-team wide CSVs into one ground-truth MatchHalf per period.
+
+    The files are read in lockstep: the k-th timed rows of both make one row,
+    whose cells go straight into its period's one buffer.  Faults are raised
+    in the order of reading one whole file after the other: the home file's,
+    the away file's, then a timed-row count or a row that differs between
+    them, then each period's in period order.
+    """
+    paths = Path(home_path), Path(away_path)
+    home, away = _timed_rows(paths[0], HOME), _timed_rows(paths[1], AWAY)
+    with closing(home), closing(away):
+        keys = next(home)
+        try:
+            keys += next(away)
+            periods = _read_in_lockstep(home, away, paths, len(keys))
+        except (MalformedInputError, OSError, csv.Error):
+            for _ in home:  # a fault of the home file comes first
+                pass
+            raise
+    # Each period's row numbers go once its half is built; its cells stay as the half's.
+    return [_match_half(int(p), periods.pop(p), paths, keys) for p in sorted(periods)]
+
+
+def _read_in_lockstep(home, away, paths: tuple[Path, Path], players: int) -> dict[float, _Period]:
+    """Pair the k-th timed rows of both files into their period's buffers."""
+    periods: dict[float, _Period] = {}
+    pack = struct.Struct(f"{2 + 2 * players}d").pack  # one row's cells, as the buffer holds them
+    differ, paired = None, 0
+    for h, a in zip_longest(home, away):
+        if h is None or a is None:  # one file has more timed rows: count them all
+            more = paired + 1 + sum(1 for _ in (home if h else away))
+            counts = (more, paired) if h else (paired, more)
+            raise MalformedInputError(
+                f"{paths[0]} has {counts[0]} timed rows but {paths[1]} {counts[1]}"
+            )
+        (hn, hv), (an, av) = h, a
+        if differ is None and (hv[0] != av[0] or hv[1] != av[1]):
+            differ = f"{paths[1]} row {an}: period or time differs from {paths[0]} row {hn}"
+        rows = periods.get(hv[0])
+        if rows is None:
+            rows = periods[hv[0]] = _Period(array("d"), array("d"), array("q"), array("q"), bytearray())
+        from_home = hv[2] == hv[2] and hv[3] == hv[3]  # neither is NaN
+        if not from_home:
+            hv[2:4] = av[2:4]
+        rows.cells.frombytes(pack(*islice(hv, 2, None), *islice(av, 4, None)))
+        rows.times.append(hv[1])
+        rows.home_rows.append(hn)
+        rows.away_rows.append(an)
+        rows.home_ball.append(from_home)
+        paired += 1
+    if not paired:
+        raise MalformedInputError(f"{paths[0]}: no data row has both a period and a time")
+    if differ:
+        raise MalformedInputError(differ)
+    return periods
+
+
+def _match_half(period: int, rows: _Period, paths: tuple[Path, Path], keys: list[str]) -> MatchHalf:
+    """One period's MatchHalf, built in its cell buffer: rows without a ball
+    and columns never present are moved out, and the rest scaled in place."""
     import numpy as np
 
-    home = _read_team_csv(Path(home_path), HOME)
-    away = _read_team_csv(Path(away_path), AWAY)
-    if len(home.time) != len(away.time):
-        raise MalformedInputError(
-            f"{home.path} has {len(home.time)} timed rows but {away.path} {len(away.time)}"
-        )
-    if not len(home.time):
-        raise MalformedInputError(f"{home.path}: no data row has both a period and a time")
-    differ = np.flatnonzero((home.period != away.period) | (home.time != away.time))
-    if differ.size:
-        i = differ[0]
-        raise MalformedInputError(
-            f"{away.path} row {away.rows[i]}: period or time differs from "
-            f"{home.path} row {home.rows[i]}"
-        )
-    return [_match_half(p, home, away) for p in sorted(set(home.period.tolist()))]
-
-
-def _match_half(period: int, home: _TeamTable, away: _TeamTable) -> MatchHalf:
-    import numpy as np
-
-    sel = np.flatnonzero(home.period == period)
-    stuck = np.flatnonzero(np.diff(home.time[sel]) <= 0)
+    times, n = np.frombuffer(rows.times), len(rows.times)
+    stuck = np.flatnonzero(np.diff(times) <= 0)
     if stuck.size:
         raise MalformedInputError(
-            f"{home.path} row {home.rows[sel[stuck[0] + 1]]}: time does not increase"
+            f"{paths[0]} row {rows.home_rows[stuck[0] + 1]}: time does not increase"
         )
-    times, n = home.time[sel], len(sel)
     if times[-1] - times[0] > MAX_HALF_SPAN_S:
         raise MalformedInputError(
-            f"{home.path} row {home.rows[sel[-1]]}: period {period} times span "
+            f"{paths[0]} row {rows.home_rows[-1]}: period {period} times span "
             f"{times[-1] - times[0]:g} s, more than {MAX_HALF_SPAN_S:g} s"
         )
     offset = float(times[0] - (times[1] - times[0])) if n >= 2 else 0.0
-    if sel[-1] - sel[0] == n - 1:  # contiguous rows: index with views, not copies
-        sel = slice(sel[0], sel[-1] + 1)
-    home_ball = ~np.isnan(home.xy[sel, 0]).any(axis=1)
-    ball = np.where(home_ball[:, None], home.xy[sel, 0], away.xy[sel, 0])
-    present = np.concatenate([~np.isnan(t.xy[sel, 1:]).any(axis=2) for t in (home, away)], axis=1)
-    on_pitch = present.any(axis=0)  # False for unused substitutes
-    keys = list(compress(home.keys + away.keys, on_pitch))
-    columns = ((t, j) for t in (home, away) for j in range(1, 1 + len(t.keys)))
-    xy = [t.xy[sel, j] for t, j in compress(columns, on_pitch)]  # (rows, 2) per player
-    present = present[:, on_pitch]
-
-    first_seen = present.argmax(axis=0)
-    keepers, defends = _infer_keepers_and_sides(keys, xy, present, first_seen)
-    tags = [PlayerTag(team=k.split(":", 1)[0], is_goalkeeper=k in keepers) for k in keys]
-    keep = present.copy()
-    for team in (HOME, AWAY):  # substitution overlap: the longest-established ten stay
-        cols = sorted(
-            (j for j, tag in enumerate(tags) if tag.team == team and not tag.is_goalkeeper),
-            key=lambda j: (first_seen[j], keys[j]),
-        )
-        keep[:, cols] &= np.cumsum(present[:, cols], axis=1) <= 10
-
-    has_ball = ~np.isnan(ball).any(axis=1)
-    kept = np.flatnonzero(has_ball)
+    xy = np.frombuffer(rows.cells).reshape(n, 1 + len(keys), 2)  # fractions; NaN when absent
+    kept = np.flatnonzero(~np.isnan(xy[:, 0]).any(axis=1))  # the rows with a ball
     if not len(kept):
-        rows = f"rows {home.rows[sel][0]}-{home.rows[sel][-1]}"
-        raise MalformedInputError(f"{home.path} {rows}: period {period} has no row with a ball")
+        where = f"rows {rows.home_rows[0]}-{rows.home_rows[-1]}"
+        raise MalformedInputError(f"{paths[0]} {where}: period {period} has no row with a ball")
     dropped = n - len(kept)
     if dropped:
         level = logging.WARNING if dropped > 0.05 * n else logging.INFO
         logger.log(level, "period %d: dropped %d of %d rows without a ball", period, dropped, n)
-    cells = np.empty((len(kept), 1 + len(xy), 2))
-    for j, column in enumerate([ball, *xy]):
-        for axis in (0, 1):  # one axis at a time: numpy's fast path for a strided column
-            cells[:, j, axis] = column[:, axis][has_ball]
-    used = np.concatenate([np.ones((len(kept), 1), dtype=bool), keep[kept]], axis=1)
+    present = ~np.isnan(xy[:, 1:]).any(axis=2)
+    on_pitch = present.any(axis=0)  # False for unused substitutes
+    keys = list(compress(keys, on_pitch))
+    columns = np.flatnonzero(on_pitch) + 1
+    present = present[:, on_pitch]
+
+    first_seen = present.argmax(axis=0)
+    keepers, defends = _infer_keepers_and_sides(keys, [xy[:, j] for j in columns], present, first_seen)
+    del xy  # the buffer is moved and truncated below
+    tags = [PlayerTag(team=k.split(":", 1)[0], is_goalkeeper=k in keepers) for k in keys]
+    used = np.empty((len(kept), 1 + len(keys)), dtype=bool)
+    used[:, 0] = True
+    used[:, 1:] = present[kept] if dropped else present
+    del present
+    for team in (HOME, AWAY):  # substitution overlap: the longest-established ten stay
+        cols = sorted(
+            (j for j, tag in enumerate(tags, start=1) if tag.team == team and not tag.is_goalkeeper),
+            key=lambda j: (first_seen[j - 1], keys[j - 1]),
+        )
+        # A count reaches at most len(cols), so the narrowest type that holds it will do.
+        used[:, cols] &= np.cumsum(used[:, cols], axis=1, dtype=np.min_scalar_type(len(cols))) <= 10
+    if dropped or not on_pitch.all():
+        _move_to_front(rows.cells, kept, np.repeat([True, *on_pitch], 2))
+    cells = np.frombuffer(rows.cells).reshape(len(kept), 1 + len(keys), 2)
     lo, hi = -PERCENT_TOLERANCE, 1.0 + PERCENT_TOLERANCE
     # Per-cell masks only when some cell, used or not, lies out of range.
     if np.fmin.reduce(cells, None, initial=lo) < lo or np.fmax.reduce(cells, None, initial=hi) > hi:
-        outside = used[..., None] & ((cells < lo) | (cells > hi))
+        outside = cells < lo
+        outside |= cells > hi
+        outside &= used[..., None]
         if outside.any():
             i, j, axis = np.argwhere(outside)[0]
-            from_home = tags[j - 1].team == HOME if j else home_ball[kept[i]]
-            tab = home if from_home else away
+            from_home = tags[j - 1].team == HOME if j else rows.home_ball[kept[i]]
+            path, numbers = (paths[0], rows.home_rows) if from_home else (paths[1], rows.away_rows)
             raise MalformedInputError(
                 f"percentage coordinate {'xy'[axis]}={float(cells[i, j, axis])!r} in "
-                f"{tab.path} row {tab.rows[sel][kept[i]]} outside [-0.05, 1.05]"
+                f"{path} row {numbers[kept[i]]} outside [-0.05, 1.05]"
             )
     scale = np.array([PITCH_LENGTH_M, PITCH_WIDTH_M])
     cells *= scale
@@ -336,6 +393,27 @@ def _match_half(period: int, home: _TeamTable, away: _TeamTable) -> MatchHalf:
 
     table = TruthTable((times[kept] - offset).tolist(), cells, used, keys, tags)
     return MatchHalf(period, table, defends_left=defends, dropped_rows=dropped, time_offset=offset)
+
+
+def _move_to_front(buf: array, rows: np.ndarray, cells: np.ndarray) -> None:
+    """Keep the rows ``rows`` of a buffer of rows of ``len(cells)`` doubles
+    and, in each, the doubles where ``cells`` is True: move each kept row up
+    to follow the one before, then truncate the buffer.
+
+    A block of rows is copied out before it moves, and never reaches a row not
+    yet moved (a row's new place starts no later than its old one), so no
+    step copies the whole buffer.
+    """
+    import numpy as np
+
+    flat, picks = np.frombuffer(buf), np.flatnonzero(cells)
+    table, size = flat.reshape(-1, len(cells)), len(picks)
+    step = max(1, _MOVE_BLOCK_BYTES // (8 * size))
+    for r in range(0, len(rows), step):
+        block = table[np.ix_(rows[r : r + step], picks)]
+        flat[r * size : r * size + block.size] = block.ravel()
+    del flat, table  # no view may outlive the buffer's resize
+    del buf[len(rows) * size :]
 
 
 def _infer_keepers_and_sides(
@@ -386,7 +464,7 @@ def attach_events(halves: list[MatchHalf], events_path: str | Path) -> None:
     UTF-8 text raises it naming the file.
     """
     raw: dict[int, list[Event]] = {}
-    with Path(events_path).open(newline="", encoding="utf8") as fh:
+    with Path(events_path).open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(_utf8_lines(fh, events_path))
         if "start time [s]" not in [(k or "").strip().lower() for k in reader.fieldnames or ()]:
             raise MalformedInputError(f"{events_path} row 1: no 'Start Time [s]' column")
@@ -692,7 +770,7 @@ def load_json(path: str | Path):
     """The JSON document in ``path``; a directory, invalid JSON or JSON nested
     deeper than the parser recurses raises MalformedInputError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except IsADirectoryError:
         raise MalformedInputError(f"{path} is a directory, not a JSON file") from None
     except ValueError as e:

@@ -2,13 +2,19 @@
 reader of the enriched output the tests check.
 
 They are built from the package's own pieces (forecast states, the velocity
-field's nodes, the 360 reader's flip, the JSON readers' field checks) but are
-not used by the pipeline.
+field's nodes, the 360 reader's flip, the JSON readers' field checks, the
+tracking reader's cell parser and keeper inference) but are not used by the
+pipeline.  The reference tracking CSV reader is the package's reader before
+it read both files in lockstep into one buffer per half.
 """
 
+import csv
 import math
+from array import array
 from bisect import bisect_left, bisect_right
-from itertools import compress
+from itertools import chain, compress, islice
+from operator import itemgetter
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -19,15 +25,34 @@ from track_enrich.forecaster import Forecast, ForecastModel, ForecastState, Grid
 from track_enrich.geometry import (
     AWAY,
     HOME,
+    PERCENT_TOLERANCE,
+    PITCH_LENGTH_M,
+    PITCH_WIDTH_M,
     EnrichedFrame,
     EnrichedPlayer,
     MalformedInputError,
     ObservationFrame,
     PitchPoint,
+    PlayerTag,
     Trajectory,
     clamp_to_pitch,
 )
-from track_enrich.ingest import _flag, _flip, _point, _read_frames, _tag, load_json
+from track_enrich.ingest import (
+    _NOT_A_PERIOD,
+    MAX_HALF_SPAN_S,
+    MAX_PERIOD,
+    MatchHalf,
+    TruthTable,
+    _flag,
+    _flip,
+    _infer_keepers_and_sides,
+    _number,
+    _point,
+    _read_frames,
+    _tag,
+    _utf8_lines,
+    load_json,
+)
 from track_enrich.interpolator import VelocityField
 from track_enrich.lsap import linear_sum_assignment
 from track_enrich.pipeline import snapshot_at
@@ -272,3 +297,154 @@ def player_json(team: str, keeper: bool, x: float, y: float, visible: bool | Non
     if visible is not None:
         parts.append(f'"visible": {"true" if visible else "false"}')
     return "{" + ", ".join(parts) + "}"
+
+
+# --- the tracking CSV reader before it read both files in lockstep --------------
+
+
+class TeamTable(NamedTuple):
+    path: Path
+    keys: list[str]  # "<team>:<Player column>", in header order
+    rows: np.ndarray  # CSV row number of each timed data row
+    period: np.ndarray
+    time: np.ndarray
+    xy: np.ndarray  # (rows, 1 + players, 2) fractions, the ball first; NaN when absent
+
+
+def read_team_csv(path: Path, team: str) -> TeamTable:
+    """Parse one wide per-team CSV into float arrays; untimed rows are skipped."""
+    with path.open(newline="", encoding="utf8") as fh:
+        reader = csv.reader(_utf8_lines(fh, path))
+        head = list(islice(reader, 4))
+        if len(head) < 4:
+            raise MalformedInputError(f"{path}: too short to contain headers and data")
+        header_idx = next(
+            (i for i, row in enumerate(head) if row and row[0].strip().lower() == "period"), None
+        )
+        if header_idx is None:
+            raise MalformedInputError(f"{path}: no 'Period,...' header row found")
+        header = [c.strip() for c in head[header_idx]]
+        ball = next((i for i, c in enumerate(header) if c.lower() == "ball"), None)
+        if ball is None:
+            raise MalformedInputError(f"{path}: header declares no ball columns")
+        time_col = next((i for i, c in enumerate(header) if c.lower().startswith("time")), None)
+        if time_col is None:
+            raise MalformedInputError(f"{path}: header declares no time column")
+        players = [i for i, c in enumerate(header) if c.lower().startswith("player")]
+        keys = [f"{team}:{header[i]}" for i in players]
+        if len(set(keys)) != len(keys):
+            raise MalformedInputError(f"{path}: header repeats a player column")
+        cols = [0, time_col, *(c for i in [ball, *players] for c in (i, i + 1))]
+        pick, pad = itemgetter(*cols), [""] * (max(cols) + 1)
+        numbers, parsed = array("q"), array("d")
+        for n, raw in enumerate(chain(head[header_idx + 1 :], reader), start=header_idx + 2):
+            if raw and raw[0].strip():
+                numbers.append(n)
+                cells = pick(raw + pad[len(raw) :])
+                try:  # whole rows only: a row that fails appends nothing
+                    parsed.extend(list(map(float, cells)))
+                except ValueError:  # a blank cell, else a malformed one
+                    parsed.extend([_number(path, n, cell) for cell in cells])
+    # Views on the parsed buffers: a fully timed file is kept without a copy.
+    values = np.frombuffer(parsed).reshape(len(numbers), len(cols))
+    rows, period, time = np.frombuffer(numbers, dtype=np.int64), values[:, 0], values[:, 1]
+    whole = (period >= 0) & (period < MAX_PERIOD) & (np.floor(period) == period)
+    bad = np.flatnonzero(~whole | np.isinf(time))
+    if bad.size:
+        i = bad[0]
+        what = f"time {time[i].item()!r} is not finite" if whole[i] else _NOT_A_PERIOD
+        raise MalformedInputError(f"{path} row {rows[i]}: {what.format(period[i].item())}")
+    timed = ~np.isnan(time)
+    if not timed.all():
+        rows, period, time, values = rows[timed], period[timed], time[timed], values[timed]
+    xy = values[:, 2:].reshape(-1, 1 + len(keys), 2)
+    return TeamTable(path, keys, rows, period.astype(int), time, xy)
+
+
+def read_tracking_csv(home_path, away_path) -> list[MatchHalf]:
+    """The reference for ``ingest.read_tracking_csv``: each file parsed whole
+    into its own table, then each period's cells copied into the half's."""
+    home = read_team_csv(Path(home_path), HOME)
+    away = read_team_csv(Path(away_path), AWAY)
+    if len(home.time) != len(away.time):
+        raise MalformedInputError(
+            f"{home.path} has {len(home.time)} timed rows but {away.path} {len(away.time)}"
+        )
+    if not len(home.time):
+        raise MalformedInputError(f"{home.path}: no data row has both a period and a time")
+    differ = np.flatnonzero((home.period != away.period) | (home.time != away.time))
+    if differ.size:
+        i = differ[0]
+        raise MalformedInputError(
+            f"{away.path} row {away.rows[i]}: period or time differs from "
+            f"{home.path} row {home.rows[i]}"
+        )
+    return [match_half(p, home, away) for p in sorted(set(home.period.tolist()))]
+
+
+def match_half(period: int, home: TeamTable, away: TeamTable) -> MatchHalf:
+    sel = np.flatnonzero(home.period == period)
+    stuck = np.flatnonzero(np.diff(home.time[sel]) <= 0)
+    if stuck.size:
+        raise MalformedInputError(
+            f"{home.path} row {home.rows[sel[stuck[0] + 1]]}: time does not increase"
+        )
+    times, n = home.time[sel], len(sel)
+    if times[-1] - times[0] > MAX_HALF_SPAN_S:
+        raise MalformedInputError(
+            f"{home.path} row {home.rows[sel[-1]]}: period {period} times span "
+            f"{times[-1] - times[0]:g} s, more than {MAX_HALF_SPAN_S:g} s"
+        )
+    offset = float(times[0] - (times[1] - times[0])) if n >= 2 else 0.0
+    if sel[-1] - sel[0] == n - 1:  # contiguous rows: index with views, not copies
+        sel = slice(sel[0], sel[-1] + 1)
+    home_ball = ~np.isnan(home.xy[sel, 0]).any(axis=1)
+    ball = np.where(home_ball[:, None], home.xy[sel, 0], away.xy[sel, 0])
+    present = np.concatenate([~np.isnan(t.xy[sel, 1:]).any(axis=2) for t in (home, away)], axis=1)
+    on_pitch = present.any(axis=0)  # False for unused substitutes
+    keys = list(compress(home.keys + away.keys, on_pitch))
+    columns = ((t, j) for t in (home, away) for j in range(1, 1 + len(t.keys)))
+    xy = [t.xy[sel, j] for t, j in compress(columns, on_pitch)]  # (rows, 2) per player
+    present = present[:, on_pitch]
+
+    first_seen = present.argmax(axis=0)
+    keepers, defends = _infer_keepers_and_sides(keys, xy, present, first_seen)
+    tags = [PlayerTag(team=k.split(":", 1)[0], is_goalkeeper=k in keepers) for k in keys]
+    keep = present.copy()
+    for team in (HOME, AWAY):  # substitution overlap: the longest-established ten stay
+        cols = sorted(
+            (j for j, tag in enumerate(tags) if tag.team == team and not tag.is_goalkeeper),
+            key=lambda j: (first_seen[j], keys[j]),
+        )
+        keep[:, cols] &= np.cumsum(present[:, cols], axis=1) <= 10
+
+    has_ball = ~np.isnan(ball).any(axis=1)
+    kept = np.flatnonzero(has_ball)
+    if not len(kept):
+        rows = f"rows {home.rows[sel][0]}-{home.rows[sel][-1]}"
+        raise MalformedInputError(f"{home.path} {rows}: period {period} has no row with a ball")
+    dropped = n - len(kept)
+    cells = np.empty((len(kept), 1 + len(xy), 2))
+    for j, column in enumerate([ball, *xy]):
+        for axis in (0, 1):  # one axis at a time: numpy's fast path for a strided column
+            cells[:, j, axis] = column[:, axis][has_ball]
+    used = np.concatenate([np.ones((len(kept), 1), dtype=bool), keep[kept]], axis=1)
+    lo, hi = -PERCENT_TOLERANCE, 1.0 + PERCENT_TOLERANCE
+    # Per-cell masks only when some cell, used or not, lies out of range.
+    if np.fmin.reduce(cells, None, initial=lo) < lo or np.fmax.reduce(cells, None, initial=hi) > hi:
+        outside = used[..., None] & ((cells < lo) | (cells > hi))
+        if outside.any():
+            i, j, axis = np.argwhere(outside)[0]
+            from_home = tags[j - 1].team == HOME if j else home_ball[kept[i]]
+            tab = home if from_home else away
+            raise MalformedInputError(
+                f"percentage coordinate {'xy'[axis]}={float(cells[i, j, axis])!r} in "
+                f"{tab.path} row {tab.rows[sel][kept[i]]} outside [-0.05, 1.05]"
+            )
+    scale = np.array([PITCH_LENGTH_M, PITCH_WIDTH_M])
+    cells *= scale
+    np.maximum(cells, 0.0, out=cells)
+    np.minimum(cells, scale, out=cells)
+
+    table = TruthTable((times[kept] - offset).tolist(), cells, used, keys, tags)
+    return MatchHalf(period, table, defends_left=defends, dropped_rows=dropped, time_offset=offset)

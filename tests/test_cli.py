@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import os
@@ -107,9 +108,10 @@ def test_full_pipeline(workspace, capsys):
     assert report_path.read_bytes() == first_report  # deterministic rerun
 
 
-def test_missing_input_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+def test_missing_input_exits_2(tmp_path, capsys, bom):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"train_home_csv": str(tmp_path / "nope.csv")}))
+    cfg.write_bytes(bom + json.dumps({"train_home_csv": str(tmp_path / "nope.csv")}).encode())
     code = main(["train", "--config", str(cfg)])
     assert code == 2
     err = capsys.readouterr().err

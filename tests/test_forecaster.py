@@ -1,3 +1,4 @@
+import codecs
 import json
 import logging
 import math
@@ -525,9 +526,12 @@ class TestFit:
 
 
 class TestPersistence:
-    def test_round_trip(self, tmp_path, model):
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+    def test_round_trip(self, tmp_path, model, bom):
         path = tmp_path / "model.json"
         save_model(model, path)
+        if bom:
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
         again = load_model(path)
         assert again == model
 
