@@ -14,9 +14,12 @@ as its own process on this checkout's ``src``, with each command's wall time
 and peak anonymous resident set (``RssAnon``, polled) recorded.  One more
 process times ``read_tracking_csv`` on the match and, under tracemalloc,
 measures the bytes a read allocates at its peak and the bytes a read match
-keeps.  The results, the report's two error figures and the machine's
-description go to the output JSON: ``--out``, or else the first
-``BENCH_<n>.json`` at the root of the checkout that does not exist yet.
+keeps.  The results, the report's two error figures, the sha256 of
+``model.json`` and of every file the commands write to the output directory,
+and the machine's description go to the output JSON: ``--out``, or else the
+first ``BENCH_<n>.json`` at the root of the checkout that does not exist yet.
+Diffing the hashes of two result files shows whether two checkouts write the
+same bytes at this size.
 
 The real Metrica match is 2 x 45 min at 25 fps too, so the probe shows what
 a command costs at the size the paper works with, which the benchmark's
@@ -26,6 +29,7 @@ a command costs at the size the paper works with, which the benchmark's
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -110,6 +114,13 @@ def next_free_bench(root: Path) -> Path:
     return root / f"BENCH_{n}.json"
 
 
+def output_hashes(work: Path) -> dict:
+    """The sha256 of ``work/model.json`` and of each file in ``work/out``, by
+    their paths under ``work``."""
+    paths = [work / "model.json", *sorted((work / "out").iterdir())]
+    return {p.relative_to(work).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
 def run_command(argv: list[str], log: Path) -> dict:
     """Run one process to its end: wall seconds and peak anonymous RSS in MB."""
     peak_kb = 0
@@ -164,6 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "err_in_phase_offcam_m": report["mean_offcam_in_phase_m"],
         "err_out_of_phase_m": report["mean_all_out_of_phase_m"],
+        "sha256": output_hashes(work),
     }
     out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result["read_tracking_csv"]))

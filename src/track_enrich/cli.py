@@ -21,39 +21,20 @@ import re
 import sys
 import time
 from collections import Counter
-from itertools import compress
 from pathlib import Path
 
 from . import forecaster, ingest
 from .config import ConfigError, PipelineConfig, apply_overrides, load_config
-from .geometry import MalformedInputError, PitchPoint, Trajectory
+from .geometry import MalformedInputError
 
 logger = logging.getLogger(__name__)
 
 
-class _OutfieldTracks:
-    """A half's outfield trajectories of two or more points, built one by one
-    from the truth table's columns as they are iterated, so a fit holds one at
-    a time.  Like the list they stand for, they can be iterated more than once."""
+def _training_halves(cfg: PipelineConfig) -> list:
+    from .training import truth_columns
 
-    def __init__(self, table: ingest.TruthTable):
-        self.table = table
-
-    def __iter__(self):
-        tab = self.table
-        for j, tag in enumerate(tab.tags, start=1):
-            on = tab.used[:, j]
-            if not tag.is_goalkeeper and on.sum() >= 2:
-                times = list(compress(tab.times, on.tolist()))
-                yield Trajectory(tag, times, [PitchPoint(x, y) for x, y in tab.cells[on, j].tolist()])
-
-
-def _training_halves(cfg: PipelineConfig):
     halves = ingest.read_tracking_csv(cfg.train_home_csv, cfg.train_away_csv)
-    return [
-        (_OutfieldTracks(half.frames), forecaster.resample_to_grid(half.times, half.ball, cfg.grid_step_s))
-        for half in halves
-    ]
+    return [truth_columns(half.frames) for half in halves]
 
 
 def cmd_train(cfg: PipelineConfig) -> int:

@@ -43,7 +43,7 @@ from .geometry import (
 from .ingest import MAX_HALF_GRID_POINTS, MAX_HALF_SPAN_S, load_json
 
 if TYPE_CHECKING:
-    import numpy as np
+    from . import training
 
 logger = logging.getLogger(__name__)
 
@@ -103,7 +103,9 @@ def resample_to_grid(
     for k in range(k_first, k_last + 1):
         while i + 1 < len(times) and times[i + 1] / grid_step <= k + GRID_TOL:
             i += 1
-        if abs(times[i] / grid_step - k) <= GRID_TOL:
+        # k_last is within tolerance of the last time even where rounding puts
+        # their difference a hair past it
+        if i + 1 == len(times) or abs(times[i] / grid_step - k) <= GRID_TOL:
             values.append(points[i])
         else:
             values.append(lerp(points[i], times[i], points[i + 1], times[i + 1], k * grid_step))
@@ -363,71 +365,19 @@ class ForecastState:
 
 # --- fitting -----------------------------------------------------------------
 
-# A half's training trajectories (iterated once per fit) and its ball grid.
-TrainingHalf = tuple[Iterable[Trajectory], GridSeries]
-
-
-def _segments(
-    halves: Sequence[TrainingHalf], grid_step: float, n_exog: int
-) -> list[tuple[np.ndarray, np.ndarray, list[float], int]]:
-    """Per-trajectory, per-axis (displacements, exog-lag matrix, ball displacements,
-    offset) training segments.  Row i of the exog matrix holds the ball lags that
-    ``armax_recursion`` reads at step i from the ball displacements and offset, as
-    a view of the ball's zero-padded displacements; each trajectory must lie
-    within its ball's grid."""
-    import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view as windows
-
-    out = []
-    for trajs, ball in halves:
-        # per axis, window j: the ball's displacements ending at node ball.start_k + j, j - 1, ...
-        pad = np.zeros(n_exog)
-        lags = [windows(np.concatenate([pad, d]), n_exog)[:, ::-1] for d in ball.displacements]
-        for traj in trajs:
-            if len(traj) < 2:
-                continue
-            grid = resample_to_grid(traj.times, traj.points, grid_step)
-            if len(grid) < 3:
-                continue
-            # displacement i spans the grid interval ending at start_k + 1 + i
-            lo, hi = grid.start_k + 1 - ball.start_k, grid.end_k + 1 - ball.start_k
-            if lo < 0 or hi > len(lags[0]):
-                raise ValueError("a training trajectory leaves its half's ball grid")
-            for axis, disp in enumerate(ball.displacements):
-                out.append((np.array(grid.displacements[axis]), lags[axis][lo:hi], disp, lo - 1))
-    return out
-
-
-def _design(
-    d: np.ndarray, e: np.ndarray | None, g: np.ndarray, p: int, q: int, t0: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked regression rows [1, d lags, e lags, g lags] for targets d[t0:]."""
-    import numpy as np
-
-    n = len(d) - t0
-    cols = [np.ones(n)]
-    for i in range(1, p + 1):
-        cols.append(d[t0 - i : len(d) - i])
-    if e is not None:
-        for j in range(1, q + 1):
-            cols.append(e[t0 - j : len(d) - j])
-    if g.shape[1]:
-        cols.append(g[t0:])
-    return np.column_stack(cols), d[t0:]
-
 
 def fit(
-    halves: Sequence[TrainingHalf],
+    halves: Iterable[training.TrainingHalf],
     *,
     grid_step: float = 1.0,
     ar_order: int = 2,
     ma_order: int = 1,
     ball_lags: int = 2,
 ) -> ForecastModel:
-    """Fit one pooled displacement ARMAX over all training trajectories.
+    """Fit one pooled displacement ARMAX over all training tracks.
 
     Both axes are pooled (the forecast spread is isotropic) and each half's
-    trajectories share that half's ball grid.  Estimation is two-stage least
+    tracks share that half's ball grid.  Estimation is two-stage least
     squares: a long autoregression provides residual estimates, then the
     ARMAX regression is refined with residuals recomputed from the current
     coefficients.  The procedure is deterministic, so refitting identical
@@ -435,54 +385,52 @@ def fit(
     retried at the next lower order on the same training segments.  A stage-2
     pass after the first that estimates a non-invertible MA is dropped, and
     the passes end with the previous one (logged at INFO).
+
+    ``halves`` is dropped once resampled, so a caller that passes the only
+    reference frees the tracks before any design matrix is built.  Each stage
+    builds one design over every segment.
     """
     import numpy as np
 
-    segments = _segments(halves, grid_step, ball_lags)
-    total = sum(len(d) for d, *_ in segments)
-    if total < MIN_STEPS:
-        raise MalformedInputError(f"training data too short: {total} grid steps, need {MIN_STEPS}")
+    from . import training
+
+    pool, segments = training.grid_segments(halves, grid_step, ball_lags)
+    del halves
+    if len(pool) < MIN_STEPS:
+        raise MalformedInputError(
+            f"training data too short: {len(pool)} grid steps, need {MIN_STEPS}"
+        )
     t0 = max(ar_order, ma_order, 1)
-    if not any(len(d) > t0 for d, *_ in segments):
+    if not training.stacked_rows(segments, t0):
         raise MalformedInputError(
             f"training data too short: no trajectory spans more than {t0} grid steps, "
             f"as ar_order {ar_order} and ma_order {ma_order} need"
         )
-
-    pooled = np.concatenate([d for d, *_ in segments])
-    one_step_std = max(float(np.std(pooled, ddof=1)), 1e-6)
+    one_step_std = max(float(np.std(pool, ddof=1)), 1e-6)
 
     q = ma_order
     for p in range(ar_order, -1, -1):  # AR order 0 is always stationary
         t0, long_lag = max(p, q, 1), max(8, p + q + 2)
 
         # Stage 1: long AR (+ exog) to get initial residual estimates.
-        e_hat = [np.zeros(len(d)) for d, *_ in segments]
-        if q > 0:
-            stage1 = {
-                idx: _design(d, None, g, long_lag, 0, long_lag)
-                for idx, (d, g, *_) in enumerate(segments)
-                if len(d) > long_lag
-            }
-            if stage1:
-                x1 = np.concatenate([x for x, _ in stage1.values()])
-                y1 = np.concatenate([y for _, y in stage1.values()])
-                beta1, *_ = np.linalg.lstsq(x1, y1, rcond=None)
-                for idx, (x, y) in stage1.items():
-                    e_hat[idx][long_lag:] = y - x @ beta1
+        e_hat = np.zeros(len(pool))
+        stacked = training.stacked_rows(segments, long_lag)
+        if q > 0 and stacked:
+            x, y = training.design(pool, stacked, long_lag, long_lag, 0, ball_lags)
+            beta1, *_ = np.linalg.lstsq(x, y, rcond=None)
+            for (a, b, *_), rows in stacked:
+                e_hat[a + long_lag : b] = y[rows] - x[rows] @ beta1
+            del x, y
 
         # Stage 2: ARMAX regression, iterated with residuals recomputed from the
         # current coefficients (non-stationary intermediates are tolerated, but
-        # a non-invertible MA is not: its residuals diverge).
+        # a non-invertible MA is not: its residuals diverge).  Each pass
+        # rewrites only the design's e-lag columns.
+        stacked = training.stacked_rows(segments, t0)
+        x, y = training.design(pool, stacked, t0, p, q, ball_lags)
         for n_pass in range(3):
-            xs, ys = [], []
-            for (d, g, *_), e in zip(segments, e_hat):
-                if len(d) <= t0:
-                    continue
-                x, y = _design(d, e, g, p, q, t0)
-                xs.append(x)
-                ys.append(y)
-            coeffs, *_ = np.linalg.lstsq(np.concatenate(xs), np.concatenate(ys), rcond=None)
+            training.fill_lags(x, stacked, t0, 1 + p, q, e_hat)
+            coeffs, *_ = np.linalg.lstsq(x, y, rcond=None)
             c0, *rest = coeffs.tolist()
             estimate = (c0, tuple(rest[:p]), tuple(rest[p : p + q]), tuple(rest[p + q :]))
             if n_pass and not ar_is_stationary([-c for c in estimate[2]]):
@@ -492,14 +440,15 @@ def fit(
                 )
                 break
             coefs = intercept, ar, ma, exog = estimate
-            e_hat = [
-                np.array(armax_recursion(coefs, [0.0] * p, [0.0] * q, ball, j, len(d), d.tolist()))
-                for d, _, ball, j in segments
-            ]
+            e_hat = np.empty(len(pool))
+            for a, b, _, ball, j in segments:
+                d = pool[a:b].tolist()
+                e_hat[a:b] = armax_recursion(coefs, [0.0] * p, [0.0] * q, ball, j, len(d), d)
+        del x, y
         if ar_is_stationary(ar):
             break
 
-    resid_std = max(float(np.std(np.concatenate(e_hat), ddof=1)), 1e-6)
+    resid_std = max(float(np.std(e_hat, ddof=1)), 1e-6)
     return ForecastModel(
         ar=ar,
         ma=ma,

@@ -142,11 +142,6 @@ class MatchHalf:
         """Each row's time."""
         return self.frames.times
 
-    @property
-    def ball(self) -> list[PitchPoint]:
-        """Each row's ball position."""
-        return [PitchPoint(x, y) for x, y in self.frames.cells[:, 0].tolist()]
-
 
 @dataclass
 class DiscreteMatchRecord:

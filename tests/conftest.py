@@ -7,7 +7,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from synth import synth_half, truth_half  # noqa: E402
 
-from track_enrich.forecaster import fit, resample_to_grid  # noqa: E402
+from track_enrich.training import truth_columns  # noqa: E402
+from track_enrich.forecaster import fit  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -17,14 +18,7 @@ def training_half():
 
 @pytest.fixture(scope="session")
 def model(training_half):
-    trajs = [
-        t
-        for t in training_half.player_tracks.values()
-        if not t.tag.is_goalkeeper
-    ]
-    truth = truth_half(training_half)
-    ball = resample_to_grid(truth.times, truth.ball)
-    return fit([(trajs, ball)])
+    return fit([truth_columns(truth_half(training_half).frames)])
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,10 @@ They are built from the package's own pieces (forecast states, the velocity
 field's nodes, the 360 reader's flip, the JSON readers' field checks, the
 tracking reader's cell parser and keeper inference) but are not used by the
 pipeline.  The reference tracking CSV reader is the package's reader before
-it read both files in lockstep into one buffer per half.
+it read both files in lockstep into one buffer per half.  The reference fit
+is the package's fit before it trained from the truth table's columns: it
+resamples ``Trajectory`` objects and the ball's ``GridSeries`` point by point
+and builds one design per segment.
 """
 
 import csv
@@ -21,7 +24,16 @@ import numpy as np
 
 from track_enrich.broadcast import ground_truth_at
 from track_enrich.evaluator import event_frame_times
-from track_enrich.forecaster import Forecast, ForecastModel, ForecastState, GridSeries
+from track_enrich.forecaster import (
+    MIN_STEPS,
+    Forecast,
+    ForecastModel,
+    ForecastState,
+    GridSeries,
+    ar_is_stationary as stationary,
+    armax_recursion,
+    resample_to_grid,
+)
 from track_enrich.geometry import (
     AWAY,
     HOME,
@@ -56,6 +68,7 @@ from track_enrich.ingest import (
 from track_enrich.interpolator import VelocityField
 from track_enrich.lsap import linear_sum_assignment
 from track_enrich.pipeline import snapshot_at
+from track_enrich.training import ColumnTrack
 
 
 def truth_frame(half, i: int) -> ObservationFrame:
@@ -114,6 +127,104 @@ def ball_lag_rows(ball: GridSeries, ks: range, axis: int, n: int) -> list[list[f
         i = k - ball.start_k - 1  # the displacement over the interval ending at k
         rows.append([disp[j] if 0 <= j < len(disp) else 0.0 for j in range(i, i - n, -1)])
     return rows
+
+
+def column_track(times, points) -> ColumnTrack:
+    """Parallel times and ``PitchPoint``s as a column track."""
+    cells = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+    return ColumnTrack(np.array(times, dtype=float), cells)
+
+
+def column_half(trajs, ball: GridSeries) -> tuple[list[ColumnTrack], ColumnTrack]:
+    """Trajectories and a ball grid as the fit's training half: a column track
+    per trajectory and one for the ball, its nodes at their grid times."""
+    times = [(ball.start_k + i) * ball.step for i in range(len(ball))]
+    return [column_track(t.times, t.points) for t in trajs], column_track(times, ball.values)
+
+
+def reference_segments(halves, grid_step: float, n_exog: int) -> list:
+    """The fit's segments from (trajectories, ball grid) halves: per trajectory
+    and axis (displacements, exog-lag rows, ball displacements, offset)."""
+    from numpy.lib.stride_tricks import sliding_window_view as windows
+
+    out = []
+    for trajs, ball in halves:
+        pad = np.zeros(n_exog)
+        lags = [windows(np.concatenate([pad, d]), n_exog)[:, ::-1] for d in ball.displacements]
+        for traj in trajs:
+            if len(traj) < 2:
+                continue
+            grid = resample_to_grid(traj.times, traj.points, grid_step)
+            if len(grid) < 3:
+                continue
+            lo, hi = grid.start_k + 1 - ball.start_k, grid.end_k + 1 - ball.start_k
+            if lo < 0 or hi > len(lags[0]):
+                raise ValueError("a training trajectory leaves its half's ball grid")
+            for axis, disp in enumerate(ball.displacements):
+                out.append((np.array(grid.displacements[axis]), lags[axis][lo:hi], disp, lo - 1))
+    return out
+
+
+def _reference_design(d, e, g, p: int, q: int, t0: int):
+    n = len(d) - t0
+    cols = [np.ones(n)]
+    for i in range(1, p + 1):
+        cols.append(d[t0 - i : len(d) - i])
+    if e is not None:
+        for j in range(1, q + 1):
+            cols.append(e[t0 - j : len(d) - j])
+    if g.shape[1]:
+        cols.append(g[t0:])
+    return np.column_stack(cols), d[t0:]
+
+
+def reference_fit(halves, *, grid_step=1.0, ar_order=2, ma_order=1, ball_lags=2) -> ForecastModel:
+    """``forecaster.fit`` over (trajectories, ball grid) halves, one design per
+    segment and per pass, concatenated for each least-squares solve."""
+    segments = reference_segments(halves, grid_step, ball_lags)
+    total = sum(len(d) for d, *_ in segments)
+    if total < MIN_STEPS:
+        raise MalformedInputError(f"training data too short: {total} grid steps, need {MIN_STEPS}")
+    pooled = np.concatenate([d for d, *_ in segments])
+    one_step_std = max(float(np.std(pooled, ddof=1)), 1e-6)
+    q = ma_order
+    for p in range(ar_order, -1, -1):
+        t0, long_lag = max(p, q, 1), max(8, p + q + 2)
+        e_hat = [np.zeros(len(d)) for d, *_ in segments]
+        if q > 0:
+            stage1 = {
+                idx: _reference_design(d, None, g, long_lag, 0, long_lag)
+                for idx, (d, g, *_) in enumerate(segments)
+                if len(d) > long_lag
+            }
+            if stage1:
+                x1 = np.concatenate([x for x, _ in stage1.values()])
+                y1 = np.concatenate([y for _, y in stage1.values()])
+                beta1, *_ = np.linalg.lstsq(x1, y1, rcond=None)
+                for idx, (x, y) in stage1.items():
+                    e_hat[idx][long_lag:] = y - x @ beta1
+        for n_pass in range(3):
+            xs, ys = [], []
+            for (d, g, *_), e in zip(segments, e_hat):
+                if len(d) <= t0:
+                    continue
+                x, y = _reference_design(d, e, g, p, q, t0)
+                xs.append(x)
+                ys.append(y)
+            coeffs, *_ = np.linalg.lstsq(np.concatenate(xs), np.concatenate(ys), rcond=None)
+            c0, *rest = coeffs.tolist()
+            estimate = (c0, tuple(rest[:p]), tuple(rest[p : p + q]), tuple(rest[p + q :]))
+            if n_pass and not stationary([-c for c in estimate[2]]):
+                break
+            coefs = intercept, ar, ma, exog = estimate
+            e_hat = [
+                np.array(armax_recursion(coefs, [0.0] * p, [0.0] * q, ball, j, len(d), d.tolist()))
+                for d, _, ball, j in segments
+            ]
+        if stationary(ar):
+            break
+    resid_std = max(float(np.std(np.concatenate(e_hat), ddof=1)), 1e-6)
+    return ForecastModel(ar, ma, exog, intercept, resid_std, one_step_std, grid_step)
 
 
 def velocity_at(field: VelocityField, t: float) -> tuple[float, float]:

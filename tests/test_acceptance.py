@@ -18,17 +18,17 @@ import pytest
 
 from synth import count_identity_switches, point_at, synth_half, truth_half
 
-from oracles import flip_point, forecast, truth_tracks, velocity_correction
+from oracles import column_half, flip_point, forecast, velocity_correction
 from test_forecaster import flat_ball, make_traj, simple_model, unrolled_oracle
 
 from track_enrich.assigner import build_trajectories
 from track_enrich.broadcast import degrade
+from track_enrich.training import truth_columns
 from track_enrich.evaluator import IN_PHASE, build_report, evaluate_half
 from track_enrich.forecaster import (
     ForecastState,
     GridSeries,
     fit,
-    resample_to_grid,
 )
 from track_enrich.geometry import AWAY, HOME, PitchPoint, PlayerTag, Trajectory
 from track_enrich.ingest import (
@@ -116,13 +116,7 @@ def test_criterion_1_degradation_replication(match1_records):
 @pytest.fixture(scope="module")
 def match1_report(match1_halves, match1_records):
     train = read_tracking_csv(DATA_DIR / MATCH2["home"], DATA_DIR / MATCH2["away"])
-    training = []
-    for half in train:
-        trajs = [
-            t for t in truth_tracks(half).values()
-            if not t.tag.is_goalkeeper and len(t) >= 2
-        ]
-        training.append((trajs, resample_to_grid(half.times, half.ball)))
+    training = [truth_columns(half.frames) for half in train]
     started = time.perf_counter()
     model = fit(training)
     assert 0.1 < model.resid_std < 3.0, f"implausible resid_std {model.resid_std}"
@@ -341,7 +335,7 @@ def test_criterion_4f_ar1_recovery(clock):
     traj = Trajectory(tag=PlayerTag(HOME))
     for t in range(n):
         traj.append(float(t), PitchPoint(float(np.clip(x[t], 1, 119)), 40.0))
-    model = fit([([traj], flat_ball(n=n + 20, start_k=-10))], ar_order=1, ma_order=0, ball_lags=0)
+    model = fit([column_half([traj], flat_ball(n=n + 20, start_k=-10))], ar_order=1, ma_order=0, ball_lags=0)
     err = abs(model.ar[0] - phi)
     report_line(
         "criterion-4f AR(1) recovery",

@@ -1,4 +1,5 @@
 import codecs
+import gc
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -769,6 +771,48 @@ def test_train_on_a_period_without_a_ball_exits_2(tmp_path, tiny_enrich, tiny_tr
     run = _run_on_truth(tmp_path, tiny_enrich, lines, "train")
     assert run.returncode == 2
     assert f"home.csv rows {n + 1}-{2 * n - 3}: period 2 has no row with a ball" in run.stderr
+
+
+def test_train_on_a_last_time_a_hair_below_a_node_runs(tmp_path, tiny_enrich, tiny_truth):
+    """The last row at 19.999999999 s: the 1 s grid's node 20 is within
+    GRID_TOL of it, though their difference rounds a hair past GRID_TOL."""
+
+    def hair_below(rows):
+        cells = rows[-1].split(",")
+        assert cells[2] == "20.00"
+        return rows[:-1] + [",".join(cells[:2] + ["19.999999999"] + cells[3:])]
+
+    lines = {team: hair_below(rows) for team, rows in tiny_truth.items()}
+    run = _run_on_truth(tmp_path, tiny_enrich, lines, "train")
+    assert run.returncode == 0, run.stderr
+
+
+def test_train_frees_the_truth_before_the_first_solve(tmp_path, workspace, monkeypatch):
+    """``cmd_train`` hands the fit the only reference to the truth tables'
+    columns, and the fit drops it once it has resampled them."""
+    import numpy as np
+
+    from track_enrich import ingest
+
+    tables, alive = [], []
+    read, lstsq = ingest.read_tracking_csv, np.linalg.lstsq
+
+    def reading(*args):
+        halves = read(*args)
+        tables.extend(weakref.ref(half.frames) for half in halves)
+        return halves
+
+    def solving(*args, **kwargs):
+        if not alive:
+            gc.collect()
+            alive.append(sum(table() is not None for table in tables))
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "read_tracking_csv", reading)
+    monkeypatch.setattr(np.linalg, "lstsq", solving)
+    _, cfg = workspace
+    assert main(["train", "--config", str(cfg), "--model-path", str(tmp_path / "model.json")]) == 0
+    assert len(tables) == 2 and alive == [0]
 
 
 @pytest.mark.parametrize("command", ["enrich", "evaluate"])

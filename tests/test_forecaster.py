@@ -1,7 +1,9 @@
 import codecs
+import gc
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from track_enrich import forecaster
+from track_enrich import forecaster, training
+from track_enrich.training import ColumnTrack, resample_column, truth_columns
 from track_enrich.forecaster import (
     MAX_LAGS,
     ForecastModel,
@@ -22,9 +25,10 @@ from track_enrich.forecaster import (
     resample_to_grid,
     save_model,
 )
-from track_enrich.geometry import GRID_TOL, MalformedInputError, PitchPoint, PlayerTag, Trajectory
+from track_enrich.geometry import AWAY, GRID_TOL, HOME, MalformedInputError, PitchPoint, PlayerTag, Trajectory
+from track_enrich.ingest import MatchHalf, TruthTable
 
-from oracles import forecast
+from oracles import column_half, forecast
 from synth import synth_half, truth_half
 
 
@@ -149,6 +153,42 @@ class TestResampleTolerance:
             assert state._grid_pos == (grid.values[-1] if grid.values else None)
             node = (state._anchor_k() + 2) * step
             assert state.forecast_at(node + 0.5e-9 * step) == state.forecast_at(node)
+
+# A column's times: runs of points near grid nodes (a node, a fraction of a
+# step past it, and an offset of up to 1.5 GRID_TOL steps either side), with
+# the gaps between runs that substitutions leave.
+_COLUMN_DRAWS = st.lists(
+    st.tuples(
+        st.integers(-3, 40),
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9]) | st.floats(0.0, 1.0),
+        st.sampled_from([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+class TestColumnResample:
+    """The fit's column resampler is resample_to_grid over arrays, float for float."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(step=st.floats(0.2, 7.0), draws=_COLUMN_DRAWS, data=st.data())
+    @example(step=3.0, draws=[(0, 0.0, 0.0), (4, 0.0, -0.5)], data=None)
+    @example(step=0.2, draws=[(5, 0.5, 0.0)], data=None)  # one point, no node
+    def test_equals_resample_to_grid_float_for_float(self, step, draws, data):
+        times = []
+        for t in sorted((k + frac) * step + off * GRID_TOL * step for k, frac, off in draws):
+            if not times or t > times[-1]:
+                times.append(t)
+        cells = [(float(i), 80.0 - 0.37 * i) for i in range(len(times))]
+        if data is not None:
+            coords = st.floats(0.0, 120.0, allow_nan=False)
+            cells = data.draw(st.lists(st.tuples(coords, coords), min_size=len(times), max_size=len(times)))
+        want = resample_to_grid(times, [PitchPoint(x, y) for x, y in cells], step)
+        k, got = resample_column(ColumnTrack(np.array(times), np.array(cells).reshape(-1, 2)), step)
+        assert k == want.start_k
+        assert [(x.hex(), y.hex()) for x, y in got.tolist()] == [(p.x.hex(), p.y.hex()) for p in want.values]
+
 
 class TestForecastBasics:
     def test_one_step_is_random_walk(self):
@@ -419,7 +459,7 @@ class TestFit:
                 traj.append(float(t), PitchPoint(30.0 + 10 * i, 40.0))
             trajs.append(traj)
         ball = flat_ball(n=220, start_k=-10)
-        model = fit([(trajs, ball)])
+        model = fit([column_half(trajs, ball)])
         assert all(abs(c) < 1e-8 for c in model.ar)
         assert all(abs(c) < 1e-8 for c in model.ma)
         assert all(abs(c) < 1e-8 for c in model.exog)
@@ -437,14 +477,11 @@ class TestFit:
         for t in range(n):
             traj.append(float(t), PitchPoint(float(np.clip(x[t], 1, 119)), 40.0))
         ball = flat_ball(n=n + 20, start_k=-10)
-        model = fit([( [traj], ball )], ar_order=1, ma_order=0, ball_lags=0)
+        model = fit([column_half([traj], ball)], ar_order=1, ma_order=0, ball_lags=0)
         assert abs(model.ar[0] - phi) < 0.1
 
     def test_fit_deterministic(self, training_half, model):
-        trajs = [t for t in training_half.player_tracks.values() if not t.tag.is_goalkeeper]
-        truth = truth_half(training_half)
-        ball = resample_to_grid(truth.times, truth.ball)
-        again = fit([(trajs, ball)])
+        again = fit([truth_columns(truth_half(training_half).frames)])
         assert again == model
 
     def test_sane_on_synthetic_match(self, model):
@@ -454,14 +491,15 @@ class TestFit:
 
     def test_non_stationary_estimate_retried_at_lower_order(self, monkeypatch):
         calls = []
-        segments = forecaster._segments
-        monkeypatch.setattr(forecaster, "_segments", lambda *a: calls.append(a) or segments(*a))
+        segments = training.grid_segments
+        monkeypatch.setattr(training, "grid_segments", lambda *a: calls.append(a) or segments(*a))
         traj, x, d = Trajectory(tag=PlayerTag("home")), 10.0, 1e-3
         for t in range(600):  # displacements growing 1 % a step: an AR(1) of 1.01
             traj.append(float(t), PitchPoint(x, 40.0))
             d *= 1.01
             x += d
-        model = fit([([traj], flat_ball(n=620, start_k=-10))], ar_order=2, ma_order=0, ball_lags=0)
+        half = column_half([traj], flat_ball(n=620, start_k=-10))
+        model = fit([half], ar_order=2, ma_order=0, ball_lags=0)
         assert model.ar == ()
         assert model.intercept > 0.0
         assert len(calls) == 1  # the retries reuse the training segments
@@ -470,10 +508,7 @@ class TestFit:
         """One 450 s half at 25 fps: stage 2's second pass estimates the MA
         -1.02, not invertible, whose residuals run to 4e4 m.  The fit keeps the
         first pass instead, so no stage-2 residual exceeds 100 m."""
-        half = synth_half(seconds=450.0, fps=25, seed=21)
-        trajs = [t for t in half.player_tracks.values() if not t.tag.is_goalkeeper]
-        truth = truth_half(half)
-        ball = resample_to_grid(truth.times, truth.ball)
+        half = truth_columns(truth_half(synth_half(seconds=450.0, fps=25, seed=21)).frames)
         worst = []
         recursion = forecaster.armax_recursion
 
@@ -484,7 +519,7 @@ class TestFit:
 
         monkeypatch.setattr(forecaster, "armax_recursion", spy)
         with caplog.at_level(logging.INFO, logger="track_enrich.forecaster"):
-            model = fit([(trajs, ball)])
+            model = fit([half])
         assert worst and max(worst) < 100.0
         assert ar_is_stationary([-c for c in model.ma])
         assert "stage-2 pass 2 estimates the non-invertible MA" in caplog.text
@@ -504,12 +539,12 @@ class TestFit:
             a = data.draw(st.integers(0, n_ball - 3))
             spans.append((ball_start + a, data.draw(st.integers(3, n_ball - a))))
         trajs = [make_traj([(float(k), 50.0, 0.5 * k) for k in range(a, a + m)]) for a, m in spans]
-        segments = forecaster._segments([(trajs, ball)], 1.0, n)
+        _, segments = training.grid_segments([column_half(trajs, ball)], 1.0, n)
         spans = [(a, m, axis) for a, m in spans for axis in (0, 1)]
         assert len(segments) == len(spans)
-        for (d, g, disp, j), (a, m, axis) in zip(segments, spans):
+        for (_, _, g, disp, j), (a, m, axis) in zip(segments, spans):
             # the recursion reads the displacement ending at node a + 1 + i at step i
-            assert disp is ball.displacements[axis] and j == a - ball_start
+            assert disp == ball.displacements[axis] and j == a - ball_start
             assert g.tolist() == oracles.ball_lag_rows(ball, range(a + 1, a + m), axis, n)
 
     def test_segments_reject_a_trajectory_outside_the_ball_grid(self):
@@ -517,12 +552,81 @@ class TestFit:
         for ks in (range(-2, 5), range(5, 11)):
             traj = make_traj([(float(k), 50.0, 0.5 * k) for k in ks])
             with pytest.raises(ValueError, match="leaves its half's ball grid"):
-                forecaster._segments([([traj], ball)], 1.0, 2)
+                training.grid_segments([column_half([traj], ball)], 1.0, 2)
+
+    def test_equals_the_reference_fit_on_the_conftest_half(self, training_half, model):
+        trajs = [t for t in training_half.player_tracks.values() if not t.tag.is_goalkeeper]
+        truth = truth_half(training_half)
+        balls = [PitchPoint(x, y) for x, y in truth.frames.cells[:, 0].tolist()]
+        want = oracles.reference_fit([(trajs, resample_to_grid(truth.times, balls))])
+        assert _hexes(model) == _hexes(want)
+
+    @pytest.mark.parametrize(
+        "seed, fps, orders",
+        [
+            (1, 7.0, {}),
+            (2, 25.0, dict(ar_order=3, ma_order=2, ball_lags=3)),
+            (3, 3.0, dict(ma_order=0)),
+            (4, 12.5, dict(ar_order=1, ma_order=1, ball_lags=0)),
+        ],
+    )
+    def test_equals_the_reference_fit_on_generated_halves(self, seed, fps, orders):
+        tables = [_generated_truth(10 * seed + i, fps, 60.0) for i in (0, 1)]
+        reference = []
+        for tab in tables:
+            trajs = [t for t in oracles.truth_tracks(MatchHalf(1, tab)).values() if not t.tag.is_goalkeeper]
+            balls = [PitchPoint(x, y) for x, y in tab.cells[:, 0].tolist()]
+            reference.append((trajs, resample_to_grid(tab.times, balls)))
+        want = oracles.reference_fit(reference, **orders)
+        assert _hexes(fit([truth_columns(tab) for tab in tables], **orders)) == _hexes(want)
+
+    def test_peaks_under_two_and_a_half_times_its_stage_one_design(self):
+        """On the feed_360 workload's training match, the fit holds one stage-1
+        design, frees it before stage 2 and builds no design per segment."""
+        halves = [
+            truth_columns(truth_half(synth_half(seconds=90.0, fps=5, seed=s, half_id=i)).frames)
+            for i, s in enumerate((1011, 1012), start=1)
+        ]
+        _, segments = training.grid_segments(halves, 1.0, 2)
+        design = sum(b - a - 8 for a, b, *_ in segments if b - a > 8) * (1 + 8 + 2) * 8
+        del segments
+        fit(halves)  # the first fit's one-off allocations stay out of the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit(halves)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * design
 
     def test_too_little_data(self):
         traj = make_traj([(0, 10, 10), (5, 12, 12)])
         with pytest.raises(ValueError, match="too short"):
-            fit([([traj], flat_ball())])
+            fit([column_half([traj], flat_ball())])
+
+
+def _hexes(model: ForecastModel) -> list[str]:
+    """Every float of a model, exactly."""
+    floats = (*model.ar, *model.ma, *model.exog, model.intercept, model.resid_std, model.one_step_std)
+    return [len(model.ar), len(model.ma), *(float(c).hex() for c in (*floats, model.grid_step))]
+
+
+def _generated_truth(seed: int, fps: float, seconds: float) -> TruthTable:
+    """A truth half off the 1 s grid: 22 players walking at random, each
+    off the pitch for a random stretch, as a substitution leaves a gap."""
+    rng = np.random.default_rng(seed)
+    n = int(seconds * fps)
+    walk = np.cumsum(rng.normal(0.0, 2.0 / fps, (n, 23, 2)), axis=0)
+    cells = np.clip(rng.uniform(20.0, 60.0, (1, 23, 2)) + walk, 0.0, 80.0)
+    used = np.ones((n, 23), dtype=bool)
+    for j in range(1, 23):
+        a, b = sorted(rng.integers(0, n, 2).tolist())
+        used[a:b, j] = False
+    tags = [PlayerTag(HOME if j < 11 else AWAY, is_goalkeeper=j in (0, 11)) for j in range(22)]
+    keys = [f"{tag.team}:Player{j}" for j, tag in enumerate(tags)]
+    return TruthTable((0.37 + np.arange(n) / fps).tolist(), cells, used, keys, tags)
 
 
 class TestPersistence:

@@ -21,6 +21,7 @@ from track_enrich.broadcast import degrade, ground_truth_at
 from track_enrich.cli import _training_halves
 from track_enrich.config import PipelineConfig
 from track_enrich.evaluator import evaluate_half
+from track_enrich.training import ColumnTrack
 from track_enrich.geometry import (
     AWAY,
     HOME,
@@ -81,7 +82,7 @@ class TestTrackingCsv:
         assert len(halves) == 1
         half = halves[0]
         assert half.times == pytest.approx([0.04, 0.08])
-        assert half.ball[0] == PitchPoint(60.0, 40.0)
+        assert truth_frame(half, 0).ball == PitchPoint(60.0, 40.0)
         xs = sorted(p.x for _, p in truth_frame(half, 0).visible)
         assert xs == pytest.approx([36.0, 60.0, 84.0, 108.0])
 
@@ -324,7 +325,7 @@ def test_read_half_frames_match_its_tracks(tmp_path, csvs):
     for half in _read_or_no_ball(tmp_path, csvs) or []:
         frames = [truth_frame(half, i) for i in range(len(half.frames))]
         assert half.times == [fr.time for fr in frames]
-        assert half.ball == [fr.ball for fr in frames]
+        assert half.frames.cells[:, 0].tolist() == [[fr.ball.x, fr.ball.y] for fr in frames]
         tracks = list(truth_tracks(half).values())
         for t, fr in zip(half.times, frames):
             visible = tuple((tr.tag, p) for tr in tracks if (p := point_at(tr, t)) is not None)
@@ -473,7 +474,7 @@ def test_read_tracking_csv_matches_the_reference_reader(tmp_path, caplog, csvs):
 def test_read_builds_frames_and_tracks_only_on_demand(tmp_path, monkeypatch, model):
     hp, ap = tmp_path / "h.csv", tmp_path / "a.csv"
     write_metrica_csvs([synth_half(seconds=30.0, fps=5, seed=3, half_id=1)], hp, ap)
-    built = {ObservationFrame: 0, Trajectory: 0}
+    built = {ObservationFrame: 0, Trajectory: 0, ColumnTrack: 0}
     for cls in built:
         def counted(self, *args, cls=cls, original=cls.__init__, **kwargs):
             built[cls] += 1
@@ -482,23 +483,24 @@ def test_read_builds_frames_and_tracks_only_on_demand(tmp_path, monkeypatch, mod
         monkeypatch.setattr(cls, "__init__", counted)
 
     half = read_tracking_csv(hp, ap)[0]
-    assert built == {ObservationFrame: 0, Trajectory: 0}
+    assert built == {ObservationFrame: 0, Trajectory: 0, ColumnTrack: 0}
     record = degrade(half, 1.0, 30.0, 2)
     # one frame per sampled time, the degraded one: none for the truth row
-    assert built == {ObservationFrame: len(record.frames), Trajectory: 0}
+    assert built == {ObservationFrame: len(record.frames), Trajectory: 0, ColumnTrack: 0}
     paths = build_paths(record, model, build_trajectories(record, model).in_order(), alpha=0.5)
     frames = built[ObservationFrame]
     evaluate_half(record, paths, half)
     assert built[ObservationFrame] == frames  # the truth is scored from its rows
-    tracks = built[Trajectory]
+    trajectories = built[Trajectory]
     training = _training_halves(PipelineConfig(train_home_csv=str(hp), train_away_csv=str(ap)))
-    # no track for the ball; the player tracks wait until a fit iterates them
-    assert built[Trajectory] == tracks
+    # the half's ball column; the player columns wait until a fit iterates them
+    assert built[ColumnTrack] == 1
     for n in (1, 2):
-        assert len([t for trajs, _ in training for t in trajs]) == 20  # the outfielders
-        # each pass builds one track per outfield column, and none for a keeper
-        assert built[Trajectory] == tracks + 20 * n
+        assert len([t for tracks, _ in training for t in tracks]) == 20  # the outfielders
+        # each pass builds one column track per outfield column, and none for a keeper
+        assert built[ColumnTrack] == 1 + 20 * n
     assert built[ObservationFrame] == frames
+    assert built[Trajectory] == trajectories  # training builds no trajectory
 
 
 def test_read_half_retains_under_1kb_per_row(tmp_path):

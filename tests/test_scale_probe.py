@@ -1,5 +1,7 @@
-"""``bench/scale.py``, the Metrica-size probe: where a run writes its result."""
+"""``bench/scale.py``, the Metrica-size probe: where a run writes its result,
+and the output hashes it records."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -21,3 +23,14 @@ def test_out_defaults_to_the_first_free_bench_file(tmp_path):
     assert scale.next_free_bench(tmp_path) == tmp_path / "BENCH_3.json"
     assert (tmp_path / "BENCH_1.json").read_text() == "{}\n"
 
+
+
+def test_output_hashes_cover_the_model_and_every_output(tmp_path):
+    (tmp_path / "out").mkdir()
+    files = {"model.json": b"{}\n", "out/report.json": b"[]", "out/curve.csv": b"a,b\n"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "train.log").write_text("not an output\n")
+    hashes = _scale().output_hashes(tmp_path)
+    assert list(hashes) == ["model.json", "out/curve.csv", "out/report.json"]
+    assert hashes == {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
