@@ -45,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CACHE = ROOT / "bench" / ".cache"
 HALF_S, FPS, SEEDS = 45 * 60.0, 25, (21, 22)
 COMMANDS = ("train", "simulate-broadcast", "enrich", "evaluate")
-POLL_S = 0.01
+POLL_S = 0.001
 
 # Run in a fresh process: time one read, then measure what a second read
 # allocates at its peak and keeps (tracemalloc slows the read it traces, so it

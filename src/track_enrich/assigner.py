@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .forecaster import Forecast, ForecastModel, ForecastState, GridSeries, resample_to_grid
+from .forecaster import BallGrid, Forecast, ForecastModel, ForecastState, GridWalk
 from .geometry import (
     AWAY,
     HOME,
@@ -131,11 +131,15 @@ class TrackedTeams:
         return [s for team in (HOME, AWAY) for s in (*self.states[team], None)]
 
 
-def ball_grid(record: DiscreteMatchRecord, grid_step: float) -> GridSeries:
-    """The record's ball resampled to the forecast grid."""
-    return resample_to_grid(
-        [fr.time for fr in record.frames], [fr.ball for fr in record.frames], grid_step
-    )
+def ball_grid(record: DiscreteMatchRecord, grid_step: float) -> BallGrid:
+    """The record's ball on the forecast grid, as per-axis displacements."""
+    walk, dx, dy = GridWalk(grid_step), [], []
+    for fr in record.frames:
+        new_x, new_y = walk.add(fr.time, fr.ball)
+        dx += new_x
+        dy += new_y
+    new_x, new_y = walk.pending()
+    return BallGrid(walk.first_k, grid_step, (dx + new_x, dy + new_y))
 
 
 def build_trajectories(record: DiscreteMatchRecord, model: ForecastModel) -> TrackedTeams:

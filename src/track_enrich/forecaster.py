@@ -27,9 +27,8 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .geometry import (
     GRID_TOL,
@@ -61,55 +60,66 @@ MAX_LAGS = 20
 MIN_STEPS = 500
 
 
-@dataclass
-class GridSeries:
-    """Positions on a contiguous temporal grid: value i is at (start_k + i) * step."""
+class GridWalk:
+    """A series of points resampled onto the grid ``k * step``, one point at a time.
+
+    A node takes the last point within ``GRID_TOL`` steps of it exactly, and
+    otherwise the line between the points on either side; nodes outside the
+    points' span are not produced.  ``add`` settles the nodes a new point
+    passes.  The last node the points reach, ``last_k``, stays open until a
+    point beyond it arrives, as a later point within tolerance would take it.
+    Fed a whole series, the walk is ``tests/oracles.py:resample_to_grid``
+    float for float.
+    """
+
+    def __init__(self, step: float):
+        self.step = step
+        self.t: float | None = None  # the last point's time
+        self.point: PitchPoint | None = None
+        self.first_k = self.last_k = 0  # the span's first node; the last node the points reach
+        self.k = 0  # the last node settled, or before any, the node before the first
+        self.value: PitchPoint | None = None  # the value at node k, once a node is settled
+
+    def add(self, t: float, point: PitchPoint) -> tuple[list[float], list[float]]:
+        """Take the next point, later than the last; per axis, the
+        displacements into the nodes it settles."""
+        step, t_last, p_last = self.step, self.t, self.point
+        q = t / step
+        dx, dy = [], []
+        if t_last is None:
+            self.first_k = math.ceil(q - GRID_TOL)
+            self.k = self.first_k - 1
+        else:
+            k, prev = self.k + 1, self.value
+            while q > k + GRID_TOL:  # node k lies before t, beyond tolerance
+                on_node = abs(t_last / step - k) <= GRID_TOL
+                value = p_last if on_node else lerp(p_last, t_last, point, t, k * step)
+                if prev is not None:
+                    dx.append(value.x - prev.x)
+                    dy.append(value.y - prev.y)
+                prev, k = value, k + 1
+            self.k, self.value = k - 1, prev
+        self.t, self.point, self.last_k = t, point, math.floor(q + GRID_TOL)
+        return dx, dy
+
+    def last_value(self) -> PitchPoint | None:
+        """The value at ``last_k``; None before the points reach a node."""
+        return self.point if self.last_k > self.k else self.value
+
+    def pending(self) -> tuple[list[float], list[float]]:
+        """Per axis, the displacement into the open node, if a settled node precedes it."""
+        if self.last_k > self.k and self.value is not None:
+            return [self.point.x - self.value.x], [self.point.y - self.value.y]
+        return [], []
+
+
+class BallGrid(NamedTuple):
+    """The ball on the forecast grid ``k * step``: per axis, displacement i is
+    over the interval ending at node ``start_k + 1 + i``."""
 
     start_k: int
     step: float
-    values: list[PitchPoint]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def end_k(self) -> int:
-        return self.start_k + len(self.values) - 1
-
-    @cached_property
-    def displacements(self) -> tuple[list[float], list[float]]:
-        """Per-axis displacement over each grid interval; entry i ends at node start_k + 1 + i."""
-        pairs = list(zip(self.values, self.values[1:]))
-        return [b.x - a.x for a, b in pairs], [b.y - a.y for a, b in pairs]
-
-
-def resample_to_grid(
-    times: Sequence[float], points: Sequence[PitchPoint], grid_step: float = 1.0
-) -> GridSeries:
-    """Resample positions at strictly increasing ``times`` onto the grid by
-    linear interpolation.
-
-    Grid points outside the times' span are not produced; grid points
-    coinciding with recorded times reproduce the recorded position exactly.
-    """
-    if not times:
-        raise ValueError("cannot resample an empty series")
-    k_first = math.ceil(times[0] / grid_step - GRID_TOL)
-    k_last = math.floor(times[-1] / grid_step + GRID_TOL)
-    values: list[PitchPoint] = []
-    if k_last < k_first:
-        return GridSeries(k_first, grid_step, values)
-    i = 0
-    for k in range(k_first, k_last + 1):
-        while i + 1 < len(times) and times[i + 1] / grid_step <= k + GRID_TOL:
-            i += 1
-        # k_last is within tolerance of the last time even where rounding puts
-        # their difference a hair past it
-        if i + 1 == len(times) or abs(times[i] / grid_step - k) <= GRID_TOL:
-            values.append(points[i])
-        else:
-            values.append(lerp(points[i], times[i], points[i + 1], times[i + 1], k * grid_step))
-    return GridSeries(k_first, grid_step, values)
+    displacements: tuple[list[float], list[float]]
 
 
 def ar_is_stationary(ar: Sequence[float]) -> bool:
@@ -240,10 +250,11 @@ class ForecastState:
     """Incremental forecasting state for one trajectory, read from the trajectory.
 
     Before each forecast the state catches up over the points appended to
-    the trajectory since the last one, extending the grid resampling and the
-    residual recursion over the new intervals only, so a frame loop pays
-    O(gap) per sighting instead of O(history) per forecast.  Forecasts unroll
-    the same recursion past the last grid node and keep the unrolled steps
+    the trajectory since the last one: it feeds them to its ``GridWalk`` and
+    runs the residual recursion over the displacements the walk settles, so
+    a frame loop pays O(gap) per sighting instead of O(history) per forecast.
+    Forecasts unroll the same recursion past the walk's last node, taking the
+    open node at the last sighting as observed, and keep the unrolled steps
     until the next catch-up, so a state queried at many times beyond its
     trajectory unrolls each step once.
 
@@ -252,7 +263,7 @@ class ForecastState:
     replays all its points on its first forecast.
     """
 
-    def __init__(self, model: ForecastModel, ball: GridSeries, trajectory: Trajectory):
+    def __init__(self, model: ForecastModel, ball: BallGrid, trajectory: Trajectory):
         if abs(ball.step - model.grid_step) > GRID_TOL:
             raise ValueError("ball grid step does not match the model grid step")
         self.model = model
@@ -261,9 +272,7 @@ class ForecastState:
         self._coefs = (model.intercept, model.ar, model.ma, model.exog)
         self._ladder = _VarianceLadder(model)
         self._covered = 0  # the trajectory's points caught up so far
-        self.t_last: float | None = None
-        self.pos_last: PitchPoint | None = None
-        self._grid_pos: PitchPoint | None = None  # the value at the last grid node covered
+        self.walk = GridWalk(model.grid_step)
         # Per axis: the displacement and residual lag registers, most recent first.
         self._lags = [([0.0] * len(model.ar), [0.0] * len(model.ma)) for _ in (0, 1)]
         # Per axis: the unroll's own lag registers and its cumulative predictions.
@@ -271,44 +280,28 @@ class ForecastState:
 
     def _catch_up(self) -> None:
         times, points = self.trajectory.times, self.trajectory.points
-        step = self.model.grid_step
+        walk, ball = self.walk, self.ball
         for t, point in zip(times[self._covered :], points[self._covered :]):
-            if self.t_last is None:  # the first point is a grid value only on a node
-                if abs(t / step - round(t / step)) <= GRID_TOL:
-                    self._grid_pos = point
-            else:
-                k_hi = math.floor(t / step + GRID_TOL)
-                prev = self._grid_pos
-                dx, dy = [], []
-                for k in range(self._anchor_k() + 1, k_hi + 1):
-                    # a node at the sighting takes it exactly, as resample_to_grid does
-                    at_sighting = abs(t / step - k) <= GRID_TOL
-                    value = point if at_sighting else lerp(self.pos_last, self.t_last, point, t, k * step)
-                    if prev is not None:
-                        dx.append(value.x - prev.x)
-                        dy.append(value.y - prev.y)
-                    self._grid_pos = prev = value
-                # the ball displacement ending at the first new node
-                j = k_hi - len(dx) - self.ball.start_k
-                for d, ball, lags in zip((dx, dy), self.ball.displacements, self._lags):
-                    armax_recursion(self._coefs, *lags, ball, j, len(d), d)
-            self.t_last, self.pos_last = t, point
+            dx, dy = walk.add(t, point)
+            # the ball displacement ending at the first new node
+            j = walk.k - len(dx) - ball.start_k
+            for d, disp, lags in zip((dx, dy), ball.displacements, self._lags):
+                armax_recursion(self._coefs, *lags, disp, j, len(d), d)
         self._covered = len(times)
         self._unroll = None
 
-    def _anchor_k(self) -> int:
-        """The last grid node the resampling covers, or, before the span reaches
-        one, the node just below the last point."""
-        return math.floor(self.t_last / self.model.grid_step + GRID_TOL)
-
     def _cumulative_unroll(self, n: int) -> tuple[list[float], list[float]]:
-        """Per-axis cumulative predicted displacement 1..n grid steps past the anchor."""
+        """Per-axis cumulative predicted displacement 1..n grid steps past the walk's last node."""
+        walk, ball = self.walk, self.ball
         if self._unroll is None:
             self._unroll = [(list(d), list(e), []) for d, e in self._lags]
-        k_first = self._anchor_k() + 1
-        for ball, (d_lags, e_lags, cum) in zip(self.ball.displacements, self._unroll):
-            j = k_first + len(cum) - self.ball.start_k - 1
-            preds = armax_recursion(self._coefs, d_lags, e_lags, ball, j, n - len(cum), None)
+            # the open node at the last sighting enters the unroll's lags as observed
+            for d, disp, (d_lags, e_lags, _) in zip(walk.pending(), ball.displacements, self._unroll):
+                armax_recursion(self._coefs, d_lags, e_lags, disp, walk.k - ball.start_k, len(d), d)
+        k_first = walk.last_k + 1
+        for disp, (d_lags, e_lags, cum) in zip(ball.displacements, self._unroll):
+            j = k_first + len(cum) - ball.start_k - 1
+            preds = armax_recursion(self._coefs, d_lags, e_lags, disp, j, n - len(cum), None)
             total = cum[-1] if cum else 0.0
             for pred in preds:
                 total += pred
@@ -318,24 +311,25 @@ class ForecastState:
     def forecast_at(self, t: float) -> Forecast:
         if self._covered < len(self.trajectory.times):
             self._catch_up()
-        if self.t_last is None:
+        walk = self.walk
+        t_last, pos_last = walk.t, walk.point
+        if t_last is None:
             raise ValueError("cannot forecast from an empty trajectory")
-        if t < self.t_last - GRID_TOL:
-            raise ValueError(f"forecast time {t} precedes last sighting {self.t_last}")
+        if t < t_last - GRID_TOL:
+            raise ValueError(f"forecast time {t} precedes last sighting {t_last}")
         step = self.model.grid_step
-        pos_last = self.pos_last
-        if t <= self.t_last + GRID_TOL:
+        if t <= t_last + GRID_TOL:
             return Forecast(clamp_to_pitch(pos_last.x, pos_last.y), _MIN_STD)
-        anchor = self._anchor_k()
+        anchor = walk.last_k
         # Node n sits at (anchor + n) * step; node 1 is the first node after t_last.
         t1 = (anchor + 1) * step
         if t / step <= anchor + 1 + GRID_TOL:
-            u = (t - self.t_last) / (t1 - self.t_last)
+            u = (t - t_last) / (t1 - t_last)
             std = max(u * self.model.one_step_std, _MIN_STD)
             return Forecast(clamp_to_pitch(pos_last.x, pos_last.y), std)
         n_hi = math.ceil(t / step - GRID_TOL) - anchor
         cum_x, cum_y = self._cumulative_unroll(n_hi)
-        apos = self._grid_pos if self._grid_pos is not None else pos_last
+        apos = walk.last_value() or pos_last  # before the first node, the last sighting
 
         def node_mean(n: int) -> tuple[float, float]:
             if n <= 1:  # one step ahead: random walk about the last sighting

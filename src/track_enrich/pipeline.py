@@ -52,10 +52,11 @@ def build_paths(
     the outfield ones make the velocity field.  ``states``, parallel to
     ``trajectories``, are the forecast states the assigner leaves
     (``TrackedTeams.states_in_order``); a path without one gets a new state,
-    which replays its trajectory on its first forecast."""
-    ball = ball_grid(record, model.grid_step)
+    which replays its trajectory on its first forecast and shares the given
+    states' ball grid."""
     outfield = [t for t in trajectories if not t.tag.is_goalkeeper]
     states = states or [None] * len(trajectories)
+    ball = next((st.ball for st in states if st), None) or ball_grid(record, model.grid_step)
     return PathSet(
         paths=[
             ContinuousPath(t, st or ForecastState(model, ball, t))

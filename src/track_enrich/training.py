@@ -3,10 +3,10 @@
 ``train`` hands ``forecaster.fit`` one ``TrainingHalf`` per truth half: the
 half's outfield columns as ``ColumnTrack``s, built one at a time as the fit
 iterates them, and its ball column.  ``resample_column`` puts a column on the
-forecast grid with numpy, float for float as ``forecaster.resample_to_grid``
-does point by point.  The fit pools every track's grid displacements
-(``grid_segments``) and stacks their regression rows into one design matrix
-per stage (``stacked_rows``, ``design``, ``fill_lags``).
+forecast grid with numpy, float for float as ``forecaster.GridWalk`` and the
+reference ``tests/oracles.py:resample_to_grid`` do point by point.  The fit
+pools every track's grid displacements (``grid_segments``) and stacks their
+rows into one design per stage (``stacked_rows``, ``design``, ``fill_lags``).
 
 Only ``train`` imports this module, so it loads numpy at the top.
 """
@@ -64,12 +64,12 @@ def truth_columns(table: TruthTable) -> TrainingHalf:
 
 
 def resample_column(track: ColumnTrack, grid_step: float) -> tuple[int, np.ndarray]:
-    """``resample_to_grid`` over a column: the first grid node and the ``(m, 2)``
-    values, float for float, each step one ufunc over the nodes."""
+    """The reference resampler (``tests/oracles.py``) over a column: the first
+    grid node and the ``(m, 2)`` values, float for float, one ufunc a step."""
     q = track.times / grid_step
     k_first = math.ceil(q[0] - GRID_TOL)
     ks = np.arange(k_first, math.floor(q[-1] + GRID_TOL) + 1, dtype=float)
-    # as resample_to_grid walks: from time 0, the last later time at or before node k
+    # as the reference walks: from time 0, the last later time at or before node k
     i = np.searchsorted(q[1:], ks + GRID_TOL, side="right")
     miss = np.flatnonzero((np.abs(q[i] - ks) > GRID_TOL) & (i + 1 < len(q)))  # between two times
     values, i = track.cells[i], i[miss]

@@ -4,21 +4,26 @@ reader of the enriched output the tests check.
 They are built from the package's own pieces (forecast states, the velocity
 field's nodes, the 360 reader's flip, the JSON readers' field checks, the
 tracking reader's cell parser and keeper inference) but are not used by the
-pipeline.  The reference tracking CSV reader is the package's reader before
-it read both files in lockstep into one buffer per half.  The reference fit
-is the package's fit before it trained from the truth table's columns: it
-resamples ``Trajectory`` objects and the ball's ``GridSeries`` point by point
-and builds one design per segment.
+pipeline.  The reference grid resampler is ``resample_to_grid``, which puts a
+whole series on the grid point by point as a ``GridSeries``; both
+``forecaster.GridWalk`` and ``training.resample_column`` are pinned to it
+float for float.  The reference tracking CSV reader is the package's reader
+before it read both files in lockstep into one buffer per half.  The
+reference fit is the package's fit before it trained from the truth table's
+columns: it resamples ``Trajectory`` objects and the ball's ``GridSeries``
+point by point and builds one design per segment.
 """
 
 import csv
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,13 +34,12 @@ from track_enrich.forecaster import (
     Forecast,
     ForecastModel,
     ForecastState,
-    GridSeries,
     ar_is_stationary as stationary,
     armax_recursion,
-    resample_to_grid,
 )
 from track_enrich.geometry import (
     AWAY,
+    GRID_TOL,
     HOME,
     PERCENT_TOLERANCE,
     PITCH_LENGTH_M,
@@ -48,6 +52,7 @@ from track_enrich.geometry import (
     PlayerTag,
     Trajectory,
     clamp_to_pitch,
+    lerp,
 )
 from track_enrich.ingest import (
     _NOT_A_PERIOD,
@@ -69,6 +74,57 @@ from track_enrich.interpolator import VelocityField
 from track_enrich.lsap import linear_sum_assignment
 from track_enrich.pipeline import snapshot_at
 from track_enrich.training import ColumnTrack
+
+
+@dataclass
+class GridSeries:
+    """Positions on a contiguous temporal grid: value i is at (start_k + i) * step."""
+
+    start_k: int
+    step: float
+    values: list[PitchPoint]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @property
+    def end_k(self) -> int:
+        return self.start_k + len(self.values) - 1
+
+    @cached_property
+    def displacements(self) -> tuple[list[float], list[float]]:
+        """Per-axis displacement over each grid interval; entry i ends at node start_k + 1 + i."""
+        pairs = list(zip(self.values, self.values[1:]))
+        return [b.x - a.x for a, b in pairs], [b.y - a.y for a, b in pairs]
+
+
+def resample_to_grid(
+    times: Sequence[float], points: Sequence[PitchPoint], grid_step: float = 1.0
+) -> GridSeries:
+    """Resample positions at strictly increasing ``times`` onto the grid by
+    linear interpolation.
+
+    Grid points outside the times' span are not produced; grid points
+    coinciding with recorded times reproduce the recorded position exactly.
+    """
+    if not times:
+        raise ValueError("cannot resample an empty series")
+    k_first = math.ceil(times[0] / grid_step - GRID_TOL)
+    k_last = math.floor(times[-1] / grid_step + GRID_TOL)
+    values: list[PitchPoint] = []
+    if k_last < k_first:
+        return GridSeries(k_first, grid_step, values)
+    i = 0
+    for k in range(k_first, k_last + 1):
+        while i + 1 < len(times) and times[i + 1] / grid_step <= k + GRID_TOL:
+            i += 1
+        # k_last is within tolerance of the last time even where rounding puts
+        # their difference a hair past it
+        if i + 1 == len(times) or abs(times[i] / grid_step - k) <= GRID_TOL:
+            values.append(points[i])
+        else:
+            values.append(lerp(points[i], times[i], points[i + 1], times[i + 1], k * grid_step))
+    return GridSeries(k_first, grid_step, values)
 
 
 def truth_frame(half, i: int) -> ObservationFrame:

@@ -18,7 +18,7 @@ import pytest
 
 from synth import count_identity_switches, point_at, synth_half, truth_half
 
-from oracles import column_half, flip_point, forecast, velocity_correction
+from oracles import GridSeries, column_half, flip_point, forecast, velocity_correction
 from test_forecaster import flat_ball, make_traj, simple_model, unrolled_oracle
 
 from track_enrich.assigner import build_trajectories
@@ -27,7 +27,6 @@ from track_enrich.training import truth_columns
 from track_enrich.evaluator import IN_PHASE, build_report, evaluate_half
 from track_enrich.forecaster import (
     ForecastState,
-    GridSeries,
     fit,
 )
 from track_enrich.geometry import AWAY, HOME, PitchPoint, PlayerTag, Trajectory

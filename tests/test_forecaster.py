@@ -7,28 +7,37 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from track_enrich import forecaster, training
 from track_enrich.training import ColumnTrack, resample_column, truth_columns
+from track_enrich.assigner import ball_grid
 from track_enrich.forecaster import (
     MAX_LAGS,
     ForecastModel,
     ForecastState,
-    GridSeries,
+    GridWalk,
     ar_is_stationary,
     armax_recursion,
     fit,
     load_model,
-    resample_to_grid,
     save_model,
 )
-from track_enrich.geometry import AWAY, GRID_TOL, HOME, MalformedInputError, PitchPoint, PlayerTag, Trajectory
-from track_enrich.ingest import MatchHalf, TruthTable
+from track_enrich.geometry import (
+    AWAY,
+    GRID_TOL,
+    HOME,
+    MalformedInputError,
+    ObservationFrame,
+    PitchPoint,
+    PlayerTag,
+    Trajectory,
+)
+from track_enrich.ingest import DiscreteMatchRecord, MatchHalf, TruthTable
 
-from oracles import column_half, forecast
+from oracles import GridSeries, column_half, forecast, resample_to_grid
 from synth import synth_half, truth_half
 
 
@@ -56,27 +65,45 @@ def simple_model(**kw):
     return ForecastModel(**defaults)
 
 
+def walk_ball(times, points, step=1.0):
+    """``assigner.ball_grid`` over a record whose ball is at ``points`` at ``times``."""
+    frames = [ObservationFrame(t, p, ()) for t, p in zip(times, points)]
+    return ball_grid(DiscreteMatchRecord(1, frames), step)
+
+
+def walk_to(times, points, step=1.0):
+    """A grid walk fed the points in order."""
+    walk = GridWalk(step)
+    for t, p in zip(times, points):
+        walk.add(t, p)
+    return walk
+
+
 class TestResample:
     def test_midpoint(self):
         traj = make_traj([(2, 0, 0), (4, 4, 2)])
-        grid = resample_to_grid(traj.times, traj.points)
-        assert grid.values[3 - grid.start_k] == PitchPoint(2.0, 1.0)
+        grid = walk_ball(traj.times, traj.points)
+        # nodes 2, 3 and 4: node 3 lies halfway
+        assert grid.start_k == 2 and grid.displacements == ([2.0, 2.0], [1.0, 1.0])
 
     def test_known_time_exact(self):
         traj = make_traj([(2, 0, 0), (4, 4, 2)])
-        grid = resample_to_grid(traj.times, traj.points)
-        assert grid.values[2 - grid.start_k] == PitchPoint(0.0, 0.0)
-        assert grid.values[4 - grid.start_k] == PitchPoint(4.0, 2.0)
+        walk = walk_to(traj.times[:1], traj.points[:1])
+        assert walk.last_k == 2 and walk.last_value() is traj.points[0]
+        # nodes 2 and 3 settle; node 4 stays open on the second point
+        assert walk.add(4.0, traj.points[1]) == ([2.0], [1.0])
+        assert walk.k == 3 and walk.last_k == 4 and walk.last_value() is traj.points[1]
 
     def test_one_third(self):
         traj = make_traj([(0, 0, 0), (3, 6, 0)])
-        grid = resample_to_grid(traj.times, traj.points)
-        assert grid.values[1 - grid.start_k] == PitchPoint(2.0, 0.0)
+        grid = walk_ball(traj.times, traj.points)
+        assert grid.start_k == 0 and (grid.displacements[0][0], grid.displacements[1][0]) == (2.0, 0.0)
 
     def test_span_limits(self):
         traj = make_traj([(1.5, 0, 0), (3.5, 4, 4)])
-        grid = resample_to_grid(traj.times, traj.points)
-        assert grid.start_k == 2 and grid.end_k == 3
+        grid = walk_ball(traj.times, traj.points)
+        assert grid.start_k == 2 and len(grid.displacements[0]) == 1  # nodes 2 and 3
+        assert walk_to(traj.times, traj.points).last_k == 3
 
     def test_recorded_grid_points_exact(self):
         rng = np.random.default_rng(3)
@@ -85,11 +112,12 @@ class TestResample:
             times = np.sort(rng.choice(np.arange(0, 40), size=n, replace=False)).astype(float)
             pts = rng.uniform(0, 100, (n, 2))
             traj = make_traj([(t, p[0], p[1]) for t, p in zip(times, pts)])
-            grid = resample_to_grid(traj.times, traj.points)
-            for t, p in zip(times, pts):
-                got = grid.values[int(t) - grid.start_k]
-                assert got.x == p[0] and got.y == p[1]
-
+            walk = GridWalk(1.0)
+            for i, (t, p) in enumerate(zip(traj.times, traj.points)):
+                walk.add(t, p)
+                assert walk.last_k == int(t) and walk.last_value() is p
+                if i and walk.k == traj.times[i - 1]:  # the node before settled on its sighting
+                    assert walk.value is traj.points[i - 1]
 
 
 # Times a grid step's 1e-9 fraction on either side of a node, or between nodes,
@@ -118,8 +146,11 @@ class TestResampleTolerance:
     """A time within GRID_TOL grid steps of a node is on the node, whatever the step."""
 
     def test_last_time_just_below_a_node_of_a_long_step(self):
-        grid = resample_to_grid([0.0, 10 - 1.5e-9], [PitchPoint(0, 0), PitchPoint(1, 1)], 2.0)
-        assert grid.end_k == 5 and grid.values[-1] == PitchPoint(1, 1)
+        times, points = [0.0, 10 - 1.5e-9], [PitchPoint(0, 0), PitchPoint(1, 1)]
+        walk = walk_to(times, points, 2.0)
+        assert walk.last_k == 5 and walk.last_value() is points[1]
+        grid = walk_ball(times, points, 2.0)
+        assert grid.start_k == 0 and len(grid.displacements[0]) == 5
 
     @settings(max_examples=300, deadline=None)
     @given(step=_STEPS, draws=_NEAR_NODES)
@@ -127,11 +158,13 @@ class TestResampleTolerance:
     def test_nodes_within_tolerance_take_their_point(self, step, draws):
         times = _near_node_times(step, draws)
         points = [PitchPoint(float(i), -float(i)) for i in range(len(times))]
-        grid = resample_to_grid(times, points, step)
+        grid, walk = resample_to_grid(times, points, step), GridWalk(step)
         for t, p in zip(times, points):
+            walk.add(t, p)
             k = round(t / step)
             if abs(t / step - k) <= GRID_TOL:
                 assert grid.values[k - grid.start_k] is p
+                assert walk.last_k == k and walk.last_value() is p
 
     @settings(max_examples=300, deadline=None)
     @given(step=_STEPS, draws=_NEAR_NODES)
@@ -149,9 +182,9 @@ class TestResampleTolerance:
             traj.append(t, p)
             state.forecast_at(t)  # catches up over the new point
             grid = resample_to_grid(times[:n], points[:n], step)
-            assert state._anchor_k() == grid.end_k
-            assert state._grid_pos == (grid.values[-1] if grid.values else None)
-            node = (state._anchor_k() + 2) * step
+            assert state.walk.last_k == grid.end_k
+            assert state.walk.last_value() == (grid.values[-1] if grid.values else None)
+            node = (state.walk.last_k + 2) * step
             assert state.forecast_at(node + 0.5e-9 * step) == state.forecast_at(node)
 
 # A column's times: runs of points near grid nodes (a node, a fraction of a
@@ -168,6 +201,20 @@ _COLUMN_DRAWS = st.lists(
 )
 
 
+def _column_series(step, draws, data):
+    """A column's strictly increasing times from the draws, and a cell per time:
+    drawn when ``data`` is given, else a fixed line."""
+    times = []
+    for t in sorted((k + frac) * step + off * GRID_TOL * step for k, frac, off in draws):
+        if not times or t > times[-1]:
+            times.append(t)
+    cells = [(float(i), 80.0 - 0.37 * i) for i in range(len(times))]
+    if data is not None:
+        coords = st.floats(0.0, 120.0, allow_nan=False)
+        cells = data.draw(st.lists(st.tuples(coords, coords), min_size=len(times), max_size=len(times)))
+    return times, cells
+
+
 class TestColumnResample:
     """The fit's column resampler is resample_to_grid over arrays, float for float."""
 
@@ -176,18 +223,29 @@ class TestColumnResample:
     @example(step=3.0, draws=[(0, 0.0, 0.0), (4, 0.0, -0.5)], data=None)
     @example(step=0.2, draws=[(5, 0.5, 0.0)], data=None)  # one point, no node
     def test_equals_resample_to_grid_float_for_float(self, step, draws, data):
-        times = []
-        for t in sorted((k + frac) * step + off * GRID_TOL * step for k, frac, off in draws):
-            if not times or t > times[-1]:
-                times.append(t)
-        cells = [(float(i), 80.0 - 0.37 * i) for i in range(len(times))]
-        if data is not None:
-            coords = st.floats(0.0, 120.0, allow_nan=False)
-            cells = data.draw(st.lists(st.tuples(coords, coords), min_size=len(times), max_size=len(times)))
+        times, cells = _column_series(step, draws, data)
         want = resample_to_grid(times, [PitchPoint(x, y) for x, y in cells], step)
         k, got = resample_column(ColumnTrack(np.array(times), np.array(cells).reshape(-1, 2)), step)
         assert k == want.start_k
         assert [(x.hex(), y.hex()) for x, y in got.tolist()] == [(p.x.hex(), p.y.hex()) for p in want.values]
+
+
+class TestBallWalk:
+    """The ball's grid walk (``assigner.ball_grid``) is resample_to_grid, float for float."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, phases=[Phase.explicit, Phase.generate])
+    @given(step=st.floats(0.2, 7.0), draws=_COLUMN_DRAWS, data=st.data())
+    @example(step=1.0, draws=[(3, 0.0, 0.0)], data=None)  # a one-frame record
+    @example(step=2.0, draws=[(4, 0.1, 0.0), (4, 0.9, 0.0)], data=None)  # a span that holds no node
+    @example(step=2.0, draws=[(0, 0.0, 0.0), (5, 0.0, -0.75)], data=None)  # the last time 1.5e-9 s below node 5
+    def test_equals_resample_to_grid_float_for_float(self, step, draws, data):
+        times, cells = _column_series(step, draws, data)
+        points = [PitchPoint(x, y) for x, y in cells]
+        want, got = resample_to_grid(times, points, step), walk_ball(times, points, step)
+        assert got.start_k == want.start_k
+        assert [[d.hex() for d in axis] for axis in got.displacements] == [
+            [d.hex() for d in axis] for axis in want.displacements
+        ]
 
 
 class TestForecastBasics:

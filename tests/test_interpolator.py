@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from track_enrich import forecaster
-from track_enrich.forecaster import GridSeries
 from track_enrich.geometry import PitchPoint, PlayerTag, Trajectory
 from track_enrich.interpolator import (
     ContinuousPath,
@@ -17,6 +16,7 @@ from track_enrich.interpolator import (
 from track_enrich.pipeline import _observed_and_age, path_states
 
 from oracles import (
+    GridSeries,
     forecast,
     position_in_gap,
     velocity_at,

@@ -175,8 +175,22 @@ def test_build_paths_replays_nothing(degraded, model):
     no point of its trajectory until its first forecast replays them all."""
     _, record, built = degraded
     paths = build_paths(record, model, [p.trajectory for p in built.paths], alpha=0.5).paths
-    assert all(p.state._covered == 0 and p.state.t_last is None for p in paths)
+    assert all(p.state._covered == 0 and p.state.walk.t is None for p in paths)
     for p in paths:
         p.state.forecast_at(p.trajectory.times[-1] + 2.5)
         assert p.state._covered == len(p.trajectory)
-        assert (p.state.t_last, p.state.pos_last) == (p.trajectory.times[-1], p.trajectory.points[-1])
+        assert (p.state.walk.t, p.state.walk.point) == (p.trajectory.times[-1], p.trajectory.points[-1])
+
+
+def test_build_paths_keeps_the_assigners_states(degraded, model):
+    """Given the assigner's states, as enrich gives them, each outfield path
+    keeps its state and each keeper's new state shares their ball grid."""
+    _, record, _ = degraded
+    tracked = build_trajectories(record, model)
+    states = tracked.states_in_order()
+    paths = build_paths(record, model, tracked.in_order(), alpha=0.5, states=states).paths
+    for p, st in zip(paths, states):
+        if st is None:
+            assert p.trajectory.tag.is_goalkeeper and p.state.ball is states[0].ball
+        else:
+            assert p.state is st
